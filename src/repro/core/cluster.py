@@ -67,10 +67,12 @@ class AcuerdoCluster(BroadcastSystem):
             i: AcuerdoNode(self, i, self.cfg) for i in self.node_ids}
         # Poll-elision doorbells: every one-sided deposit into a node's
         # memory (ring slots, SST rows, client mailboxes) wakes its poll
-        # loop if parked.  Bound here because replicas never go through
-        # fabric.attach().
+        # loop if parked — except Commit-SST rows that only carry a
+        # heartbeat, which the node rules quiet.  Bound here because
+        # replicas never go through fabric.attach().
         for i, node in self.nodes.items():
             self.fabric.nic(i).waker = node
+            self.commit_sst.declare_quiet(i, node.heartbeat_is_quiet)
         self._leader_hint: Optional[int] = None
 
     def register_client_port(self, port) -> None:

@@ -305,11 +305,34 @@ class AcuerdoNode(Process):
 
     # --------------------------------------------------------- poll elision
 
+    def heartbeat_is_quiet(self, row: int, old: CommitRow, new: CommitRow) -> bool:
+        """Quiet verdict for a Commit-SST row landing in this node's
+        copy (deviation 1's heartbeat traffic): True when the poll that
+        observes it would only run ``_observe_peer_heartbeats``, i.e.
+        stamp ``_peer_hb[row]`` and re-arm guards.  That excludes an
+        evicted sender (the stamp re-admits it), a follower's leader
+        row whose ``committed`` moved (commits become ready), and a
+        counter that did not advance (a replayed row: the scan compares
+        against the last heartbeat it saw, not the last one written)."""
+        return (new.heartbeat > old.heartbeat
+                and row not in self._evicted
+                and (self.role is Role.LEADER or row != self.E_cur.leader
+                     or new.committed == old.committed))
+
+    def on_quiet_deposit(self, row: int, value: CommitRow, tick: int) -> None:
+        # What the elided poll at ``tick`` would have kept.  The version
+        # guards stay behind on purpose: the waking poll re-scans, finds
+        # these heartbeats already recorded, and stamps only the rows
+        # that landed for its own tick.
+        self._peer_hb[row] = (value.heartbeat, tick)
+
     def park_ready(self) -> bool:
         """on_poll is a no-op right now iff nothing is drainable and no
         commit is ready.  Every input that can change that rings the
         doorbell: ring deposits, SST writes and mailbox deposits all ride
-        the QP delivery path, and client_broadcast calls request_poll."""
+        the QP delivery path (heartbeat-only Commit-SST rows are logged
+        instead, see heartbeat_is_quiet), and client_broadcast calls
+        request_poll."""
         if self._was_noop:
             # This tick's on_poll proved a strict superset of the checks
             # below (nothing between the two calls mutates node state).

@@ -95,8 +95,8 @@ DOORBELL_MIN_EVENT_REDUCTION = 3.0
 #: bench-smoke guard against poll-elision regressions.  Values are the
 #: measured counts plus ~25% headroom.
 EVENT_CEILINGS: dict[str, int] = {
-    "rdma": 95_000,     # measured 73_901 with parking on
-    "tcp": 145_000,     # measured 112_533 with parking on
+    "rdma": 83_000,     # measured 66_494 (73_901 before quiet heartbeat deposits)
+    "tcp": 141_000,     # measured 112_477 (112_533 before parking through a busy CPU)
 }
 
 #: The shard-farm reference point: an 8-group Acuerdo farm serving 10^5
@@ -107,18 +107,20 @@ SHARD_POINT = RunSpec(system="acuerdo", n=3, seed=9, payload_bytes=64,
                       workload="openloop", duration_ms=20.0, shards=8,
                       users=100_000, skew=0.99, arrival_rate=500_000.0)
 
-#: Executed-event ceiling for :data:`SHARD_POINT` (measured 301_200 with
-#: parking on and the farm heartbeat, plus ~25% headroom).  Guards the
+#: Executed-event ceiling for :data:`SHARD_POINT` (measured 223_221 with
+#: parking on and the farm heartbeat — 301_200 before heartbeat rows
+#: became quiet deposits — plus ~25% headroom).  Guards the
 #: per-group event cost of the farm: a regression here multiplies by the
 #: shard count.  Macro-event fusion does not move this number — chains
 #: change how events are *stored*, every step still executes and counts.
-SHARD_EVENT_CEILING = 375_000
+SHARD_EVENT_CEILING = 279_000
 
 #: Heap-push reduction macro-event fusion must buy on the shard farm
 #: (``--check`` gate; machine-independent, like the event ceilings).
 #: Most farm pushes are unfusable poll/park singletons, so the whole-farm
 #: ratio is modest even though fused fan-outs shrink ~8x; measured
-#: 384_485 / 364_708 = 1.054x.
+#: 276_294 / 253_066 = 1.092x (384_485 / 364_708 = 1.054x while
+#: heartbeat rows still woke their receivers).
 CHAIN_MIN_PUSH_REDUCTION = 1.03
 
 #: Slice workers for the shard-parallel reference measurement: the

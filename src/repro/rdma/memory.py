@@ -36,14 +36,16 @@ class MemoryRegion:
     size_bytes:
         declared registration size (bookkeeping only).
     on_write:
-        callback ``(key, value, size_bytes) -> None`` invoked when a
-        remote one-sided write lands.  It runs with *no CPU involvement*
-        on the owner — the owning process only observes the effect at
-        its next poll.
+        callback ``(key, value, size_bytes)`` invoked when a remote
+        one-sided write lands.  It runs with *no CPU involvement* on
+        the owner — the owning process only observes the effect at its
+        next poll.  A true return value declares the write *quiet*: the
+        poll that observes it will do nothing the owner cannot stamp
+        after the fact (see ``Process.quiet_deposit``).
     """
 
     def __init__(self, owner: int, name: str, size_bytes: int,
-                 on_write: Callable[[Any, Any, int], None]):
+                 on_write: Callable[[Any, Any, int], Any]):
         self.owner = owner
         self.name = name
         self.size_bytes = size_bytes
@@ -62,13 +64,14 @@ class MemoryRegion:
         DARE-style connection-close discussion in §5)."""
         self._revoked = True
 
-    def remote_write(self, rkey: int, key: Any, value: Any, size_bytes: int) -> None:
-        """Apply a one-sided write.  Called by the QP at delivery time."""
+    def remote_write(self, rkey: int, key: Any, value: Any, size_bytes: int) -> Any:
+        """Apply a one-sided write.  Called by the QP at delivery time;
+        returns ``on_write``'s quiet verdict."""
         if self._revoked or rkey != self.rkey:
             raise AccessError(f"bad rkey {rkey:#x} for region {self.name}")
         self.writes_received += 1
         self.bytes_received += size_bytes
-        self._on_write(key, value, size_bytes)
+        return self._on_write(key, value, size_bytes)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<MemoryRegion {self.name} owner={self.owner} rkey={self.rkey:#x}>"

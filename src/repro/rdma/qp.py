@@ -144,13 +144,18 @@ class QueuePair:
         if not self.dst.powered:
             return  # destination host crashed; write is lost with it
         self.delivered += 1
-        region.remote_write(rkey, key, value, size_bytes)
+        quiet = region.remote_write(rkey, key, value, size_bytes)
         # Poll-elision doorbell: a deposit landed in this host's memory
         # (SST row, ring slot, mailbox, log region — every one-sided
-        # write funnels through here), so wake a parked poll loop.
+        # write funnels through here), so wake a parked poll loop —
+        # unless the region declared the write quiet, which a parked
+        # loop only logs.
         waker = self.dst.waker
         if waker is not None:
-            waker.doorbell(posted_at)
+            if quiet:
+                waker.quiet_deposit(posted_at, key, value)
+            else:
+                waker.doorbell(posted_at)
 
     def _complete(self, wr_id: Any, covers: int, posted_at: int) -> None:
         self._outstanding -= covers

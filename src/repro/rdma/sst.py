@@ -16,7 +16,7 @@ message" sound (§3.2).  Property tests assert this monotonicity.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from repro.rdma.fabric import RdmaFabric
 
@@ -62,6 +62,9 @@ class SharedStateTable:
         #: is armed; None on every honest run so ``_apply`` stays on its
         #: two-line fast path.
         self._mon_hook = None
+        #: Per-holder quiet verdicts ``fn(row, old, new) -> bool`` (see
+        #: :meth:`declare_quiet`); empty unless a protocol installs one.
+        self._quiet: dict[int, Callable[[int, Any, Any], bool]] = {}
         self._sink = fabric.engine.chain_builder()  # reusable fan-out fuser
         self.pushes = 0
         for m in self.members:
@@ -80,12 +83,25 @@ class SharedStateTable:
                 if src != m and (src, m) in fabric.qps:
                     self._wires[(src, m)] = (region, rkey, fabric.qps[(src, m)])
 
-    def _apply(self, holder: int, row: int, value: Any) -> None:
+    def _apply(self, holder: int, row: int, value: Any) -> bool:
+        copy = self.copies[holder]
+        old = copy[row]
         hook = self._mon_hook
         if hook is not None:
-            hook(self, holder, row, self.copies[holder][row], value)
-        self.copies[holder][row] = value
+            hook(self, holder, row, old, value)
+        copy[row] = value
         self._versions[holder] += 1
+        quiet = self._quiet.get(holder)
+        return quiet is not None and quiet(row, old, value)
+
+    def declare_quiet(self, holder: int,
+                      verdict: Callable[[int, Any, Any], bool]) -> None:
+        """Let ``holder``'s process rule on landing row writes:
+        ``verdict(row, old, new)`` returning True declares the write
+        quiet — the version still bumps, but the substrate logs the
+        deposit on a parked holder instead of waking it (the contract
+        is in DESIGN.md §6, "Quiet deposits")."""
+        self._quiet[holder] = verdict
 
     def remote_write_row(self, writer: int, holder: int, row: int,
                          value: Any) -> bool:
@@ -115,7 +131,8 @@ class SharedStateTable:
 
         Remote bumps arrive through the QP delivery path, which also
         rings the holder's poll-elision doorbell — so a parked node never
-        misses a version change (see ``repro.sim.process``)."""
+        misses a version change it did not itself declare quiet (see
+        ``repro.sim.process``)."""
         return self._versions[holder]
 
     def changed_since(self, holder: int, seen_version: int) -> bool:

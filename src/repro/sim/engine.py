@@ -1,8 +1,10 @@
 """Discrete-event engine with a nanosecond clock and deterministic RNG streams.
 
 The engine is a classic calendar-queue simulator: callbacks are scheduled
-at absolute nanosecond timestamps and executed in ``(time, seq)`` order,
-where ``seq`` is a monotonically increasing tie-breaker.  Because ties are
+at absolute nanosecond timestamps and executed in ``(time, created,
+seq)`` order: ``created`` is the time the event was scheduled and
+``seq`` a monotonically increasing tie-breaker, so events due at the same
+instant run in the order they were scheduled.  Because ties are
 broken deterministically and all randomness flows through named
 :meth:`Engine.rng` streams, a simulation is a pure function of its seed
 and configuration — re-running it produces byte-identical traces.  The
@@ -95,7 +97,7 @@ class Event:
 
     def __lt__(self, other: "Event") -> bool:
         # Kept for direct Event comparisons; the engine heap orders by
-        # (time, seq) tuples so this never runs on the hot path.
+        # (time, created, seq) tuples so this never runs on the hot path.
         return (self.time, self.seq) < (other.time, other.seq)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -106,8 +108,8 @@ class Event:
 class _Chain:
     """A compiled macro-event: N steps sharing one heap entry.
 
-    A chain occupies a single ``(time, seq, chain)`` heap slot keyed by
-    its *current* step.  :meth:`Engine._exec_chain` walks the steps,
+    A chain occupies a single ``(time, created, seq, chain)`` heap slot
+    keyed by its *current* step.  :meth:`Engine._exec_chain` walks the steps,
     advancing ``engine.now`` to each step's absolute time, and re-pushes
     the remainder (one heappush) whenever an interleaved event, the run
     horizon, an event budget, or :meth:`Engine.stop` must win first —
@@ -120,15 +122,20 @@ class _Chain:
     one event).  In *dynamic* mode each next step's seq is drawn from
     the live engine counter after the previous step returns (matching a
     self-rescheduling callback that allocates its successor while
-    executing).
+    executing).  ``created`` follows the same rule: it is the time the
+    current step was scheduled — the push time for every step of a
+    static chain, the previous step's time for the later steps of a
+    dynamic one.
     """
 
-    __slots__ = ("steps", "index", "seq", "dynamic", "cancelled", "_engine", "_popped")
+    __slots__ = ("steps", "index", "seq", "created", "dynamic", "cancelled",
+                 "_engine", "_popped")
 
-    def __init__(self, steps: list, seq: int, dynamic: bool):
+    def __init__(self, steps: list, seq: int, created: int, dynamic: bool):
         self.steps = steps  # [(abs_time_ns, fn, args), ...]
         self.index = 0
         self.seq = seq
+        self.created = created
         self.dynamic = dynamic
         self.cancelled = False
         self._engine: Optional["Engine"] = None
@@ -252,17 +259,23 @@ class Engine:
         #: (``REPRO_CHAIN`` env, default on).  Producers also read this
         #: to pick between fused and per-event scheduling.
         self.chain_enabled: bool = chain_enabled_default()
-        # Heap entries are (time, seq, event, fn, args) tuples: seq is
-        # unique, so tuple comparison resolves on the first two ints and
-        # never calls into Event — the heap sift runs entirely in C.
-        # The handler and its args are preloaded into the entry so the
-        # run() loop dispatches without per-event attribute lookups;
-        # ``fn is None`` tags a compiled chain (kind-indexed dispatch).
+        # Heap entries are (time, created, seq, event, fn, args) tuples:
+        # seq is unique, so tuple comparison resolves on the first three
+        # ints and never calls into Event — the heap sift runs entirely
+        # in C.  ``created`` never decreases as seq grows, so it is
+        # redundant between ordinary events; it is in the key so that
+        # schedule_backdated() can place an event among same-instant
+        # events by the time it would have been scheduled.  The handler
+        # and its args are preloaded into the entry so the run() loop
+        # dispatches without per-event attribute lookups; ``fn is None``
+        # tags a compiled chain (kind-indexed dispatch).
         self._heap: list[tuple] = []
         self._seq: int = 0
         self._cancelled_in_heap: int = 0
         self._rngs: dict[str, random.Random] = {}
         self._stopped = False
+        # ``created`` of the executing event; None between runs.
+        self._born: Optional[int] = None
         #: ambient identity scope (see :meth:`scoped`): while set, every
         #: stream handed out by :meth:`rng` is prefixed with this label
         #: and processes constructed record :attr:`scope_group` as their
@@ -355,9 +368,27 @@ class Engine:
         self._seq = seq + 1
         ev = Event(time, seq, fn, args)
         ev._engine = self
-        heappush(self._heap, (time, seq, ev, fn, args))
+        heappush(self._heap, (time, self.now, seq, ev, fn, args))
         self.heap_pushes += 1
         return ev
+
+    def schedule_backdated(self, created: int, time: int,
+                           fn: Callable[..., Any], *args: Any) -> Event:
+        """:meth:`schedule_at`, ordered among the events due at ``time``
+        as if it had been called at ``created`` (<= now): after those
+        scheduled up to and at ``created``, before those scheduled
+        later.  A parked process materialises a poll this way — the
+        unparked loop would have scheduled it at the tick before (see
+        ``Process._wake``).
+
+        Implemented by rewinding the clock around :meth:`schedule_at`,
+        which stays the single per-event heap sink."""
+        now = self.now
+        self.now = created
+        try:
+            return self.schedule_at(time, fn, *args)
+        finally:
+            self.now = now
 
     def schedule_chain(self, steps: Sequence[tuple], *, dynamic: bool = False):
         """Schedule a precompiled macro-event: ``steps`` is a sequence of
@@ -410,9 +441,9 @@ class Engine:
                 f"cannot schedule in the past: {steps[0][0]} < now {self.now}")
         base = self._seq
         self._seq = base + (1 if dynamic else len(steps))
-        ch = _Chain(steps, base, dynamic)
+        ch = _Chain(steps, base, self.now, dynamic)
         ch._engine = self
-        heappush(self._heap, (steps[0][0], base, ch, None, None))
+        heappush(self._heap, (steps[0][0], self.now, base, ch, None, None))
         self.heap_pushes += 1
         return ch
 
@@ -432,7 +463,8 @@ class Engine:
 
     def _compact(self) -> None:
         """Drop cancelled events and re-heapify.  Pop order is defined by
-        ``(time, seq)``, not heap layout, so determinism is unaffected.
+        the ``(time, created, seq)`` key, not heap layout, so determinism
+        is unaffected.
 
         Compaction mutates the heap *in place* (slice assignment, never
         rebinding ``self._heap``): :meth:`run` and :meth:`step` hold a
@@ -440,7 +472,7 @@ class Engine:
         fire from inside an executing event."""
         live = []
         for entry in self._heap:
-            ev = entry[2]
+            ev = entry[3]
             if ev.cancelled:
                 ev._popped = True
             else:
@@ -498,7 +530,7 @@ class Engine:
             # so the hot path never touches an Event attribute beyond
             # the cancellation flag, and ``fn is None`` dispatches
             # chains without an isinstance/class test.
-            time, _seq, ev, fn, args = heap[0]
+            time, born, _seq, ev, fn, args = heap[0]
             if ev.cancelled:
                 pop(heap)
                 ev._popped = True
@@ -508,6 +540,7 @@ class Engine:
                 break
             pop(heap)
             ev._popped = True
+            self._born = born
             if fn is None:
                 executed += self._exec_chain(
                     ev, horizon, (max_events - executed) if bounded else -1)
@@ -516,17 +549,32 @@ class Engine:
             fn(*args)
             executed += 1
         self.events_executed += executed
+        if not self._stopped:
+            # Drained up to the horizon: whoever acts next does so after
+            # every event due by ``now`` (stop(), like a budget return,
+            # leaves the caller where the last event left off).
+            self._born = None
         if until is not None and self.now < until:
             self.now = until
         return executed
+
+    @property
+    def event_created_at(self) -> int:
+        """Engine time at which the executing event was scheduled
+        (``now`` between runs).  Events due at the same instant run in
+        the order they were scheduled, so this tells a process whether a
+        poll tick falling on ``now`` would have run before the caller
+        (see ``Process.request_poll``)."""
+        born = self._born
+        return self.now if born is None else born
 
     def _exec_chain(self, chain: _Chain, horizon, budget: int) -> int:
         """Execute steps of a just-popped chain until it completes or must
         yield; returns the number of steps executed (``budget`` < 0 means
         unbounded).
 
-        After each step the next step's ``(time, seq)`` is compared
-        against the heap head: if any live-or-cancelled entry sorts
+        After each step the next step's ``(time, created, seq)`` is
+        compared against the heap head: if any live-or-cancelled entry sorts
         earlier, or the horizon/budget/:meth:`stop` applies, the
         remainder is re-pushed as one entry and control returns to
         :meth:`run` — so fused execution is observably identical to the
@@ -555,6 +603,7 @@ class Engine:
             if dynamic:
                 seq = self._seq
                 self._seq = seq + 1
+                self._born = chain.created = t
             else:
                 seq += 1
             chain.index = i
@@ -567,10 +616,10 @@ class Engine:
             if (self._stopped
                     or (0 <= budget <= executed)
                     or nt > horizon
-                    or (heap and (heap[0][0] < nt
-                                  or (heap[0][0] == nt and heap[0][1] < seq)))):
+                    or (heap and heap[0][0] <= nt
+                        and heap[0][:3] < (nt, chain.created, seq))):
                 chain._popped = False
-                heappush(heap, (nt, seq, chain, None, None))
+                heappush(heap, (nt, chain.created, seq, chain, None, None))
                 self.heap_pushes += 1
                 return executed
 

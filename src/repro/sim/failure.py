@@ -275,6 +275,9 @@ class FailureInjector:
         """Make ``node`` a long-latency node from now on: every CPU cost
         and poll gap is multiplied by ``speed_factor``."""
         p = self._proc(node)
+        # Ticks up to the pending poll were drawn at the old factor: a
+        # parked loop replays them before the factor changes.
+        p.request_poll()
         p.config.speed_factor = speed_factor
         p.cpu.speed_factor = speed_factor
 

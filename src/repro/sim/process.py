@@ -17,16 +17,15 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Any, Callable, Optional
 
 from repro.sim.engine import Engine, Event, us
 
 
 def park_enabled_default() -> bool:
-    """Whether poll-elision parking is on (the ``REPRO_PARK`` escape
-    hatch: set ``REPRO_PARK=0`` to force every poll tick onto the heap
-    for debugging)."""
+    """Whether poll-elision parking is on.  ``REPRO_PARK=0`` forces
+    every poll tick onto the heap: the slow reference schedule the
+    equivalence tests compare parked runs against."""
     return os.environ.get("REPRO_PARK", "1") != "0"
 
 
@@ -153,7 +152,11 @@ class Process:
         allow = self.config.allow_park
         self._park_enabled = park_enabled_default() if allow is None else allow
         self._parked = False
-        self._park_cursor = 0                       # last virtual poll time
+        self._park_cursor = 0     # the poll tick the process parked at
+        self._park_next = 0       # the tick after it (gap already drawn)
+        #: deposits declared quiet while parked, in landing order:
+        #: (landed_at, posted_at, key, value)
+        self._quiet_log: list[tuple] = []
         self._horizon_event: Optional[Event] = None  # parked deadline event
 
     # ---------------------------------------------------------------- lifecycle
@@ -164,7 +167,7 @@ class Process:
             return
         self._started = True
         self.on_start()
-        self._schedule_poll()
+        self._poll_event = self.engine.schedule_at(self._next_tick(), self._poll_tick)
         self._schedule_deschedule()
 
     def on_start(self) -> None:
@@ -184,6 +187,7 @@ class Process:
             self._horizon_event.cancel()
             self._horizon_event = None
         self._parked = False
+        self._quiet_log.clear()
         self.engine.trace.count("process.crashes")
         obs = self.engine.obs
         if obs is not None:
@@ -198,14 +202,62 @@ class Process:
             gap += self._rng.randrange(cfg.poll_jitter_ns + 1)
         return max(1, int(gap * cfg.speed_factor))
 
-    def _schedule_poll(self) -> None:
-        if self.crashed:
-            return
-        # The next poll cannot begin while the CPU is still busy with the
-        # previous batch; polling resumes once the loop comes back around.
-        # The gap draw inlines _poll_gap's common configuration (unit
-        # speed, jittered) as the same getrandbits rejection sampling
-        # randrange performs internally (see _wake_at_tick).
+    def _replay(self, prev: int, t: int, targets: list) -> tuple[list, int]:
+        """Walk the poll-tick recurrence ``tick' = tick + gap`` and return,
+        for each ``(landed_at, posted_at, ...)`` entry of ``targets``
+        (sorted by ``landed_at``), the first tick whose poll observes
+        something that landed then — and the tick before the last of
+        them.
+
+        ``prev`` and ``t`` are the last two ticks already drawn (equal
+        when none has been drawn past ``prev``).  The observing tick is
+        the first one >= ``landed_at`` — except when it falls exactly on
+        ``landed_at`` and the landing was scheduled after the tick
+        before it (``posted_at > prev``): the poll event of that tick
+        was created at the tick before, so the real poll fires first,
+        misses the landing, and the next tick observes it.
+
+        Every virtual tick draws its gap here, in order, so the jitter
+        stream is consumed call for call as an unparked loop consumes
+        it through :meth:`_next_tick`.  The common configuration (unit
+        speed, jittered) inlines ``randrange(jitter + 1)`` as the
+        ``getrandbits`` rejection sampling CPython performs internally;
+        the config is re-read on every call because failure injection
+        (``slow_node``) mutates ``speed_factor`` mid-run.
+        """
+        cfg = self.config
+        base = cfg.poll_interval_ns
+        jitter = cfg.poll_jitter_ns
+        ticks = []
+        if cfg.speed_factor == 1.0 and base >= 1 and jitter:
+            # max(1, int(gap * 1.0)) == gap for gap = base + r >= 1.
+            grb = self._rng.getrandbits
+            n = jitter + 1
+            k = n.bit_length()
+            for target in targets:
+                when = target[0]
+                while t < when or (t == when and target[1] > prev):
+                    prev = t
+                    r = grb(k)
+                    while r >= n:
+                        r = grb(k)
+                    t = prev + base + r
+                ticks.append(t)
+        else:
+            gap = self._poll_gap
+            for target in targets:
+                when = target[0]
+                while t < when or (t == when and target[1] > prev):
+                    prev = t
+                    t = prev + gap()
+                ticks.append(t)
+        return ticks, prev
+
+    def _next_tick(self) -> int:
+        """The tick after a poll at ``now``: one gap on, but not while
+        the CPU is still busy with this poll's batch.  Every poll that
+        runs pays for this draw, so it inlines the same sampler as
+        :meth:`_replay` rather than walking a one-entry target list."""
         cfg = self.config
         base = cfg.poll_interval_ns
         jitter = cfg.poll_jitter_ns
@@ -219,17 +271,29 @@ class Process:
             gap = base + r
         else:
             gap = self._poll_gap()
-        at = max(self.engine.now + gap, self.cpu.busy_until + 1)
-        self._poll_event = self.engine.schedule_at(at, self._poll_tick)
+        return max(self.engine.now + gap, self.cpu.busy_until + 1)
 
     def _poll_tick(self) -> None:
         if self.crashed:
             return
         self.on_poll()
+        if self.crashed:
+            return
+        nxt = self._next_tick()
         if self._can_park():
-            self._park()
-        else:
-            self._schedule_poll()
+            deadline = self.park_deadline()
+            now = self.engine.now
+            # A deadline already due keeps the loop polling for real.
+            if deadline is None or deadline > now:
+                self._parked = True
+                self._park_cursor = now
+                self._park_next = nxt
+                self._poll_event = None
+                if deadline is not None:
+                    self._horizon_event = self.engine.schedule_at(
+                        deadline, self._wake, -1)
+                return
+        self._poll_event = self.engine.schedule_at(nxt, self._poll_tick)
 
     def on_poll(self) -> None:
         """One iteration of the node's event loop; override in subclasses."""
@@ -238,15 +302,18 @@ class Process:
 
     # A process whose on_poll would observe nothing can *park*: instead of
     # scheduling one heap event per poll tick, it keeps a virtual poll
-    # cursor and materialises a single event at the first poll tick >= the
-    # next thing that could make on_poll act — a protocol-declared
-    # *deadline* (heartbeat/election/retransmit timeout) or a *doorbell*
-    # (a substrate deposit into its memory, or a local request_poll()).
+    # cursor and materialises a single event at the first poll tick that
+    # could make on_poll act — a protocol-declared *deadline*
+    # (heartbeat/election/retransmit timeout) or a *doorbell* (a
+    # substrate deposit into its memory, or a local request_poll()).
+    # Deposits whose only effect is bookkeeping the process can stamp
+    # after the fact are *quiet*: they are logged, and the next wake
+    # hands each one the tick that would have observed it.
     # The virtual ticks draw the identical per-tick jitter samples from
-    # the same RNG stream, lazily, at wake time — so the poll-time
-    # sequence, RNG consumption and all downstream behaviour are
-    # bit-for-bit what the unparked loop produces (the golden trace
-    # fingerprints pin this).
+    # the same RNG stream (the first at park time, the rest lazily at
+    # wake time) — so the poll-time sequence, RNG consumption and all
+    # downstream behaviour are bit-for-bit what the unparked loop
+    # produces (the golden trace fingerprints pin this).
 
     def park_ready(self) -> bool:
         """Override: True iff on_poll is *currently* a no-op — nothing
@@ -263,147 +330,74 @@ class Process:
         (doorbell-only park)."""
         return None
 
+    def on_quiet_deposit(self, key: Any, value: Any, tick: int) -> None:
+        """Override: record what the elided poll at ``tick`` would have
+        recorded on observing the quiet deposit ``(key, value)`` (see
+        :meth:`quiet_deposit`).  Called in landing order before the
+        poll of the wake that follows; deposits that wake's own tick
+        observes are left to its on_poll."""
+
     def _can_park(self) -> bool:
-        if not self._park_enabled or self.crashed:
-            return False
         # Deschedule sampling shares this process's RNG stream; parking
         # would reorder the draws, so it is disabled under deschedules.
-        if self.config.deschedule_mean_interval_ns > 0:
-            return False
-        # A backed-up CPU shifts the next poll to busy_until + 1; the
-        # virtual cursor assumes the plain now + gap schedule.
-        if self.cpu.busy_until > self.engine.now:
-            return False
-        return self.park_ready()
+        return (self._park_enabled
+                and self.config.deschedule_mean_interval_ns <= 0
+                and self.park_ready())
 
-    def _park(self) -> None:
-        deadline = self.park_deadline()
-        now = self.engine.now
-        if deadline is not None and deadline <= now:
-            # Already due: keep polling for real.
-            self._schedule_poll()
-            return
-        self._parked = True
-        self._park_cursor = now
-        self._poll_event = None
-        if deadline is not None:
-            self._horizon_event = self.engine.schedule_at(deadline, self._horizon_fire)
-
-    def _horizon_fire(self) -> None:
-        self._horizon_event = None
-        if self.crashed or not self._parked:
-            return
-        self._wake_at_tick(self.engine.now, None)
-
-    def doorbell(self, posted_at: Optional[int] = None) -> None:
+    def doorbell(self, posted_at: int = -1) -> None:
         """Substrate deposit notification: wake a parked process at the
         first poll tick that would have observed the deposit.
 
         ``posted_at`` is the engine time at which the deposit's delivery
         was scheduled; it disambiguates the exact-tie case where the
-        deposit lands on a virtual poll tick (see _wake_at_tick)."""
-        if self._parked and not self.crashed:
-            self._wake_at_tick(self.engine.now, posted_at)
+        deposit lands on a virtual poll tick (see :meth:`_replay`; the
+        default never shifts)."""
+        if self._parked:
+            self._wake(posted_at)
+
+    def quiet_deposit(self, posted_at: int, key: Any, value: Any) -> None:
+        """Substrate notification for a deposit its memory region
+        declared quiet: observing it would change nothing on this
+        process except what :meth:`on_quiet_deposit` can reproduce from
+        ``(key, value)`` and the observing tick.  A parked process logs
+        it instead of waking; an unparked one has a poll pending that
+        observes it anyway."""
+        if self._parked:
+            self._quiet_log.append((self.engine.now, posted_at, key, value))
 
     def request_poll(self) -> None:
         """Doorbell for local state changes made outside on_poll (client
-        submissions, failover hand-offs): if parked, wake at the first
-        poll tick >= now.  A no-op on unparked processes, whose regular
-        loop observes the change at its next tick anyway."""
-        if self._parked and not self.crashed:
-            self._wake_at_tick(self.engine.now, None)
+        submissions, failover hand-offs, fault injection): if parked,
+        wake at the first poll tick that observes the change.  A poll
+        tick falling exactly on ``now`` ran before the caller iff the
+        caller's event was scheduled after the tick before it, which is
+        the deposit tie rule with the executing event's creation time.
+        A no-op on unparked processes, whose pending poll observes the
+        change anyway."""
+        if self._parked:
+            self._wake(self.engine.event_created_at)
 
-    def _wake_at_tick(self, wake_time: int, posted_at: Optional[int]) -> None:
-        """Fast-forward the virtual poll schedule to the first tick >=
-        ``wake_time`` and materialise the poll event there.
-
-        This replay loop dominates farm-scale profiles (millions of
-        virtual ticks), so the common configuration — unit speed factor,
-        positive base interval — runs inline fast paths that consume the
-        RNG stream *identically* to :meth:`_poll_gap`: the jittered path
-        rejection-samples ``getrandbits(k)`` exactly as CPython's
-        ``Random.randrange`` does internally, and the jitter-free path
-        advances the cursor in closed form without iterating.  The
-        config is re-read on every call because failure injection
-        (``slow_node``) mutates ``speed_factor`` mid-run.
-        """
-        cfg = self.config
-        prev = self._park_cursor
-        base = cfg.poll_interval_ns
-        jitter = cfg.poll_jitter_ns
-        if cfg.speed_factor == 1.0 and base >= 1:
-            if jitter:
-                # max(1, int(gap * 1.0)) == gap for gap = base + r >= 1,
-                # so each virtual tick is base plus one randrange(jitter+1)
-                # draw, inlined as getrandbits rejection sampling.
-                grb = self._rng.getrandbits
-                n = jitter + 1
-                k = n.bit_length()
-                # Bulk phase: a tick advances at most base + jitter, so
-                # the first m ticks are guaranteed to stay short of
-                # wake_time and their jitter draws can be consumed in
-                # C-level chunks.  Each accepted value needs at least one
-                # getrandbits call, so drawing exactly `need` calls per
-                # round can never overshoot the rejection-sampled stream:
-                # the call-for-call consumption is identical to the
-                # one-at-a-time loop below.
-                m = (wake_time - prev - 1) // (base + jitter)
-                if m > 0:
-                    acc = 0
-                    need = m
-                    while need:
-                        vals = list(map(grb, repeat(k, need)))
-                        rej = [v for v in vals if v >= n]
-                        acc += sum(vals)
-                        if rej:
-                            acc -= sum(rej)
-                            need = len(rej)
-                        else:
-                            need = 0
-                    prev += m * base + acc
-                r = grb(k)
-                while r >= n:
-                    r = grb(k)
-                t = prev + base + r
-                while t < wake_time:
-                    prev = t
-                    r = grb(k)
-                    while r >= n:
-                        r = grb(k)
-                    t = prev + base + r
-                if t == wake_time and posted_at is not None and posted_at > prev:
-                    # The deposit lands exactly on a poll tick, but its
-                    # delivery was scheduled after that tick's event would
-                    # have been (the unparked poll was created at the
-                    # previous tick): the real poll fires first and misses
-                    # it.  First observing tick is the next one.
-                    prev = t
-                    r = grb(k)
-                    while r >= n:
-                        r = grb(k)
-                    t = prev + base + r
-            else:
-                # Deterministic gap: jump the cursor in closed form.
-                delta = wake_time - prev
-                ticks = 1 if delta <= base else -(-delta // base)
-                t = prev + ticks * base
-                prev = t - base
-                if t == wake_time and posted_at is not None and posted_at > prev:
-                    prev = t
-                    t = prev + base
-        else:
-            t = prev + self._poll_gap()
-            while t < wake_time:
-                prev = t
-                t = prev + self._poll_gap()
-            if t == wake_time and posted_at is not None and posted_at > prev:
-                prev = t
-                t = prev + self._poll_gap()
+    def _wake(self, posted_at: int) -> None:
+        """Unpark: materialise the poll at the tick that observes
+        something landing now, after replaying the virtual ticks through
+        the quiet log.  ``posted_at`` is -1 for the horizon event at the
+        park deadline: a poll tick falling on a deadline acts on it."""
+        log = self._quiet_log
+        log.append((self.engine.now, posted_at))    # the last replay target
+        ticks, prev = self._replay(self._park_cursor, self._park_next, log)
+        at = ticks[-1]
+        for entry, tick in zip(log, ticks):
+            if tick == at:
+                break   # ticks are sorted: the rest is this poll's own
+            self.on_quiet_deposit(entry[2], entry[3], tick)
+        log.clear()
         self._parked = False
         if self._horizon_event is not None:
             self._horizon_event.cancel()
             self._horizon_event = None
-        self._poll_event = self.engine.schedule_at(t, self._poll_tick)
+        # The unparked loop scheduled this poll at the tick before it,
+        # which decides its turn among the events due at ``at``.
+        self._poll_event = self.engine.schedule_backdated(prev, at, self._poll_tick)
 
     @property
     def parked(self) -> bool:
@@ -440,6 +434,10 @@ class Process:
     def deschedule(self, duration_ns: int) -> None:
         """Take the process off-CPU for ``duration_ns`` (messages keep
         accumulating in its memory; the backlog drains at the next poll)."""
+        # The poll already due keeps its tick; only the ones after it
+        # wait for the CPU.  A parked loop has to put that poll on the
+        # real schedule before the stall moves its successors.
+        self.request_poll()
         self.cpu.stall(duration_ns)
         self.engine.trace.count("process.deschedules")
         obs = self.engine.obs

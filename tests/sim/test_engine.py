@@ -221,3 +221,63 @@ def test_double_cancel_counts_once():
     assert e.live_pending == 1
     e.run()
     assert e.idle()
+
+
+# ------------------------------------------------- schedule time as a key
+
+
+def test_backdated_event_takes_the_turn_of_its_schedule_time():
+    """Among events due at one instant, a backdated one runs after those
+    scheduled up to its ``created`` and before those scheduled later —
+    where it would have run had it been scheduled then."""
+    e = Engine()
+    order = []
+    e.schedule_at(100, order.append, "scheduled at 0")
+
+    def at_40():
+        e.schedule_at(100, order.append, "scheduled at 40")
+
+    def at_60():
+        e.schedule_at(100, order.append, "scheduled at 60")
+        e.schedule_backdated(50, 100, order.append, "backdated to 50")
+        e.schedule_backdated(40, 100, order.append, "backdated to 40")
+        assert e.now == 60
+
+    e.schedule_at(40, at_40)
+    e.schedule_at(60, at_60)
+    e.run()
+    assert order == ["scheduled at 0", "scheduled at 40", "backdated to 40",
+                     "backdated to 50", "scheduled at 60"]
+
+
+def test_chain_yields_to_a_backdated_event():
+    e = Engine()
+    order = []
+
+    def first():
+        order.append("step 1")
+        e.schedule_backdated(0, 20, order.append, "backdated")
+
+    e.schedule_at(5, e.schedule_chain, [(5, first, ()), (15, order.append, ("step 2",))])
+    e.run()
+    assert order == ["step 1", "backdated", "step 2"]
+
+
+def test_event_created_at_reports_when_the_running_event_was_scheduled():
+    e = Engine()
+    seen = []
+
+    def note(tag):
+        seen.append((tag, e.now, e.event_created_at))
+
+    e.schedule_at(10, e.schedule_at, 30, note, "plain")
+    e.schedule_at(12, e.schedule_chain,
+                  [(5, note, ("static 1",)), (9, note, ("static 2",))])
+    e.schedule_at(14, lambda: e.schedule_chain(
+        [(5, note, ("dynamic 1",)), (9, note, ("dynamic 2",))], dynamic=True))
+    e.run(until=50)
+    assert sorted(seen) == [("dynamic 1", 19, 14), ("dynamic 2", 23, 19),
+                            ("plain", 30, 10),
+                            ("static 1", 17, 12), ("static 2", 21, 12)]
+    # Between runs the caller acts after everything due by now.
+    assert e.event_created_at == e.now == 50

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Engine, Process, ProcessConfig, us
+from repro.sim import Engine, FailureInjector, Process, ProcessConfig, us
 
 
 class IdleParker(Process):
@@ -40,6 +40,10 @@ def _run(allow_park, ring=None, until=us(50), deadline_in=None, **cfg_kw):
         e.schedule_at(at, fn, p)
     e.run(until=until)
     return p, e
+
+
+def _first_poll_at_or_after(polls, at):
+    return min(t for t in polls if t >= at)
 
 
 def test_doorbell_wakes_on_baseline_schedule():
@@ -101,18 +105,102 @@ def test_slow_node_wakes_on_stretched_schedule():
 def test_out_of_poll_cpu_charge_rederives_schedule():
     """Out-of-poll work that advances busy_until must ring request_poll;
     the woken loop then reproduces the unparked busy_until + 1 fallback
-    schedule exactly, and re-parks once the CPU drains."""
+    schedule exactly.  A busy CPU no longer keeps the loop on the heap:
+    it re-parks at once with busy_until + 1 as the floor of its next
+    virtual tick."""
     def stall_and_ring(p):
         p.cpu.stall(us(5))
         p.request_poll()
 
-    baseline, _ = _run(False, ring=(1_000, stall_and_ring), until=us(3))
-    parked, eng = _run(True, ring=(1_000, stall_and_ring), until=us(3))
-    assert not parked.parked          # busy CPU: still real-polling
-    assert [t for t in baseline.polls if t >= 1_000] == \
-        [t for t in parked.polls if t >= 1_000]
-    eng.run(until=us(20))
-    assert parked.parked              # CPU drained, loop parked again
+    def run(allow_park):
+        e = Engine(seed=9)
+        p = IdleParker(e, config=_cfg(allow_park))
+        p.start()
+        e.schedule_at(1_000, stall_and_ring, p)
+        e.schedule_at(us(4), p.doorbell, us(4))     # lands while still busy
+        e.schedule_at(us(8), p.doorbell, us(8))     # lands after the drain
+        e.run(until=us(10))
+        return p
+
+    baseline, parked = run(False), run(True)
+    assert parked.parked
+    woken = [t for t in parked.polls if t >= 1_000]
+    expected = [_first_poll_at_or_after(baseline.polls, at)
+                for at in (1_000, us(4), us(8))]
+    assert woken == expected
+    assert expected[1] == 1_000 + us(5) + 1     # the busy_until + 1 floor
+
+
+def test_deschedule_flushes_the_parked_loop_first():
+    """A deschedule stalls the CPU under a parked loop: the poll already
+    due keeps its tick, its successors wait for busy_until + 1 — so a
+    doorbell during the stall is not noticed before the CPU is back."""
+    def run(allow_park):
+        e = Engine(seed=9)
+        p = IdleParker(e, config=_cfg(allow_park))
+        p.start()
+        e.schedule_at(us(10), p.deschedule, us(5))
+        e.schedule_at(us(12), p.doorbell, us(12))
+        e.run(until=us(20))
+        return p
+
+    baseline, parked = run(False), run(True)
+    seen = _first_poll_at_or_after(baseline.polls, us(12))
+    assert seen == us(15) + 1
+    assert [t for t in parked.polls if t >= us(10)] == \
+        [_first_poll_at_or_after(baseline.polls, us(10)), seen]
+
+
+def test_slow_node_flushes_the_parked_loop_first():
+    """Ticks up to the pending poll were drawn at the old speed factor;
+    replaying them after slow_node() changed it would stretch them."""
+    def run(allow_park):
+        e = Engine(seed=9)
+        p = IdleParker(e, config=_cfg(allow_park))
+        p.start()
+        e.schedule_at(us(10), FailureInjector(e, [p]).slow_node, p, 7.5)
+        e.schedule_at(us(20), p.doorbell, us(20))
+        e.run(until=us(30))
+        return p
+
+    baseline, parked = run(False), run(True)
+    assert [t for t in parked.polls if t >= us(10)] == \
+        [_first_poll_at_or_after(baseline.polls, at) for at in (us(10), us(20))]
+
+
+@pytest.mark.parametrize("scheduled_after_previous_tick", [True, False])
+def test_request_poll_on_a_tick_respects_event_order(scheduled_after_previous_tick):
+    """A local wake landing exactly on a poll tick: the unparked poll of
+    that tick was scheduled at the tick before, so it runs first — and
+    misses the change — iff the waking event was scheduled after that."""
+    class Noticing(IdleParker):
+        changed = False
+        noticed_at = None
+
+        def on_poll(self):
+            super().on_poll()
+            if self.changed and self.noticed_at is None:
+                self.noticed_at = self.engine.now
+
+    def change(p):
+        p.changed = True
+        p.request_poll()
+
+    ticks, _ = _run(False, until=us(5))
+    prev, tick, after = ticks.polls[20:23]
+    post_at = prev + 1 if scheduled_after_previous_tick else prev - 1
+
+    def run(allow_park):
+        e = Engine(seed=9)
+        p = Noticing(e, config=_cfg(allow_park))
+        p.start()
+        e.schedule_at(post_at, e.schedule_at, tick, change, p)
+        e.run(until=us(5))
+        return p
+
+    baseline, parked = run(False), run(True)
+    assert baseline.noticed_at == (after if scheduled_after_previous_tick else tick)
+    assert parked.noticed_at == baseline.noticed_at
 
 
 def test_deschedules_disable_parking():
