@@ -96,7 +96,7 @@ DOORBELL_MIN_EVENT_REDUCTION = 3.0
 #: measured counts plus ~25% headroom.
 EVENT_CEILINGS: dict[str, int] = {
     "rdma": 83_000,     # measured 66_494 (73_901 before quiet heartbeat deposits)
-    "tcp": 141_000,     # measured 112_477 (112_533 before parking through a busy CPU)
+    "tcp": 63_000,      # measured 50_224 (112_477 before parking through fsync)
 }
 
 #: The shard-farm reference point: an 8-group Acuerdo farm serving 10^5

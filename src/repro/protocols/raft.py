@@ -55,7 +55,8 @@ class RaftNode(Process):
         self.cluster = cluster
         self.cfg = cfg
         self.ep = cluster.net.attach(self)
-        self.disk = Disk(cluster.engine, cfg.fsync_ns, name=f"etcd{node_id}.wal")
+        self.disk = Disk(cluster.engine, cfg.fsync_ns, name=f"etcd{node_id}.wal",
+                         owner=self)
         self.state = self.FOLLOWER
         self.term = 0
         self.voted_for: Optional[int] = None
@@ -114,11 +115,6 @@ class RaftNode(Process):
         if self.ep.inbox:
             return False
         if self.state == self.LEADER and self.pending:
-            return False
-        if self.disk._busy:
-            # WAL sync callbacks run outside the poll loop and advance
-            # busy_until (ACK sends, commit advancement); keep the real
-            # schedule until the device drains.
             return False
         return True
 

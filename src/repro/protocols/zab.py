@@ -65,7 +65,8 @@ class ZabNode(Process):
         self.cluster = cluster
         self.cfg = cfg
         self.ep = cluster.net.attach(self)
-        self.disk = Disk(cluster.engine, cfg.fsync_ns, name=f"zk{node_id}.disk")
+        self.disk = Disk(cluster.engine, cfg.fsync_ns, name=f"zk{node_id}.disk",
+                         owner=self)
         self.state = self.LOOKING
         self.epoch = 0
         self.leader: Optional[int] = None
@@ -130,11 +131,6 @@ class ZabNode(Process):
     def park_ready(self) -> bool:
         if self.ep.inbox or self.pending:
             return False
-        if self.disk._busy:
-            # fsync callbacks fire outside the poll loop and advance
-            # busy_until (ACK sends); stay on the real schedule until
-            # the device drains so those charges land as in the baseline.
-            return False
         if self.state == self.LOOKING:
             if self._fle_vote is None:
                 return False
@@ -149,16 +145,19 @@ class ZabNode(Process):
             # Heartbeat cadence (>=) dominates; the quorum-contact
             # step-down can only flip when a follower's last-contact
             # expires (strict >) or at the leader-grace expiry — waking
-            # early on any of these is a harmless no-op.
+            # early on any of these is a harmless no-op.  An expiry at
+            # or behind ``now`` has had its effect on the poll that just
+            # ran; returning it would keep the loop from ever parking.
+            now = self.engine.now
             d = self._last_hb_sent + cfg.heartbeat_period_ns
             t = self._became_leader_at + cfg.election_timeout_ns + 1
-            if t < d:
+            if now < t < d:
                 d = t
             for p, seen in self._follower_seen.items():
                 if self.cluster.nodes[p].crashed:
                     continue
                 t = seen + cfg.election_timeout_ns + 1
-                if t < d:
+                if now < t < d:
                     d = t
             return d
         if self.state == self.FOLLOWING:

@@ -11,18 +11,26 @@ the following flush together.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Optional
 
 from repro.sim.engine import Engine, us
+from repro.sim.process import Process
 
 
 class Disk:
-    """One node's transaction-log device."""
+    """One node's transaction-log device.
 
-    def __init__(self, engine: Engine, fsync_ns: int = us(150), name: str = "disk"):
+    ``owner`` is the process whose log this is (None for a stand-alone
+    device): a completion rings its poll doorbell, and a crashed owner's
+    device completes nothing.
+    """
+
+    def __init__(self, engine: Engine, fsync_ns: int = us(150), name: str = "disk",
+                 owner: Optional[Process] = None):
         self.engine = engine
         self.fsync_ns = fsync_ns
         self.name = name
+        self.owner = owner
         self._busy = False
         self._waiting: list[Callable[[], None]] = []
         self.syncs = 0
@@ -41,6 +49,19 @@ class Disk:
         self.engine.schedule(self.fsync_ns, self._finish, batch)
 
     def _finish(self, batch: list[Callable[[], None]]) -> None:
+        owner = self.owner
+        if owner is not None:
+            if owner.crashed:
+                # The host died mid-sync: nothing it had queued became
+                # durable, and nobody is left to be told.
+                self._waiting.clear()
+                self._busy = False
+                return
+            # The callbacks mutate the owner outside its poll loop (ACK
+            # sends, commit advancement, CPU charges): ring first, so a
+            # parked loop's already-due poll keeps its tick under the
+            # old CPU state (see Process.request_poll).
+            owner.request_poll()
         for cb in batch:
             cb()
         if self._waiting:

@@ -413,8 +413,18 @@ class Process:
         self.engine.schedule_at(at, self._poll_once)
 
     def _poll_once(self) -> None:
-        if not self.crashed:
-            self.on_poll()
+        if self.crashed:
+            return
+        if self._parked:
+            # By the park contract on_poll is a no-op until the deadline
+            # parked under — the horizon event's time, not a re-derived
+            # one: a poll on that instant acts on the state it was
+            # computed from (and runs before the horizon event whenever
+            # it was scheduled before the loop parked).
+            horizon = self._horizon_event
+            if horizon is None or self.engine.now < horizon.time:
+                return
+        self.on_poll()
 
     # ------------------------------------------------------------- deschedules
 

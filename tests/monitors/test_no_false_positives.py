@@ -107,3 +107,43 @@ def test_sharded_farm_monitors_every_group_independently():
                            term="forged")
     vs = engine.monitors.finish()
     assert [v.group for v in vs] == [2]
+
+
+@pytest.mark.parametrize("name", ["zookeeper", "etcd"])
+def test_no_event_from_a_node_after_its_crash(name):
+    # A follower dies 20 us into a log sync with a window of proposals
+    # queued behind it.  The device must not go on to report that sync
+    # (or the ones queued) as accepts of a host that no longer exists:
+    # CommitQuorumAccept would count them toward a quorum.
+    from repro.harness.factory import build_from_spec, settle
+    from repro.monitors import DEFAULT_MONITORS, Monitor, MonitorRegistry
+    from repro.sim.engine import ms, us
+    from repro.workloads.closedloop import ClosedLoopClient
+
+    seen = []
+
+    class Recorder(Monitor):
+        def on_mark(self, ev):
+            seen.append(ev)
+
+    spec = RunSpec(system=name, n=3, payload_bytes=1000, window=32)
+    engine = spec.make_engine()
+    MonitorRegistry(engine, factories=[*DEFAULT_MONITORS, Recorder])
+    system = build_from_spec(spec, engine)
+    settle(system)
+    ClosedLoopClient(system, window=32, message_size=1000).start()
+    engine.run(until=engine.now + ms(2))
+    victim = next(nd for nd in system.processes()
+                  if nd.node_id != system.leader_id())
+    syncs = victim.disk.syncs
+    while victim.disk.syncs == syncs:       # run up to the next sync's start
+        assert engine.step()
+    engine.run(until=engine.now + us(20))
+    system.crash(victim.node_id)
+    crashed_at = engine.now
+    engine.run(until=crashed_at + ms(3))
+    assert any(ev.node == victim.node_id for ev in seen)
+    assert [ev for ev in seen
+            if ev.node == victim.node_id and ev.t > crashed_at] == []
+    assert engine.monitors.finish() == []
+    assert victim.disk.queue_depth == 0

@@ -9,6 +9,12 @@ that land exactly on a poll tick occur thousands of times: closed loops
 at window 1 and 32, Zab over TCP, the 8-group Zipf farm, and the
 two-crash fail-over.  A parked run must reproduce the ``REPRO_PARK=0``
 run's exact latency sequence, commit instants and substrate counters.
+
+The device path gets its own cases: closed loops over ZooKeeper and etcd
+at windows 1 and 32, where every commit waits on a group-committed fsync
+and the nodes park through it (``Disk`` rings the owner's doorbell on
+completion).  Window 1 leaves the leader idle between a proposal and its
+sync, window 32 keeps the log device saturated.
 """
 
 from __future__ import annotations
@@ -18,6 +24,10 @@ import pathlib
 import sys
 
 import pytest
+
+from repro.harness.factory import build_from_spec, settle
+from repro.harness.runspec import RunSpec
+from repro.sim.engine import ms
 
 _BENCH = pathlib.Path(__file__).resolve().parents[2] / "bench" / "workloads.py"
 _spec = importlib.util.spec_from_file_location("bench_workloads", _BENCH)
@@ -52,13 +62,53 @@ def observe(name: str, seed: int, scale: float) -> tuple[dict, int]:
     return observed, p.engine.events_executed
 
 
-@pytest.mark.parametrize("name,seed,scale", CASES)
-def test_parked_run_equals_unparked_oracle(monkeypatch, name, seed, scale):
+#: (system, window, simulated ms)
+DEVICE_CASES = [
+    ("zookeeper", 1, 80.0),
+    ("zookeeper", 32, 20.0),
+    ("etcd", 1, 300.0),
+    ("etcd", 32, 80.0),
+]
+
+
+def observe_closed_loop(system_name: str, window: int,
+                        sim_ms: float) -> tuple[dict, int]:
+    spec = RunSpec(system=system_name, n=3, payload_bytes=1000, window=window,
+                   seed=3, duration_ms=sim_ms)
+    engine = spec.make_engine()
+    system = build_from_spec(spec, engine)
+    settle(system)
+    client = bench_workloads.AckTimedClosedLoop(
+        system, window=window, message_size=spec.payload_bytes)
+    client.start()
+    engine.run(until=engine.now + ms(sim_ms))
+    observed = {
+        "latencies": list(client.latencies),
+        "commit_times": list(client.ack_times),
+        "substrate": sorted(system.substrate_counters().items()),
+        "tracer": sorted(engine.trace.summary().items()),
+    }
+    return observed, engine.events_executed
+
+
+def _assert_parked_equals_oracle(monkeypatch, run, *args):
     monkeypatch.setenv("REPRO_PARK", "1")
-    parked, parked_events = observe(name, seed, scale)
+    parked, parked_events = run(*args)
     monkeypatch.setenv("REPRO_PARK", "0")
-    oracle, oracle_events = observe(name, seed, scale)
+    oracle, oracle_events = run(*args)
     assert len(oracle["latencies"]) > 300
     for key in oracle:
         assert parked[key] == oracle[key], key
     assert parked_events < oracle_events
+
+
+@pytest.mark.parametrize("name,seed,scale", CASES)
+def test_parked_run_equals_unparked_oracle(monkeypatch, name, seed, scale):
+    _assert_parked_equals_oracle(monkeypatch, observe, name, seed, scale)
+
+
+@pytest.mark.parametrize("system_name,window,sim_ms", DEVICE_CASES)
+def test_parking_through_fsync_equals_unparked_oracle(monkeypatch, system_name,
+                                                      window, sim_ms):
+    _assert_parked_equals_oracle(monkeypatch, observe_closed_loop,
+                                 system_name, window, sim_ms)

@@ -56,3 +56,21 @@ def test_queue_depth_visible():
     d.append(lambda: None)
     d.append(lambda: None)
     assert d.queue_depth == 1  # first is syncing, second waits
+
+
+def test_crashed_owner_device_completes_nothing():
+    from repro.sim import Process
+
+    e = Engine(seed=1)
+    owner = Process(e, 0)
+    d = Disk(e, fsync_ns=us(100), owner=owner)
+    done = []
+    d.append(lambda: done.append("in flight"))
+    e.schedule(us(10), lambda: d.append(lambda: done.append("queued")))
+    e.schedule(us(20), owner.crash)     # mid-sync
+    e.run()
+    assert done == []
+    assert d.queue_depth == 0
+    assert not d._busy
+    assert d.syncs == 1                 # the queued append never started one
+    assert e.now == us(100)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim import Engine, FailureInjector, Process, ProcessConfig, us
+from repro.sim.disk import Disk
 
 
 class IdleParker(Process):
@@ -23,6 +24,18 @@ class IdleParker(Process):
         if self.deadline_in is None:
             return None
         return self.engine.now + self.deadline_in
+
+
+class Noticing(IdleParker):
+    """Records the first poll that runs after ``changed`` was set."""
+
+    changed = False
+    noticed_at = None
+
+    def on_poll(self):
+        super().on_poll()
+        if self.changed and self.noticed_at is None:
+            self.noticed_at = self.engine.now
 
 
 def _cfg(allow_park, **kw):
@@ -173,15 +186,6 @@ def test_request_poll_on_a_tick_respects_event_order(scheduled_after_previous_ti
     """A local wake landing exactly on a poll tick: the unparked poll of
     that tick was scheduled at the tick before, so it runs first — and
     misses the change — iff the waking event was scheduled after that."""
-    class Noticing(IdleParker):
-        changed = False
-        noticed_at = None
-
-        def on_poll(self):
-            super().on_poll()
-            if self.changed and self.noticed_at is None:
-                self.noticed_at = self.engine.now
-
     def change(p):
         p.changed = True
         p.request_poll()
@@ -201,6 +205,76 @@ def test_request_poll_on_a_tick_respects_event_order(scheduled_after_previous_ti
     baseline, parked = run(False), run(True)
     assert baseline.noticed_at == (after if scheduled_after_previous_tick else tick)
     assert parked.noticed_at == baseline.noticed_at
+
+
+def _disk_run(allow_park, append_at, fsync_ns):
+    """One append whose completion flags the owner and charges its CPU,
+    as an fsync callback sending an ACK does."""
+    e = Engine(seed=9)
+    p = Noticing(e, config=_cfg(allow_park))
+    disk = Disk(e, fsync_ns, owner=p)
+
+    def durable():
+        p.changed = True
+        p.cpu.stall(us(2))
+
+    p.start()
+    e.schedule_at(append_at, disk.append, durable)
+    e.run(until=us(12))
+    return p
+
+
+def test_disk_completion_wakes_parked_owner_on_the_unparked_tick():
+    """The device rings before its callbacks run: the poll already due
+    keeps its tick, and the ones after it wait for the charged CPU."""
+    baseline, parked = (_disk_run(a, 1_000, us(4)) for a in (False, True))
+    done = 1_000 + us(4)
+    assert baseline.noticed_at == _first_poll_at_or_after(baseline.polls, done)
+    assert baseline.noticed_at < done + us(2)       # not pushed by the charge
+    assert parked.noticed_at == baseline.noticed_at
+    assert [t for t in parked.polls if t >= done] == [parked.noticed_at]
+    assert parked.parked
+    # The tick after it was drawn against the charged CPU on both sides.
+    assert parked._park_next == min(t for t in baseline.polls
+                                    if t > baseline.noticed_at) == done + us(2) + 1
+
+
+@pytest.mark.parametrize("synced_after_previous_tick", [True, False])
+def test_disk_completion_on_a_tick_respects_event_order(synced_after_previous_tick):
+    """A completion landing exactly on a virtual tick: that tick's poll
+    was scheduled at the tick before, so it runs first — and misses the
+    completion — iff the sync started after that."""
+    ticks, _ = _run(False, until=us(5))
+    prev, tick, after = ticks.polls[20:23]
+    start = prev + 1 if synced_after_previous_tick else prev - 1
+    baseline, parked = (_disk_run(a, start, tick - start) for a in (False, True))
+    assert baseline.noticed_at == (after if synced_after_previous_tick else tick)
+    assert parked.noticed_at == baseline.noticed_at
+
+
+def test_epoll_poll_of_a_parked_loop_is_elided_until_its_deadline():
+    """wake() is the epoll notification of the two-sided substrates.  Its
+    poll is a no-op on a parked loop by the park contract — except on
+    the deadline instant itself, where the epoll poll (scheduled before
+    the loop parked, so ahead of the horizon event) is the one that
+    acts.  An unparked loop's epoll poll always runs."""
+    first, _ = _run(False, until=us(1))
+    deadline = first.polls[0] + us(5)       # IdleParker parks at its first poll
+    early = us(2) + 1
+
+    def run(allow_park):
+        e = Engine(seed=9)
+        p = IdleParker(e, config=_cfg(allow_park), deadline_in=us(5))
+        p.start()
+        p.wake(us(2))
+        p.wake(deadline - 1)
+        e.run(until=deadline)
+        return p
+
+    baseline, parked = run(False), run(True)
+    assert early in baseline.polls and deadline in baseline.polls
+    assert early not in parked.polls
+    assert parked.polls == [first.polls[0], deadline]
 
 
 def test_deschedules_disable_parking():
