@@ -1,12 +1,10 @@
-"""Engine hot-loop microbenchmark: raw schedule/run and fused-chain rates.
+"""Engine hot-loop microbenchmark: raw schedule/run rate.
 
 Every simulated event in the repository funnels through
 ``Engine.schedule_at`` + ``Engine.run``; this bench pins their raw cost
-on the host, independent of any protocol logic, and measures what
-macro-event fusion saves on a pure fan-out workload (the producer shape
-SST pushes and ring broadcasts compile into chains).
+on the host, independent of any protocol logic.
 
-Floors are deliberately conservative — they catch a hot loop becoming
+The floor is deliberately conservative — it catches the hot loop becoming
 accidentally quadratic or re-gaining per-event allocations, not normal
 host jitter.
 """
@@ -20,12 +18,10 @@ from repro.harness import render_table
 from repro.sim.engine import Engine
 
 EVENTS = 200_000
-FAN = 8  # chain length of the fused fan-out shape
 
-#: Conservative events/second floors (a warm CPython on any recent host
-#: clears these by >5x; see BENCH_host_perf.json for measured rates).
+#: Conservative events/second floor (a warm CPython on any recent host
+#: clears it by >5x; see BENCH_host_perf.json for measured rates).
 SINGLES_MIN_EPS = 100_000.0
-CHAIN_MIN_EPS = 100_000.0
 
 
 def _nop(*_args) -> None:
@@ -40,51 +36,22 @@ def _run_singles() -> dict:
     engine.run()
     wall = time.perf_counter() - t0
     return {"events": engine.events_executed, "wall_s": wall,
-            "eps": engine.events_executed / wall if wall > 0 else 0.0,
-            "heap_pushes": engine.heap_pushes}
-
-
-def _run_chains() -> dict:
-    # The same event count arranged as FAN-step chains: one heap entry
-    # per fan-out, the shape broadcast producers emit.
-    engine = Engine(seed=1)
-    groups = EVENTS // FAN
-    for i in range(groups):
-        base = i * FAN
-        engine.schedule_chain([(base + j, _nop, (base + j,))
-                               for j in range(FAN)])
-    t0 = time.perf_counter()
-    engine.run()
-    wall = time.perf_counter() - t0
-    return {"events": engine.events_executed, "wall_s": wall,
-            "eps": engine.events_executed / wall if wall > 0 else 0.0,
-            "heap_pushes": engine.heap_pushes}
+            "eps": engine.events_executed / wall if wall > 0 else 0.0}
 
 
 def _measure() -> dict:
-    # Best-of-3: the floors gate a deterministic cost, not host noise.
-    singles = min((_run_singles() for _ in range(3)), key=lambda r: r["wall_s"])
-    chains = min((_run_chains() for _ in range(3)), key=lambda r: r["wall_s"])
-    return {"singles": singles, "chains": chains}
+    # Best-of-3: the floor gates a deterministic cost, not host noise.
+    return min((_run_singles() for _ in range(3)), key=lambda r: r["wall_s"])
 
 
 def test_bench_engine_hot_loop(benchmark, capsys) -> None:
-    out = run_once(benchmark, _measure)
-    s, c = out["singles"], out["chains"]
-    rows = [["singles", s["events"], s["heap_pushes"], round(s["wall_s"], 4),
-             round(s["eps"])],
-            [f"chains(x{FAN})", c["events"], c["heap_pushes"],
-             round(c["wall_s"], 4), round(c["eps"])]]
+    s = run_once(benchmark, _measure)
     emit("engine_hot_loop", render_table(
         f"Engine hot loop: {EVENTS} no-op events",
-        ["shape", "events", "heap_pushes", "wall_s", "events_per_s"], rows),
+        ["events", "wall_s", "events_per_s"],
+        [[s["events"], round(s["wall_s"], 4), round(s["eps"])]]),
         capsys)
 
-    assert s["events"] == c["events"] == EVENTS
-    # Fusion must collapse heap traffic on the fan-out shape...
-    assert c["heap_pushes"] <= s["heap_pushes"] // (FAN // 2)
-    # ...and neither loop may regress below the conservative floor.
+    assert s["events"] == EVENTS
     assert s["eps"] >= SINGLES_MIN_EPS, \
         f"singles rate {s['eps']:.0f} ev/s below floor {SINGLES_MIN_EPS:.0f}"
-    assert c["eps"] >= CHAIN_MIN_EPS, \
-        f"chain rate {c['eps']:.0f} ev/s below floor {CHAIN_MIN_EPS:.0f}"

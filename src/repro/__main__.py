@@ -175,18 +175,10 @@ def _cmd_elections(args: argparse.Namespace) -> int:
 
 
 def _cmd_shard(args: argparse.Namespace) -> int:
-    import os
-
     from repro.harness.render import render_table
     from repro.harness.runspec import RunSpec
     from repro.harness.shardsweep import shard_sweep
 
-    if args.no_chain:
-        # Workers inherit the environment, so the whole sweep — parallel
-        # or sequential — runs with per-event scheduling.  Behaviour is
-        # identical either way (the chain-equivalence tests pin it);
-        # this is the debugging/measurement escape hatch.
-        os.environ["REPRO_CHAIN"] = "0"
     spec = RunSpec(system=args.system, n=args.nodes,
                    payload_bytes=args.size, workload="openloop",
                    duration_ms=args.duration_ms, seed=args.seed,
@@ -438,9 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rate", type=float, default=500_000.0,
                    help="aggregate request rate (req/s)")
     p.add_argument("--duration-ms", type=float, default=10.0)
-    p.add_argument("--no-chain", action="store_true",
-                   help="disable macro-event fusion (REPRO_CHAIN=0): "
-                        "identical results, one heap entry per event")
     # SUPPRESS: only override the global --workers when given after the
     # subcommand, so 'repro --workers N shard' keeps working too.
     p.add_argument("--workers", type=int, default=argparse.SUPPRESS,

@@ -111,17 +111,8 @@ SHARD_POINT = RunSpec(system="acuerdo", n=3, seed=9, payload_bytes=64,
 #: parking on and the farm heartbeat — 301_200 before heartbeat rows
 #: became quiet deposits — plus ~25% headroom).  Guards the
 #: per-group event cost of the farm: a regression here multiplies by the
-#: shard count.  Macro-event fusion does not move this number — chains
-#: change how events are *stored*, every step still executes and counts.
+#: shard count.
 SHARD_EVENT_CEILING = 279_000
-
-#: Heap-push reduction macro-event fusion must buy on the shard farm
-#: (``--check`` gate; machine-independent, like the event ceilings).
-#: Most farm pushes are unfusable poll/park singletons, so the whole-farm
-#: ratio is modest even though fused fan-outs shrink ~8x; measured
-#: 276_294 / 253_066 = 1.092x (384_485 / 364_708 = 1.054x while
-#: heartbeat rows still woke their receivers).
-CHAIN_MIN_PUSH_REDUCTION = 1.03
 
 #: Slice workers for the shard-parallel reference measurement: the
 #: 8-group farm splits into this many contiguous 2-group slices.
@@ -323,8 +314,8 @@ def shard_parallel_section(serial: dict[str, Any],
 
     ``identical_point`` requires bit-identical per-shard fingerprints
     AND an identical :class:`ShardPoint` minus the host-cost fields
-    (``events_executed``/``heap_pushes`` sum over worker engines;
-    ``workers`` is self-describing by design).
+    (``events_executed`` sums over worker engines; ``workers`` is
+    self-describing by design).
     """
     from repro.harness.shardsweep import shard_point
     from repro.shard.parallel import parallel_shard_point
@@ -365,7 +356,7 @@ def shard_parallel_section(serial: dict[str, Any],
     parallel_shard_point(spec.replace(check_invariants=True),
                          collect=mon_collect)
 
-    host_cost = {"events_executed", "heap_pushes", "workers"}
+    host_cost = {"events_executed", "workers"}
     serial_beh = {k: v for k, v in asdict(serial_point).items()
                   if k not in host_cost}
     par_beh = {k: v for k, v in asdict(par_point).items()
@@ -391,56 +382,6 @@ def shard_parallel_section(serial: dict[str, Any],
         "foreign_total": par_collect["foreign"],
         "point": asdict(par_point),
     }
-
-
-def chain_section(repeats: int = 3) -> dict[str, Any]:
-    """Run :data:`SHARD_POINT` with macro-event fusion on and off.
-
-    Fusion is defined to be behaviour-preserving, so the two simulated
-    results — with the host-cost ``heap_pushes`` field stripped — must
-    be identical, including ``events_executed`` (chains change how
-    events are stored, not whether they run).  Reported alongside:
-    ``push_reduction`` (heap pushes off/on — machine-independent, the
-    quantity :data:`CHAIN_MIN_PUSH_REDUCTION` gates) and
-    ``wall_speedup`` (host-dependent)."""
-    from repro.harness.shardsweep import shard_point
-
-    out: dict[str, Any] = {}
-    prior = os.environ.get("REPRO_CHAIN")
-    try:
-        for label, flag in (("fused", "1"), ("unfused", "0")):
-            os.environ["REPRO_CHAIN"] = flag
-            best = float("inf")
-            result = None
-            for _ in range(max(3, repeats)):
-                with _gc_paused():
-                    t0 = time.perf_counter()
-                    p = shard_point(SHARD_POINT)
-                    best = min(best, time.perf_counter() - t0)
-                if result is None:
-                    result = p
-                elif result != p:
-                    raise AssertionError(
-                        f"shard-farm point ({label}) not deterministic "
-                        "across repeats")
-            behaviour = asdict(result)
-            pushes = behaviour.pop("heap_pushes")
-            out[label] = {"seconds": round(best, 4),
-                          "heap_pushes": pushes,
-                          "point": behaviour}
-    finally:
-        if prior is None:
-            os.environ.pop("REPRO_CHAIN", None)
-        else:
-            os.environ["REPRO_CHAIN"] = prior
-    fused, unfused = out["fused"], out["unfused"]
-    out["identical_point"] = fused["point"] == unfused["point"]
-    out["push_reduction"] = round(
-        unfused["heap_pushes"] / fused["heap_pushes"], 3) \
-        if fused["heap_pushes"] else float("inf")
-    out["wall_speedup"] = round(unfused["seconds"] / fused["seconds"], 3) \
-        if fused["seconds"] else float("inf")
-    return out
 
 
 def monitors_section(repeats: int = 3) -> dict[str, Any]:
@@ -618,19 +559,6 @@ def write_bench(path: pathlib.Path, repeats: int = 3,
                 f"shard-parallel farm: {basis} speedup {speedup}x at "
                 f"workers={par['workers']} is below the "
                 f"FARM_PARALLEL_MIN_SPEEDUP bar {FARM_PARALLEL_MIN_SPEEDUP}x")
-
-    chain = chain_section(repeats=repeats)
-    doc["chain_fusion"] = chain
-    if not chain["identical_point"]:
-        failures.append(
-            "chain fusion: fused and unfused shard-farm runs produced "
-            "different simulated results (macro-event fusion changed "
-            "behaviour)")
-    if check and chain["push_reduction"] < CHAIN_MIN_PUSH_REDUCTION:
-        failures.append(
-            f"chain fusion: heap-push reduction {chain['push_reduction']}x "
-            f"is below the CHAIN_MIN_PUSH_REDUCTION bar "
-            f"{CHAIN_MIN_PUSH_REDUCTION}x")
 
     mon = monitors_section(repeats=repeats)
     doc["monitors"] = mon

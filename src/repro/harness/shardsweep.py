@@ -55,10 +55,6 @@ class ShardPoint:
     hottest_share: float
     #: Host-cost proxy: events the engine executed for this point.
     events_executed: int
-    #: Heap operations actually paid: with macro-event fusion on, whole
-    #: fan-outs and arrival batches ride single entries, so this drops
-    #: well below ``events_executed`` (they are equal-ish unfused).
-    heap_pushes: int = 0
     #: Safety violations the runtime monitors observed (0 unless the
     #: spec set ``check_invariants``; always 0 on a healthy farm).
     violations: int = 0
@@ -172,7 +168,6 @@ def shard_point(spec: RunSpec, heartbeat_us: Optional[int] = None,
         p99_latency_us=_percentile(lats, 99) / 1e3,
         hottest_share=max(dep.submitted) / total_sub if total_sub else 0.0,
         events_executed=engine.events_executed,
-        heap_pushes=engine.heap_pushes,
         violations=violations,
     )
 

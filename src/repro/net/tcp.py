@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Iterable, Optional
+from typing import Any, Optional
 
 from repro.sim.engine import Engine, us
 from repro.sim.process import Process
@@ -147,7 +147,6 @@ class TcpNetwork(Substrate):
         self._post_wire_ns = p.propagation_ns + p.stack_latency_ns
         self._loss_prob = p.loss_prob
         self._rto_ns = p.rto_ns
-        self._sink = engine.chain_builder()  # reusable broadcast fuser
 
     def attach(self, process: Process) -> TcpEndpoint:
         """Create this process's TCP stack and register it for delivery."""
@@ -157,16 +156,10 @@ class TcpNetwork(Substrate):
 
     # ------------------------------------------------------------------ send
 
-    def send(self, src: int, dst: int, payload: Any, size_bytes: int,
-             sink: Any = None) -> None:
+    def send(self, src: int, dst: int, payload: Any, size_bytes: int) -> None:
         """Send one message; charges the sender's kernel CPU immediately
         (the caller is executing on the sender's CPU) and schedules
-        delivery into the destination inbox.
-
-        ``sink``: optional :class:`~repro.sim.engine.ChainBuilder`
-        collecting the delivery step instead of scheduling it, so a
-        fan-out loop (see :meth:`broadcast`) fuses its deliveries into
-        one macro-event.  The caller must commit it."""
+        delivery into the destination inbox."""
         byz = self.engine.byz
         if byz is not None:
             repl = byz.on_net_send(self, src, dst, payload)
@@ -177,7 +170,7 @@ class TcpNetwork(Substrate):
                 byz._in_send = True
                 try:
                     for pl in repl:
-                        self.send(src, dst, pl, size_bytes, sink)
+                        self.send(src, dst, pl, size_bytes)
                 finally:
                     byz._in_send = False
                 return
@@ -203,12 +196,8 @@ class TcpNetwork(Substrate):
         key = (src, dst)
         deliver_at = max(deliver_at, self._last_delivery.get(key, 0) + 1)
         self._last_delivery[key] = deliver_at
-        if sink is not None:
-            sink.add(deliver_at, self._deliver, dst, src, payload, size_bytes,
-                     self.engine.now)
-        else:
-            self.engine.schedule_at(deliver_at, self._deliver, dst, src, payload,
-                                    size_bytes, self.engine.now)
+        self.engine.schedule_at(deliver_at, self._deliver, dst, src, payload,
+                                size_bytes, self.engine.now)
         obs = self.engine.obs
         if obs is not None:
             # Span milestones for traced carriers (dict miss otherwise).
@@ -216,24 +205,9 @@ class TcpNetwork(Substrate):
             obs.mark(payload, "wire", tx_done + p.propagation_ns)
             obs.mark(payload, "deposit", deliver_at)
 
-    def broadcast(self, src: int, dsts: Iterable[int], payload: Any,
-                  size_bytes: int) -> None:
-        """Separate unicasts whose deliveries fuse into one macro-event.
-
-        Each send still pays its own sender-CPU and serialisation costs
-        and its own per-stream FIFO floor — the buffered delivery times
-        are exactly the unicast ones, and so are the tie-break seqs
-        (per-stream floors can reorder across destinations, in which
-        case the builder falls back to per-event scheduling with
-        identical seqs; see :class:`~repro.sim.engine.ChainBuilder`)."""
-        sink = self._sink if self.engine.chain_enabled else None
-        try:
-            for d in dsts:
-                if d != src:
-                    self.send(src, d, payload, size_bytes, sink=sink)
-        finally:
-            if sink is not None:
-                sink.commit()
+    # The inherited loop over send(), bound in this class's namespace
+    # because bench/hosttrace.py wraps ``broadcast`` here by name.
+    broadcast = Substrate.broadcast
 
     def _deliver(self, dst: int, src: int, payload: Any, size: int,
                  posted_at: int = 0) -> None:

@@ -76,8 +76,6 @@ class PaxosNode(Process):
         self.cluster.net.send(self.node_id, dst, msg, size + self.cfg.msg_overhead_bytes)
 
     def _bcast(self, msg: tuple, size: int, include_self: bool = False) -> None:
-        # Fused fan-out: one macro-event carries all deliveries of this
-        # broadcast (identical per-unicast costs and timestamps).
         self.cluster.net.broadcast(self.node_id, self.cluster.node_ids, msg,
                                    size + self.cfg.msg_overhead_bytes)
         if include_self:

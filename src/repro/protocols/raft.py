@@ -84,8 +84,6 @@ class RaftNode(Process):
         self.cluster.net.send(self.node_id, dst, msg, size + self.cfg.msg_overhead_bytes)
 
     def _bcast(self, msg: tuple, size: int) -> None:
-        # Fused fan-out: one macro-event carries all deliveries of this
-        # broadcast (identical per-unicast costs and timestamps).
         self.cluster.net.broadcast(self.node_id, self.cluster.node_ids, msg,
                                    size + self.cfg.msg_overhead_bytes)
 

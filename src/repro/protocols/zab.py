@@ -100,10 +100,8 @@ class ZabNode(Process):
         self.cluster.net.send(self.node_id, dst, msg, size + self.cfg.msg_overhead_bytes)
 
     def _bcast(self, msg: tuple, size: int) -> None:
-        # Fused fan-out: the network coalesces the deliveries of one
-        # broadcast into a single macro-event (costs and timestamps are
-        # the per-unicast ones either way).  Zab skips known-crashed
-        # peers, so the filtered list is built here.
+        # Zab skips known-crashed peers, so the filtered list is built
+        # here.
         nodes = self.cluster.nodes
         dsts = [p for p in self.cluster.node_ids
                 if p != self.node_id and not nodes[p].crashed]

@@ -22,7 +22,7 @@ from repro.rdma.memory import MemoryRegion
 from repro.rdma.nic import Nic
 from repro.rdma.params import RdmaParams
 from repro.rdma.qp import QueuePair
-from repro.sim.engine import ChainBuilder, Engine
+from repro.sim.engine import Engine
 from repro.sim.process import Process
 from repro.substrate.interface import Endpoint, Substrate
 
@@ -178,7 +178,7 @@ class RdmaFabric(Substrate):
     def write(self, src: int, dst: int, region: MemoryRegion, rkey: int,
               key: Any, value: Any, size_bytes: int, signaled: bool = False,
               wr_id: Any = None, earliest_ns: int = 0,
-              lane: str = "control", sink: Any = None) -> None:
+              lane: str = "control") -> None:
         """Post a one-sided write from ``src`` into ``region`` on ``dst``.
 
         ``earliest_ns``: doorbell time — typically the posting process's
@@ -186,19 +186,15 @@ class RdmaFabric(Substrate):
         ``lane="bulk"`` routes over the dedicated bulk QP and QoS lane;
         ordering is only guaranteed within a lane, so structures that
         rely on FIFO (rings, SSTs) must keep all their writes on one
-        lane.  ``sink`` (a :class:`~repro.sim.engine.ChainBuilder`)
-        collects the deliver/complete steps for macro-event fusion
-        across a fan-out; the caller commits it."""
+        lane."""
         if self._partition is not None and self._blocked(src, dst):
             self._drop_partitioned()
             return
         qp = self.qps[(src, dst)] if lane != "bulk" else self.bulk_qp(src, dst)
         qp.post_write(region, rkey, key, value, size_bytes,
-                      signaled=signaled, wr_id=wr_id, earliest_ns=earliest_ns,
-                      sink=sink)
+                      signaled=signaled, wr_id=wr_id, earliest_ns=earliest_ns)
 
-    def send(self, src: int, dst: int, payload: Any, size_bytes: int,
-             sink: Any = None) -> None:
+    def send(self, src: int, dst: int, payload: Any, size_bytes: int) -> None:
         """Message-channel send: one one-sided write into the destination
         endpoint's inbox region.  Charges the poster's doorbell CPU (the
         only send-side CPU RDMA involves); both endpoints must have been
@@ -210,7 +206,7 @@ class RdmaFabric(Substrate):
                 byz._in_send = True
                 try:
                     for pl in repl:
-                        self.send(src, dst, pl, size_bytes, sink)
+                        self.send(src, dst, pl, size_bytes)
                 finally:
                     byz._in_send = False
                 return
@@ -225,30 +221,13 @@ class RdmaFabric(Substrate):
         cpu.busy_until = max(cpu.busy_until, self.engine.now) + int(
             self._doorbell_cpu_ns * cpu.speed_factor)
         self.write(src, dst, dst_ep._region, dst_ep._rkey, src, payload,
-                   size_bytes, earliest_ns=cpu.busy_until, sink=sink)
+                   size_bytes, earliest_ns=cpu.busy_until)
         src_ep.sent += 1
         src_ep.tx_bytes += self.params.wire_bytes(size_bytes)
 
-    def broadcast(self, src: int, dsts: Iterable[int], payload: Any,
-                  size_bytes: int) -> None:
-        """Fan ``payload`` out to every destination except ``src``: the
-        per-destination costs, loss draws and FIFO floors are computed
-        exactly as by per-destination :meth:`send` calls, but all the
-        resulting inbox deposits ride one fused macro-event (falling
-        back to per-event scheduling when fusion is off or delivery
-        times interleave non-monotonically)."""
-        if not self.engine.chain_enabled:
-            for d in dsts:
-                if d != src:
-                    self.send(src, d, payload, size_bytes)
-            return
-        sink = ChainBuilder(self.engine)
-        try:
-            for d in dsts:
-                if d != src:
-                    self.send(src, d, payload, size_bytes, sink=sink)
-        finally:
-            sink.commit()
+    # The inherited loop over send(), bound in this class's namespace
+    # because bench/hosttrace.py wraps ``broadcast`` here by name.
+    broadcast = Substrate.broadcast
 
     # ------------------------------------------------------------ accounting
 

@@ -78,8 +78,7 @@ class Nic:
         self.waker: Any = None
         # Cost models are frozen after substrate build; snapshot the
         # per-verb charge and the wire-maths bound methods so occupy_tx —
-        # called once per write, including every step of a fused
-        # fan-out chain — skips the params indirection entirely.
+        # called once per write — skips the params indirection entirely.
         self._nic_tx_ns = params.nic_tx_ns
         self._tx_serialization_ns = params.tx_serialization_ns
         self._wire_bytes = params.wire_bytes

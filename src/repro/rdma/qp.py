@@ -56,8 +56,7 @@ class QueuePair:
 
     def post_write(self, region: MemoryRegion, rkey: int, key: Any, value: Any,
                    size_bytes: int, signaled: bool = False,
-                   wr_id: Any = None, earliest_ns: int = 0,
-                   sink: Any = None) -> None:
+                   wr_id: Any = None, earliest_ns: int = 0) -> None:
         """Post a one-sided RDMA write of ``value`` to ``region[key]``.
 
         The write occupies the sender's egress link, crosses the wire,
@@ -65,12 +64,6 @@ class QueuePair:
         If ``signaled``, a completion covering this and all earlier
         unsignaled writes is pushed to the sender's CQ once the transport
         ACK returns.
-
-        ``sink``: an optional :class:`~repro.sim.engine.ChainBuilder`
-        collecting this write's deliver/complete steps instead of
-        scheduling them — broadcast producers (SST push, ring fan-out)
-        pass one sink across all destinations so the whole fan-out
-        fuses into a single macro-event.  The caller must commit it.
 
         Raises :class:`SendQueueFullError` when more than
         ``params.max_send_queue`` WQEs are outstanding — the failure mode
@@ -106,36 +99,15 @@ class QueuePair:
             obs.mark(value, "wire", tx_done + self.params.propagation_ns)
             obs.mark(value, "deposit", deliver_at)
 
+        engine.schedule_at(deliver_at, self._deliver, region, rkey, key, value,
+                           size_bytes, now)
         if signaled:
             covers = self._unsignaled_run + 1
             self._unsignaled_run = 0
-            if sink is not None:
-                sink.add(deliver_at, self._deliver, region, rkey, key, value,
-                         size_bytes, now)
-                sink.add(deliver_at + self._completion_ns, self._complete,
-                         wr_id, covers, now)
-            elif engine.chain_enabled:
-                # Deliver and completion are one frozen-offset pair on
-                # this QP: fuse them into a single heap entry.
-                engine._push_chain_abs([
-                    (deliver_at, self._deliver,
-                     (region, rkey, key, value, size_bytes, now)),
-                    (deliver_at + self._completion_ns, self._complete,
-                     (wr_id, covers, now)),
-                ])
-            else:
-                engine.schedule_at(deliver_at, self._deliver, region, rkey, key,
-                                   value, size_bytes, now)
-                engine.schedule_at(deliver_at + self._completion_ns, self._complete,
-                                   wr_id, covers, now)
+            engine.schedule_at(deliver_at + self._completion_ns, self._complete,
+                               wr_id, covers, now)
         else:
             self._unsignaled_run += 1
-            if sink is not None:
-                sink.add(deliver_at, self._deliver, region, rkey, key, value,
-                         size_bytes, now)
-            else:
-                engine.schedule_at(deliver_at, self._deliver, region, rkey, key,
-                                   value, size_bytes, now)
 
     # -------------------------------------------------------------- internal
 

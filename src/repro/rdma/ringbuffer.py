@@ -160,7 +160,6 @@ class RingBuffer:
         # try_send posts straight to the QP when no partition is active
         # (fabric.write adds nothing else on the control lane).
         self._wires: dict[int, tuple[Any, int, Any]] = {}
-        self._sink = fabric.engine.chain_builder()  # reusable fan-out fuser
         for r in receivers:
             self._attach(r)
 
@@ -240,54 +239,43 @@ class RingBuffer:
         wires = self._wires
         interval = self.signal_interval
         direct = fabric._partition is None
-        # All remote deposits of one broadcast fuse into a single
-        # macro-event (local mirrors are plain stores and stay inline);
-        # the try/finally guarantees buffered steps are flushed even if
-        # a later receiver's QP raises SendQueueFullError mid-fan-out.
-        sink = self._sink if fabric.engine.chain_enabled else None
         byz = fabric.engine.byz
         if byz is not None and self.sender in byz._ring_modes:
             return self._try_send_byz(byz, seq, dests, payload, size_bytes,
-                                      earliest_ns, sink)
-        try:
-            for r in dests:
-                if r == sender:
-                    # Local mirror: plain store, visible at the next poll.
-                    rr = self._receivers[r]
-                    rr._on_data(seq, payload, size_bytes)
-                    if two_writes:
-                        rr._on_counter(seq)
-                    continue
-                count = since[r] + 1
-                signaled = count >= interval
-                since[r] = 0 if signaled else count
-                wire = wires.get(r) if direct else None
-                if wire is not None:
-                    region, rkey, qp = wire
-                    qp.post_write(region, rkey, ("data", seq), payload,
-                                  size_bytes, signaled, ("ring", seq),
-                                  earliest_ns, sink)
-                    if two_writes:
-                        # Separate 8-byte counter update (still >= 80 wire
-                        # bytes).
-                        qp.post_write(region, rkey, ("counter", seq), None,
-                                      8, False, None, earliest_ns, sink)
-                    continue
-                region, rkey = self._regions[r]
-                write(sender, r, region, rkey, ("data", seq), payload,
-                      size_bytes, signaled=signaled, wr_id=("ring", seq),
-                      earliest_ns=earliest_ns, sink=sink)
+                                      earliest_ns)
+        for r in dests:
+            if r == sender:
+                # Local mirror: plain store, visible at the next poll.
+                rr = self._receivers[r]
+                rr._on_data(seq, payload, size_bytes)
                 if two_writes:
-                    write(sender, r, region, rkey, ("counter", seq), None,
-                          8, signaled=False, earliest_ns=earliest_ns, sink=sink)
-        finally:
-            if sink is not None:
-                sink.commit()
+                    rr._on_counter(seq)
+                continue
+            count = since[r] + 1
+            signaled = count >= interval
+            since[r] = 0 if signaled else count
+            wire = wires.get(r) if direct else None
+            if wire is not None:
+                region, rkey, qp = wire
+                qp.post_write(region, rkey, ("data", seq), payload,
+                              size_bytes, signaled, ("ring", seq), earliest_ns)
+                if two_writes:
+                    # Separate 8-byte counter update (still >= 80 wire
+                    # bytes).
+                    qp.post_write(region, rkey, ("counter", seq), None,
+                                  8, False, None, earliest_ns)
+                continue
+            region, rkey = self._regions[r]
+            write(sender, r, region, rkey, ("data", seq), payload,
+                  size_bytes, signaled=signaled, wr_id=("ring", seq),
+                  earliest_ns=earliest_ns)
+            if two_writes:
+                write(sender, r, region, rkey, ("counter", seq), None,
+                      8, signaled=False, earliest_ns=earliest_ns)
         return seq
 
     def _try_send_byz(self, byz: Any, seq: int, dests: Iterable[int],
-                      payload: Any, size_bytes: int, earliest_ns: int,
-                      sink: Any) -> int:
+                      payload: Any, size_bytes: int, earliest_ns: int) -> int:
         """The attacked twin of :meth:`try_send`'s fan-out loop, taken
         only while a ring attack is armed on this sender.
 
@@ -306,45 +294,39 @@ class RingBuffer:
         wires = self._wires
         interval = self.signal_interval
         direct = self.fabric._partition is None
-        try:
-            for r in dests:
-                if r == sender:
-                    rr = self._receivers[r]
-                    rr._on_data(seq, payload, size_bytes)
-                    if two_writes:
-                        rr._on_counter(seq)
-                    continue
-                repl = byz.on_ring_write(self, seq, r, payload)
-                pls = repl if repl is not None else (payload,)
-                count = since[r] + 1
-                signaled = count >= interval
-                since[r] = 0 if signaled else count
-                wire = wires.get(r) if direct else None
-                for pl in pls:
-                    if wire is not None:
-                        region, rkey, qp = wire
-                        qp.post_write(region, rkey, ("data", seq), pl,
-                                      size_bytes, signaled, ("ring", seq),
-                                      earliest_ns, sink)
-                    else:
-                        region, rkey = self._regions[r]
-                        write(sender, r, region, rkey, ("data", seq), pl,
-                              size_bytes, signaled=signaled,
-                              wr_id=("ring", seq), earliest_ns=earliest_ns,
-                              sink=sink)
+        for r in dests:
+            if r == sender:
+                rr = self._receivers[r]
+                rr._on_data(seq, payload, size_bytes)
                 if two_writes:
-                    if wire is not None:
-                        region, rkey, qp = wire
-                        qp.post_write(region, rkey, ("counter", seq), None,
-                                      8, False, None, earliest_ns, sink)
-                    else:
-                        region, rkey = self._regions[r]
-                        write(sender, r, region, rkey, ("counter", seq), None,
-                              8, signaled=False, earliest_ns=earliest_ns,
-                              sink=sink)
-        finally:
-            if sink is not None:
-                sink.commit()
+                    rr._on_counter(seq)
+                continue
+            repl = byz.on_ring_write(self, seq, r, payload)
+            pls = repl if repl is not None else (payload,)
+            count = since[r] + 1
+            signaled = count >= interval
+            since[r] = 0 if signaled else count
+            wire = wires.get(r) if direct else None
+            for pl in pls:
+                if wire is not None:
+                    region, rkey, qp = wire
+                    qp.post_write(region, rkey, ("data", seq), pl,
+                                  size_bytes, signaled, ("ring", seq),
+                                  earliest_ns)
+                else:
+                    region, rkey = self._regions[r]
+                    write(sender, r, region, rkey, ("data", seq), pl,
+                          size_bytes, signaled=signaled,
+                          wr_id=("ring", seq), earliest_ns=earliest_ns)
+            if two_writes:
+                if wire is not None:
+                    region, rkey, qp = wire
+                    qp.post_write(region, rkey, ("counter", seq), None,
+                                  8, False, None, earliest_ns)
+                else:
+                    region, rkey = self._regions[r]
+                    write(sender, r, region, rkey, ("counter", seq), None,
+                          8, signaled=False, earliest_ns=earliest_ns)
         return seq
 
     # -------------------------------------------------------------- release

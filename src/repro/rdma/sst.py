@@ -65,7 +65,6 @@ class SharedStateTable:
         #: Per-holder quiet verdicts ``fn(row, old, new) -> bool`` (see
         #: :meth:`declare_quiet`); empty unless a protocol installs one.
         self._quiet: dict[int, Callable[[int, Any, Any], bool]] = {}
-        self._sink = fabric.engine.chain_builder()  # reusable fan-out fuser
         self.pushes = 0
         for m in self.members:
             region = self.fabric.register(
@@ -158,13 +157,7 @@ class SharedStateTable:
     def push(self, node: int, targets: Optional[Iterable[int]] = None,
              earliest_ns: int = 0) -> None:
         """Mirror ``node``'s own row to ``targets`` (default: all peers)
-        with one one-sided write each (``push_mine`` / ``push_mine_to``).
-
-        With macro-event fusion on, the per-peer deposits of one push
-        ride a single fused chain (the loop schedules nothing between
-        writes, so the fused tie-break seqs are exactly the unfused
-        ones; see :class:`~repro.sim.engine.ChainBuilder`).
-        """
+        with one one-sided write each (``push_mine`` / ``push_mine_to``)."""
         fabric = self.fabric
         value = self.copies[node][node]
         dests = targets if targets is not None else self.members
@@ -173,32 +166,26 @@ class SharedStateTable:
         row_bytes = self.row_size_bytes
         interval = self.signal_interval
         wr_id = self._wr_id
-        direct = fabric._partition is None  # fabric.write only adds the
-        pushed = 0                          # partition drop on this lane
-        sink = self._sink if fabric.engine.chain_enabled else None
-        try:
-            for t in dests:
-                if t == node:
-                    continue
-                k = (node, t)
-                count = since[k] + 1
-                signaled = count >= interval
-                since[k] = 0 if signaled else count
-                wire = wires.get(k) if direct else None
-                if wire is not None:
-                    region, rkey, qp = wire
-                    qp.post_write(region, rkey, node, value, row_bytes,
-                                  signaled, wr_id, earliest_ns, sink)
-                else:
-                    region, rkey = self._regions[t]
-                    self._write(node, t, region, rkey, node, value, row_bytes,
-                                signaled=signaled, wr_id=wr_id,
-                                earliest_ns=earliest_ns, sink=sink)
-                pushed += 1
-        finally:
-            self.pushes += pushed
-            if sink is not None:
-                sink.commit()
+        # fabric.write only adds the partition drop on this lane
+        direct = fabric._partition is None
+        for t in dests:
+            if t == node:
+                continue
+            k = (node, t)
+            count = since[k] + 1
+            signaled = count >= interval
+            since[k] = 0 if signaled else count
+            wire = wires.get(k) if direct else None
+            if wire is not None:
+                region, rkey, qp = wire
+                qp.post_write(region, rkey, node, value, row_bytes,
+                              signaled, wr_id, earliest_ns)
+            else:
+                region, rkey = self._regions[t]
+                self._write(node, t, region, rkey, node, value, row_bytes,
+                            signaled=signaled, wr_id=wr_id,
+                            earliest_ns=earliest_ns)
+            self.pushes += 1
 
     def set_and_push(self, node: int, value: Any,
                      targets: Optional[Iterable[int]] = None,

@@ -8,12 +8,6 @@ single :class:`~repro.workloads.openloop.OpenLoopClient` in Poisson
 mode — one event per *request*, not per user — with Zipfian key skew
 over a key space of ``users`` logical users.  Request keys partition
 across groups through the deployment's router.
-
-With macro-event fusion on (DESIGN.md §10) the client goes one step
-further: it compiles ``chain_batch`` consecutive requests into a single
-heap entry, pre-drawing keys and interarrival gaps in per-tick order
-from this stream — one heap push per *batch*, still one execution per
-request, bit-identical to the per-event schedule.
 """
 
 from __future__ import annotations

@@ -35,8 +35,8 @@ cumulatively per group, making slice and farm diverge — those raise).
 
 Merging is deterministic: each group is owned by exactly one slice, so
 per-shard arrays concatenate exactly; the latency multiset (and hence
-every percentile) is identical; ``events_executed``/``heap_pushes``
-sum to the parallel host cost (NOT comparable 1:1 to the serial farm —
+every percentile) is identical; ``events_executed`` sums to the
+parallel host cost (NOT comparable 1:1 to the serial farm —
 foreign-event elision makes the sum smaller).
 """
 
@@ -83,7 +83,6 @@ class SliceResult:
     violations: list         # (group_or_None, str(violation)) pairs
     foreign: int
     events_executed: int
-    heap_pushes: int
     sim_elapsed_ns: int
     seconds: float           # wall-clock inside the worker
     spans: list = field(default_factory=list)
@@ -161,7 +160,6 @@ def run_slice(spec: RunSpec, lo: int, hi: int,
         violations=[(v.group, str(v)) for v in violations],
         foreign=dep.foreign,
         events_executed=engine.events_executed,
-        heap_pushes=engine.heap_pushes,
         sim_elapsed_ns=engine.now - t_start,
         seconds=_time.perf_counter() - t_wall,
         spans=spans,
@@ -252,7 +250,6 @@ def parallel_shard_point(spec: RunSpec,
         p99_latency_us=_percentile(lats, 99) / 1e3,
         hottest_share=max(submitted) / total_sub if total_sub else 0.0,
         events_executed=sum(r.events_executed for r in results),
-        heap_pushes=sum(r.heap_pushes for r in results),
         violations=len(violations),
         workers=len(slices),
     )

@@ -13,22 +13,14 @@ determinism tests in ``tests/sim/test_determinism.py`` rely on this.
 
 from __future__ import annotations
 
-import os
 import random
 from contextlib import contextmanager
 from heapq import heapify, heappop, heappush
-from typing import Any, Callable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterator, Optional
 
 NS_PER_US = 1_000
 NS_PER_MS = 1_000_000
 NS_PER_SEC = 1_000_000_000
-
-
-def chain_enabled_default() -> bool:
-    """Whether macro-event fusion is on (the ``REPRO_CHAIN`` escape
-    hatch: set ``REPRO_CHAIN=0`` to force every chain step onto the heap
-    as its own event, for debugging and equivalence testing)."""
-    return os.environ.get("REPRO_CHAIN", "1") != "0"
 
 
 def _as_int_ns(value: Any, what: str) -> int:
@@ -36,8 +28,8 @@ def _as_int_ns(value: Any, what: str) -> int:
 
     Nanoseconds are the base unit, so a float with a fractional part is
     a unit bug at the call site — it raises instead of silently
-    truncating.  Shared by :meth:`Engine.schedule`,
-    :meth:`Engine.schedule_at` and :meth:`Engine.schedule_chain`.
+    truncating.  Shared by :meth:`Engine.schedule` and
+    :meth:`Engine.schedule_at`.
     """
     if type(value) is int:
         return value
@@ -95,137 +87,9 @@ class Event:
         if self._engine is not None and not self._popped:
             self._engine._note_cancelled()
 
-    def __lt__(self, other: "Event") -> bool:
-        # Kept for direct Event comparisons; the engine heap orders by
-        # (time, created, seq) tuples so this never runs on the hot path.
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = " cancelled" if self.cancelled else ""
         return f"<Event t={self.time} seq={self.seq} fn={getattr(self.fn, '__name__', self.fn)}{state}>"
-
-
-class _Chain:
-    """A compiled macro-event: N steps sharing one heap entry.
-
-    A chain occupies a single ``(time, created, seq, chain)`` heap slot
-    keyed by its *current* step.  :meth:`Engine._exec_chain` walks the steps,
-    advancing ``engine.now`` to each step's absolute time, and re-pushes
-    the remainder (one heappush) whenever an interleaved event, the run
-    horizon, an event budget, or :meth:`Engine.stop` must win first —
-    so execution order is exactly what N separate heap entries would
-    produce, for one push/pop instead of N in the common case.
-
-    ``seq`` always holds the tie-break seq of the current step.  In
-    *static* mode all N seqs are reserved consecutively at schedule
-    time (matching a producer that calls ``schedule_at`` N times inside
-    one event).  In *dynamic* mode each next step's seq is drawn from
-    the live engine counter after the previous step returns (matching a
-    self-rescheduling callback that allocates its successor while
-    executing).  ``created`` follows the same rule: it is the time the
-    current step was scheduled — the push time for every step of a
-    static chain, the previous step's time for the later steps of a
-    dynamic one.
-    """
-
-    __slots__ = ("steps", "index", "seq", "created", "dynamic", "cancelled",
-                 "_engine", "_popped")
-
-    def __init__(self, steps: list, seq: int, created: int, dynamic: bool):
-        self.steps = steps  # [(abs_time_ns, fn, args), ...]
-        self.index = 0
-        self.seq = seq
-        self.created = created
-        self.dynamic = dynamic
-        self.cancelled = False
-        self._engine: Optional["Engine"] = None
-        self._popped = False
-
-    def cancel(self) -> None:
-        """Prevent the remaining steps from firing (steps that already
-        executed are unaffected); safe to call more than once."""
-        if self.cancelled:
-            return
-        self.cancelled = True
-        if self._engine is not None and not self._popped:
-            self._engine._note_cancelled()
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = " cancelled" if self.cancelled else ""
-        return (f"<Chain step {self.index}/{len(self.steps)}"
-                f" t={self.steps[self.index][0] if self.index < len(self.steps) else '-'}"
-                f" seq={self.seq}{state}>")
-
-
-class _ChainFallback:
-    """Cancellation handle for a chain scheduled with fusion disabled:
-    wraps the per-step events so callers can cancel the tail uniformly."""
-
-    __slots__ = ("events",)
-
-    def __init__(self, events: list):
-        self.events = events
-
-    def cancel(self) -> None:
-        for ev in self.events:
-            ev.cancel()
-
-
-class ChainBuilder:
-    """Buffers ``schedule_at`` calls so a producer loop can emit them as
-    one fused chain.
-
-    Producers that schedule one event per destination (SST pushes, ring
-    broadcasts, TCP fan-out) call :meth:`add` with the same absolute
-    times they would have passed to ``schedule_at``, then
-    :meth:`commit`.  Commit fuses iff fusion is enabled and the
-    buffered times are non-decreasing (per-QP FIFO floors make this the
-    overwhelmingly common case, but loss-as-delay can reorder); any
-    other case falls back to individual ``schedule_at`` calls in the
-    same order — either way the events consume identical tie-break
-    seqs, so the choice is invisible to the simulation.
-
-    A builder is reusable: commit drains the buffer.  Producers should
-    commit in a ``finally`` block when the filling loop can raise
-    (e.g. ``SendQueueFullError`` mid-broadcast) so buffered steps are
-    never silently dropped.
-    """
-
-    __slots__ = ("_engine", "_steps")
-
-    def __init__(self, engine: "Engine"):
-        self._engine = engine
-        self._steps: list = []
-
-    def add(self, time: int, fn: Callable[..., Any], *args: Any) -> None:
-        """Buffer ``fn(*args)`` at absolute nanosecond ``time``."""
-        self._steps.append((time, fn, args))
-
-    def commit(self):
-        """Flush buffered steps: one fused chain when possible, else
-        individual events.  Returns the chain (or the single event, or
-        None when empty / fallen back)."""
-        steps = self._steps
-        if not steps:
-            return None
-        self._steps = []
-        eng = self._engine
-        if len(steps) == 1:
-            t, fn, args = steps[0]
-            return eng.schedule_at(t, fn, *args)
-        if eng.chain_enabled:
-            prev = steps[0][0]
-            monotone = True
-            for s in steps:
-                if s[0] < prev:
-                    monotone = False
-                    break
-                prev = s[0]
-            if monotone:
-                return eng._push_chain_abs(steps)
-        for t, fn, args in steps:
-            eng.schedule_at(t, fn, *args)
-        return None
 
 
 class Engine:
@@ -247,18 +111,10 @@ class Engine:
         self.now: int = 0
         #: lifetime count of events executed across all run()/step() calls;
         #: the harness surfaces it as ``engine.events`` in MetricsRegistry.
-        #: Chain steps count individually, so the total is independent of
-        #: whether fusion is on.
         self.events_executed: int = 0
-        #: lifetime count of heappushes into the event heap — the
-        #: machine-independent measure of what macro-event fusion saves
-        #: (a fused N-step chain costs 1 push + 1 per deferral instead
-        #: of N).
+        #: lifetime count of heappushes into the event heap: one per
+        #: scheduled event (the benchmark reports it per commit).
         self.heap_pushes: int = 0
-        #: whether :meth:`schedule_chain` / :class:`ChainBuilder` fuse
-        #: (``REPRO_CHAIN`` env, default on).  Producers also read this
-        #: to pick between fused and per-event scheduling.
-        self.chain_enabled: bool = chain_enabled_default()
         # Heap entries are (time, created, seq, event, fn, args) tuples:
         # seq is unique, so tuple comparison resolves on the first three
         # ints and never calls into Event — the heap sift runs entirely
@@ -267,8 +123,7 @@ class Engine:
         # schedule_backdated() can place an event among same-instant
         # events by the time it would have been scheduled.  The handler
         # and its args are preloaded into the entry so the run() loop
-        # dispatches without per-event attribute lookups; ``fn is None``
-        # tags a compiled chain (kind-indexed dispatch).
+        # dispatches without per-event attribute lookups.
         self._heap: list[tuple] = []
         self._seq: int = 0
         self._cancelled_in_heap: int = 0
@@ -379,77 +234,29 @@ class Engine:
         scheduled up to and at ``created``, before those scheduled
         later.  A parked process materialises a poll this way — the
         unparked loop would have scheduled it at the tick before (see
-        ``Process._wake``).
+        ``Process._wake``).  Only the tie-break is backdated: ``time``
+        must not precede the real clock.
 
         Implemented by rewinding the clock around :meth:`schedule_at`,
-        which stays the single per-event heap sink."""
+        which stays the single heap sink."""
         now = self.now
+        if created > now:
+            raise ValueError(f"cannot backdate to the future: {created} > now {now}")
+        if time < now:
+            raise ValueError(f"cannot schedule in the past: {time} < now {now}")
         self.now = created
         try:
             return self.schedule_at(time, fn, *args)
         finally:
             self.now = now
 
-    def schedule_chain(self, steps: Sequence[tuple], *, dynamic: bool = False):
-        """Schedule a precompiled macro-event: ``steps`` is a sequence of
-        ``(offset_ns, fn, args)`` with offsets relative to ``now``,
-        non-negative, integral and non-decreasing.  The whole chain
-        occupies one heap entry; each step runs with ``now`` advanced to
-        its absolute time, in exactly the order N separate
-        ``schedule_at`` calls would have produced (see :class:`_Chain`
-        for the interleaving and tie-break argument).
-
-        ``dynamic=True`` allocates each next step's tie-break seq from
-        the live counter after the previous step returns, for chains
-        standing in for self-rescheduling callbacks (batched open-loop
-        arrivals); the default reserves all seqs up front, for chains
-        standing in for a producer scheduling N events at once.
-
-        Returns a handle with ``cancel()`` (cancels remaining steps),
-        or None for an empty ``steps``.  With fusion disabled
-        (``REPRO_CHAIN=0``) every step becomes an ordinary event —
-        identical behaviour for static chains; dynamic callers that
-        need true tick-by-tick seq allocation when unfused should keep
-        their own per-event path instead.
-        """
-        if not steps:
-            return None
-        now = self.now
-        abs_steps = []
-        prev = 0
-        for off, fn, args in steps:
-            off = _as_int_ns(off, "chain offset")
-            if off < 0:
-                raise ValueError(f"negative chain offset: {off}")
-            if off < prev:
-                raise ValueError(
-                    f"chain offsets must be non-decreasing: {off} < {prev}")
-            prev = off
-            abs_steps.append((now + off, fn, args))
-        if not self.chain_enabled:
-            return _ChainFallback(
-                [self.schedule_at(t, fn, *args) for t, fn, args in abs_steps])
-        return self._push_chain_abs(abs_steps, dynamic=dynamic)
-
-    def _push_chain_abs(self, steps: list, dynamic: bool = False) -> _Chain:
-        """Producer fast path: push pre-validated ``(abs_time, fn, args)``
-        steps as one chain.  Times must be integral, non-decreasing and
-        not in the past — producers derive them from int cost arithmetic
-        with FIFO floors, so only the past-check is re-verified here."""
-        if steps[0][0] < self.now:
-            raise ValueError(
-                f"cannot schedule in the past: {steps[0][0]} < now {self.now}")
-        base = self._seq
-        self._seq = base + (1 if dynamic else len(steps))
-        ch = _Chain(steps, base, self.now, dynamic)
-        ch._engine = self
-        heappush(self._heap, (steps[0][0], self.now, base, ch, None, None))
-        self.heap_pushes += 1
-        return ch
-
-    def chain_builder(self) -> ChainBuilder:
-        """Return a fresh :class:`ChainBuilder` bound to this engine."""
-        return ChainBuilder(self)
+    def _push_chain_abs(self, steps: list, dynamic: bool = False) -> None:
+        # Residue of macro-event fusion (DESIGN.md §10) with no caller in
+        # src/: bench/hosttrace.py, frozen outside ``benchmark`` PRs,
+        # wraps this attribute by name.  It leaves together with that
+        # patch line in the next ``benchmark`` PR.
+        for time, fn, args in steps:
+            self.schedule_at(time, fn, *args)
 
     # -------------------------------------------------------- heap hygiene
 
@@ -528,8 +335,7 @@ class Engine:
             # One tuple unpack reads everything the loop body needs:
             # the handler and its args are preloaded at schedule time,
             # so the hot path never touches an Event attribute beyond
-            # the cancellation flag, and ``fn is None`` dispatches
-            # chains without an isinstance/class test.
+            # the cancellation flag.
             time, born, _seq, ev, fn, args = heap[0]
             if ev.cancelled:
                 pop(heap)
@@ -541,10 +347,6 @@ class Engine:
             pop(heap)
             ev._popped = True
             self._born = born
-            if fn is None:
-                executed += self._exec_chain(
-                    ev, horizon, (max_events - executed) if bounded else -1)
-                continue
             self.now = time
             fn(*args)
             executed += 1
@@ -567,61 +369,6 @@ class Engine:
         (see ``Process.request_poll``)."""
         born = self._born
         return self.now if born is None else born
-
-    def _exec_chain(self, chain: _Chain, horizon, budget: int) -> int:
-        """Execute steps of a just-popped chain until it completes or must
-        yield; returns the number of steps executed (``budget`` < 0 means
-        unbounded).
-
-        After each step the next step's ``(time, created, seq)`` is
-        compared against the heap head: if any live-or-cancelled entry sorts
-        earlier, or the horizon/budget/:meth:`stop` applies, the
-        remainder is re-pushed as one entry and control returns to
-        :meth:`run` — so fused execution is observably identical to the
-        per-event schedule.
-        """
-        heap = self._heap
-        steps = chain.steps
-        n = len(steps)
-        executed = 0
-        i = chain.index
-        seq = chain.seq
-        dynamic = chain.dynamic
-        while True:
-            t, fn, args = steps[i]
-            self.now = t
-            fn(*args)
-            executed += 1
-            i += 1
-            if i == n:
-                return executed
-            # The seq for step i is allocated only now, after step i-1
-            # ran: in dynamic mode from the live counter (matching a
-            # callback that schedules its successor while executing —
-            # after any seqs its body consumed), in static mode from the
-            # block reserved at schedule time.
-            if dynamic:
-                seq = self._seq
-                self._seq = seq + 1
-                self._born = chain.created = t
-            else:
-                seq += 1
-            chain.index = i
-            chain.seq = seq
-            if chain.cancelled:
-                # cancel() during a step: the remaining steps die with
-                # the chain, which never re-enters the heap.
-                return executed
-            nt = steps[i][0]
-            if (self._stopped
-                    or (0 <= budget <= executed)
-                    or nt > horizon
-                    or (heap and heap[0][0] <= nt
-                        and heap[0][:3] < (nt, chain.created, seq))):
-                chain._popped = False
-                heappush(heap, (nt, chain.created, seq, chain, None, None))
-                self.heap_pushes += 1
-                return executed
 
     def stop(self) -> None:
         """Stop :meth:`run` after the currently executing event returns."""

@@ -84,7 +84,10 @@ class ClosedLoopClient:
     # ------------------------------------------------------------------ run
 
     def start(self) -> None:
-        """Open the window.  The engine must be run by the caller."""
+        """Open the window (a no-op while the loop is running).  The
+        engine must be run by the caller."""
+        if self._running:
+            return
         self._running = True
         self._started_at = self.engine.now
         for _ in range(self.window):

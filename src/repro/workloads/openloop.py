@@ -17,15 +17,6 @@ sharded harness and the single-group harnesses share this single
 workload implementation.  The defaults (fixed rate, no keys) are
 bit-identical to the historical client — they touch no RNG stream at
 all.
-
-With macro-event fusion on (see :mod:`repro.sim.engine`), the client
-batches ``chain_batch`` consecutive arrivals into one dynamic chain:
-keys and gaps are pre-drawn at batch start *in the exact per-tick
-order* (key_i then gap_i), so the stream — exclusive to this client —
-yields the same values, and the chain's dynamic seq allocation matches
-the self-rescheduling tick's counter evolution step for step.  The
-fingerprint-equivalence property tests pin that a fused run is
-bit-identical to ``REPRO_CHAIN=0``.
 """
 
 from __future__ import annotations
@@ -60,18 +51,13 @@ class OpenLoopClient:
     rng_stream:
         Engine RNG stream feeding both draws; distinct clients must use
         distinct stream names to stay decorrelated.
-    chain_batch:
-        Arrivals fused per macro-event when the engine has chaining
-        enabled (ignored otherwise, and when a custom ``payload_fn`` is
-        supplied — the batch pre-builds payloads, which would move a
-        stateful payload_fn's call time).
     """
 
     def __init__(self, system: BroadcastSystem, period_ns: int, message_size: int,
                  payload_fn: Optional[Callable[..., Any]] = None,
                  arrival: str = "fixed", key_dist: Optional[str] = None,
                  key_space: int = 1024, skew: float = 0.99,
-                 rng_stream: str = "openloop", chain_batch: int = 64):
+                 rng_stream: str = "openloop"):
         if arrival not in ARRIVALS:
             raise ValueError(f"unknown arrival model {arrival!r}; pick from {ARRIVALS}")
         if key_dist not in KEY_DISTS:
@@ -101,27 +87,24 @@ class OpenLoopClient:
         self.latencies_ns: list[int] = []
         self.dropped = 0
         self._running = False
-        self.chain_batch = chain_batch
-        self._batch = None  # handle of the pending arrival chain, if any
+        # A tick is executing or scheduled.  Outlives _running by the one
+        # already-scheduled tick that fires as a no-op after stop().
+        self._armed = False
 
     def start(self) -> None:
-        """Begin issuing messages at the configured rate."""
+        """Begin issuing messages at the configured rate.  A no-op while
+        the tick loop is alive; after :meth:`stop`, the still-scheduled
+        tick resumes the loop rather than a second loop starting beside
+        it."""
         self._running = True
-        if self.engine.chain_enabled and self.payload_fn is None and self.chain_batch > 1:
-            self._start_batch()
-        else:
+        if not self._armed:
+            self._armed = True
             self._tick()
 
     def stop(self) -> None:
-        """Stop issuing (in-flight messages may still commit).
-
-        Like the classic tick, the next already-materialised arrival
-        still fires as a no-op before the schedule dies — so the fused
-        and unfused event counts agree.  A batch pre-draws its keys and
-        gaps, so restarting a stopped client mid-batch resumes from a
-        further-advanced RNG stream than the unfused client would; no
-        harness restarts a client, and the stream is exclusive, so
-        nothing else observes the difference."""
+        """Stop issuing (in-flight messages may still commit).  The next
+        already-scheduled tick still fires, as a no-op, and the schedule
+        dies with it."""
         self._running = False
 
     def _gap(self) -> int:
@@ -143,6 +126,7 @@ class OpenLoopClient:
 
     def _tick(self) -> None:
         if not self._running:
+            self._armed = False
             return
         i = self.sent
         self.sent += 1
@@ -154,56 +138,6 @@ class OpenLoopClient:
             # election window (what makes downtime measurable).
             self.dropped += 1
         self.engine.schedule(self._gap(), self._tick)
-
-    # ------------------------------------------------------ fused arrivals
-
-    # One batch = one heap entry for chain_batch ticks.  Equivalence with
-    # the per-tick schedule rests on three alignments, each pinned by the
-    # chain-equivalence property tests:
-    #   * RNG: the pre-draw loop consumes (key_i, gap_i) pairs in exactly
-    #     the order the ticks would — same exclusive stream, same values.
-    #   * seqs: schedule_chain(dynamic=True) allocates one tie-break seq
-    #     after each step returns, precisely when the tick's
-    #     engine.schedule call would have (after submit's own
-    #     allocations).
-    #   * timestamps: step times are the prefix sums of the pre-drawn
-    #     gaps — the very times the ticks would fire at; _exec_chain
-    #     advances now to each and yields to any earlier heap entry.
-
-    def _start_batch(self) -> None:
-        if not self._running:
-            if self._batch is not None:
-                self._batch.cancel()
-                self._batch = None
-            return
-        i = self.sent
-        self._submit_one(self._payload(i))
-        steps = []
-        off = self._gap()
-        for m in range(1, self.chain_batch):
-            payload = self._payload(i + m)
-            steps.append((off, self._chain_arrival, (payload,)))
-            off += self._gap()
-        steps.append((off, self._start_batch, ()))
-        self._batch = self.engine.schedule_chain(steps, dynamic=True)
-
-    def _chain_arrival(self, payload: Any) -> None:
-        if not self._running:
-            # The classic schedule fires exactly one no-op tick after
-            # stop(); mirror it, then kill the remaining steps.
-            if self._batch is not None:
-                self._batch.cancel()
-                self._batch = None
-            return
-        self._submit_one(payload)
-
-    def _submit_one(self, payload: Any) -> None:
-        self.sent += 1
-        t0 = self.engine.now
-        ok = self.system.submit(payload, self.message_size,
-                                lambda _x: self._on_commit(t0))
-        if not ok:
-            self.dropped += 1
 
     def _on_commit(self, t0: int) -> None:
         self.committed += 1

@@ -1,6 +1,9 @@
 """Unit tests for the RDMA ring buffer (§3.2)."""
 
-from repro.rdma import RdmaFabric, RingBuffer, SlotReleasePolicy
+import pytest
+
+from repro.rdma import (RdmaFabric, RdmaParams, RingBuffer,
+                        SendQueueFullError, SlotReleasePolicy)
 from repro.sim import Engine
 
 
@@ -160,3 +163,21 @@ def test_policy_labels():
     commit = RingBuffer(fab, 2, [0, 2], policy=SlotReleasePolicy.ON_COMMIT)
     assert accept.policy is SlotReleasePolicy.ON_ACCEPT
     assert commit.policy is SlotReleasePolicy.ON_COMMIT
+
+
+def test_send_queue_full_mid_broadcast_keeps_the_writes_already_posted():
+    """A broadcast that raises at its second remote receiver has still
+    posted the first one's write, which is delivered."""
+    e = Engine(seed=1)
+    fab = RdmaFabric(e, [0, 1, 2], RdmaParams(max_send_queue=4))
+    ring = RingBuffer(fab, 0, [0, 1, 2], capacity=8)
+    scratch = fab.register(2, "scratch", 4096, on_write=lambda k, v, s: None)
+    rkey = scratch.grant()
+    for i in range(4):      # fill QP 0->2 with unsignaled writes
+        fab.write(0, 2, scratch, rkey, i, None, 8)
+    with pytest.raises(SendQueueFullError):
+        ring.try_send("m", 10)
+    e.run()
+    assert ring.receiver(0).poll() == [(0, "m")]
+    assert ring.receiver(1).poll() == [(0, "m")]
+    assert ring.receiver(2).poll() == []

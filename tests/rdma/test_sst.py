@@ -1,6 +1,9 @@
 """Unit tests for the shared state table (Fig. 2)."""
 
-from repro.rdma import RdmaFabric, SharedStateTable
+import pytest
+
+from repro.rdma import (RdmaFabric, RdmaParams, SendQueueFullError,
+                        SharedStateTable)
 from repro.sim import Engine, us
 
 
@@ -93,3 +96,21 @@ def test_signal_interval_generates_completions():
         sst.set_and_push(0, i, targets=[1])
     e.run()
     assert fab.nic(0).cq.total_seen == 5
+
+
+def test_send_queue_full_mid_push_keeps_the_writes_already_posted():
+    """A push that raises at its second destination has still posted —
+    and counted — the first one's write."""
+    e = Engine(seed=1)
+    fab = RdmaFabric(e, [0, 1, 2], RdmaParams(max_send_queue=4))
+    sst = SharedStateTable(fab, "t", [0, 1, 2], initial=0)
+    scratch = fab.register(2, "scratch", 4096, on_write=lambda k, v, s: None)
+    rkey = scratch.grant()
+    for i in range(4):      # fill QP 0->2 with unsignaled writes
+        fab.write(0, 2, scratch, rkey, i, None, 8)
+    with pytest.raises(SendQueueFullError):
+        sst.set_and_push(0, 7)
+    assert sst.pushes == 1
+    e.run()
+    assert sst.read(1, 0) == 7
+    assert sst.read(2, 0) == 0

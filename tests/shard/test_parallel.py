@@ -5,10 +5,10 @@ contiguous slices on separate worker engines produces bit-identical
 per-shard results to the single-engine farm — same per-group
 fingerprints (substrate counters, submit/commit/drop, exact latency
 sequences, leader, violations), same latency percentiles, same
-violation counts — across every combination of slice width, poll
-parking, and macro-event fusion.  Only the host-cost fields
-(``events_executed``/``heap_pushes``, which sum over worker engines)
-and the self-describing ``workers`` field may differ.
+violation counts — across every combination of slice width and poll
+parking.  Only the host-cost field ``events_executed`` (which sums
+over worker engines) and the self-describing ``workers`` field may
+differ.
 """
 
 import dataclasses
@@ -25,7 +25,7 @@ FARM = RunSpec(system="acuerdo", n=3, workload="openloop", duration_ms=5.0,
                arrival_rate=200_000.0)
 
 #: ShardPoint fields allowed to differ between serial and sliced runs.
-HOST_COST = {"events_executed", "heap_pushes", "workers"}
+HOST_COST = {"events_executed", "workers"}
 
 
 def behaviour(point) -> dict:
@@ -69,12 +69,10 @@ def test_slice_ranges_rejects_nonpositive():
 
 
 @pytest.mark.parametrize("park", ["0", "1"])
-@pytest.mark.parametrize("chain", ["0", "1"])
-def test_parallel_matches_serial_across_modes(monkeypatch, park, chain):
-    """workers in {1, 2, 4} x REPRO_PARK x REPRO_CHAIN: identical
-    per-shard fingerprints, latency percentiles, and violation counts."""
+def test_parallel_matches_serial_across_modes(monkeypatch, park):
+    """workers in {1, 2, 4} x REPRO_PARK: identical per-shard
+    fingerprints, latency percentiles, and violation counts."""
     monkeypatch.setenv("REPRO_PARK", park)
-    monkeypatch.setenv("REPRO_CHAIN", chain)
     serial_collect = {}
     serial = shard_point(FARM, collect=serial_collect)
     assert serial.workers == 1

@@ -250,17 +250,22 @@ def test_backdated_event_takes_the_turn_of_its_schedule_time():
                      "backdated to 50", "scheduled at 60"]
 
 
-def test_chain_yields_to_a_backdated_event():
+def test_backdating_cannot_run_the_clock_backwards():
+    """Only the tie-break is backdated: the event time is checked
+    against the real clock, not against ``created``."""
     e = Engine()
-    order = []
+    e.run(until=100)
+    with pytest.raises(ValueError, match="in the past"):
+        e.schedule_backdated(50, 70, lambda: None)
+    assert e.now == 100 and e.pending == 0
 
-    def first():
-        order.append("step 1")
-        e.schedule_backdated(0, 20, order.append, "backdated")
 
-    e.schedule_at(5, e.schedule_chain, [(5, first, ()), (15, order.append, ("step 2",))])
-    e.run()
-    assert order == ["step 1", "backdated", "step 2"]
+def test_backdating_to_the_future_raises():
+    e = Engine()
+    e.run(until=100)
+    with pytest.raises(ValueError, match="backdate to the future"):
+        e.schedule_backdated(120, 150, lambda: None)
+    assert e.now == 100 and e.pending == 0
 
 
 def test_event_created_at_reports_when_the_running_event_was_scheduled():
@@ -271,13 +276,50 @@ def test_event_created_at_reports_when_the_running_event_was_scheduled():
         seen.append((tag, e.now, e.event_created_at))
 
     e.schedule_at(10, e.schedule_at, 30, note, "plain")
-    e.schedule_at(12, e.schedule_chain,
-                  [(5, note, ("static 1",)), (9, note, ("static 2",))])
-    e.schedule_at(14, lambda: e.schedule_chain(
-        [(5, note, ("dynamic 1",)), (9, note, ("dynamic 2",))], dynamic=True))
+    e.schedule_at(12, e.schedule_backdated, 5, 30, note, "backdated")
     e.run(until=50)
-    assert sorted(seen) == [("dynamic 1", 19, 14), ("dynamic 2", 23, 19),
-                            ("plain", 30, 10),
-                            ("static 1", 17, 12), ("static 2", 21, 12)]
+    assert seen == [("backdated", 30, 5), ("plain", 30, 10)]
     # Between runs the caller acts after everything due by now.
     assert e.event_created_at == e.now == 50
+
+
+# ------------------------------------------------------- one heap sink
+
+
+def test_every_scheduled_event_costs_exactly_one_heap_push():
+    """``schedule_at`` is the only way onto the heap, so pushes balance
+    against what became of the events: executed, cancelled before
+    firing, or still live — across cancellations, a horizon and an
+    event budget."""
+    e = Engine()
+    events = [e.schedule(10 * (i + 1), lambda: None) for i in range(20)]
+    e.schedule_backdated(0, 15, lambda: None)
+    e.schedule_at(25, lambda: e.schedule(1, lambda: None))
+    cancelled = 0
+    for ev in events[::3]:
+        ev.cancel()
+        cancelled += 1
+    e.run(until=60)
+    e.run(max_events=3)
+    e.step()
+    events[-1].cancel()
+    events[-1].cancel()     # idempotent: still one cancellation
+    cancelled += 1
+    events[1].cancel()      # already fired: not a cancellation
+    assert e.live_pending > 0
+    assert e.heap_pushes == e.events_executed + cancelled + e.live_pending
+
+
+# ----------------------------------------------------------- coercion
+
+
+def test_schedule_and_schedule_at_share_coercion_rules():
+    e = Engine(seed=1)
+    with pytest.raises(ValueError, match="non-integral"):
+        e.schedule(1.5, lambda: None)
+    with pytest.raises(ValueError, match="non-integral"):
+        e.schedule_at(1.5, lambda: None)
+    # Integral floats coerce identically on both paths.
+    ev1 = e.schedule(2.0, lambda: None)
+    ev2 = e.schedule_at(2.0, lambda: None)
+    assert ev1.time == ev2.time == 2

@@ -169,57 +169,76 @@ def test_open_loop_rejects_unknown_modes():
         OpenLoopClient(c, period_ns=us(10), message_size=10, key_dist="pareto")
 
 
-def _run_openloop_observed(chain_flag, seed=3, arrival="poisson",
-                           key_dist="uniform", chain_batch=64):
-    """One open-loop run under the given REPRO_CHAIN flag: the
-    per-message observables plus the engine's event/heap counters."""
-    import os
+class _RecordingSystem:
+    """Accepts every submission and schedules nothing, so the only
+    events on the engine are the client's own ticks."""
 
-    prior = os.environ.get("REPRO_CHAIN")
-    os.environ["REPRO_CHAIN"] = chain_flag
-    try:
-        e, c = _system(seed=seed)
-        client = OpenLoopClient(c, period_ns=us(5), message_size=10,
-                                arrival=arrival, key_dist=key_dist,
-                                key_space=64, chain_batch=chain_batch)
-        client.start()
-        e.run(until=ms(2))
-        client.stop()
-        e.run(until=ms(2) + us(50))
-        observed = (client.sent, client.committed, client.dropped,
-                    tuple(client.commit_times), tuple(client.latencies_ns),
-                    repr(e.trace.fingerprint()), e.events_executed)
-        return observed, e.heap_pushes
-    finally:
-        if prior is None:
-            os.environ.pop("REPRO_CHAIN", None)
-        else:
-            os.environ["REPRO_CHAIN"] = prior
+    def __init__(self, engine):
+        self.engine = engine
+        self.submitted = []
+
+    def submit(self, payload, size_bytes, on_commit=None):
+        self.submitted.append((self.engine.now, payload))
+        return True
 
 
-def test_open_loop_batched_arrivals_bit_identical():
-    """Fused arrival batches must reproduce the per-tick schedule
-    exactly — same submissions, commits, latencies, fingerprint and
-    executed-event count — while paying fewer heap pushes."""
-    fused, fused_pushes = _run_openloop_observed("1")
-    unfused, unfused_pushes = _run_openloop_observed("0")
-    assert fused == unfused
-    assert fused_pushes < unfused_pushes
+def _ticking_client():
+    """A fixed-rate client 35 us in: ticks ran at 0 (inline in start),
+    10, 20 and 30 us; the 40 us tick is scheduled."""
+    e = Engine()
+    system = _RecordingSystem(e)
+    client = OpenLoopClient(system, period_ns=us(10), message_size=10)
+    client.start()
+    e.run(until=us(35))
+    assert client.sent == 4 and e.events_executed == 3
+    return e, system, client
 
 
-def test_open_loop_batched_fixed_rate_bit_identical():
-    """The batch path also covers the RNG-free fixed-rate client."""
-    fused, _ = _run_openloop_observed("1", arrival="fixed", key_dist=None)
-    unfused, _ = _run_openloop_observed("0", arrival="fixed", key_dist=None)
-    assert fused == unfused
+def test_open_loop_stop_lets_one_noop_tick_fire_then_the_schedule_dies():
+    e, system, client = _ticking_client()
+    client.stop()
+    e.run()
+    assert e.events_executed == 4 and e.now == us(40)   # exactly one more tick
+    assert client.sent == 4 and len(system.submitted) == 4   # a no-op
+    assert e.idle()
+
+
+def test_open_loop_start_twice_runs_one_tick_loop():
+    e, system, client = _ticking_client()
+    client.start()
+    assert client.sent == 4 and e.live_pending == 1
+    e.run(until=us(65))
+    assert [t for t, _ in system.submitted] == [us(10 * k) for k in range(7)]
+
+
+def test_open_loop_restart_before_the_noop_tick_resumes_the_same_loop():
+    e, system, client = _ticking_client()
+    client.stop()
+    client.start()      # the 40 us tick is still scheduled: it carries on
+    assert client.sent == 4 and e.live_pending == 1
+    e.run(until=us(65))
+    assert [t for t, _ in system.submitted] == [us(10 * k) for k in range(7)]
+    # Once the no-op tick has fired the loop is dead and start() restarts it.
+    client.stop()
+    e.run()
+    assert e.idle() and client.sent == 7
+    client.start()
+    assert client.sent == 8 and e.live_pending == 1
+
+
+def test_closed_loop_start_twice_opens_one_window():
+    e, c = _system()
+    client = ClosedLoopClient(c, window=4, message_size=10)
+    client.start()
+    client.start()
+    assert client.sent == 4
+    e.run(until=ms(2))
+    assert 0 <= client.sent - client.completed <= 4
 
 
 def test_open_loop_custom_payload_fn_keeps_per_tick_path():
-    """A stateful payload_fn must be called at its tick's time, so the
-    client declines to batch (payloads would be pre-built early)."""
-    import os
-
-    assert os.environ.get("REPRO_CHAIN", "1") != "0"
+    """A stateful payload_fn is called at its tick's time, once per
+    submission."""
     e, c = _system()
     calls = []
     client = OpenLoopClient(c, period_ns=us(10), message_size=10,
