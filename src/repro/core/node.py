@@ -174,9 +174,6 @@ class AcuerdoNode(Process):
         self._mon_floor = 0
         self._mon_release_gen = -1
         self._mon_admin_gen = 0
-        # Set by on_poll when the fused no-op guard fired this tick, so
-        # park_ready can return True without re-deriving the verdict.
-        self._was_noop = False
 
     def _charge(self, cost_ns: int) -> None:
         """Charge protocol CPU work for this poll iteration."""
@@ -217,15 +214,6 @@ class AcuerdoNode(Process):
     # ------------------------------------------------------------ event loop
 
     def on_poll(self) -> None:
-        # Fused no-op guard: most polls after a wake discover there is
-        # nothing left to do and park again.  _poll_noop mirrors every
-        # sub-step's own guard (version counters, period clocks, queue
-        # emptiness), so skipping the dispatch entirely is behaviourally
-        # invisible — and park_ready reuses the verdict via _was_noop.
-        if self._poll_noop():
-            self._was_noop = True
-            return
-        self._was_noop = False
         self._drain_rings()
         if self.role is Role.ELECTING:
             self._election_step(timeout_fired=False)
@@ -241,67 +229,12 @@ class AcuerdoNode(Process):
                 self._check_stranded_voters()
             else:
                 self._check_leader_alive()
-        # Period guards inlined: both methods re-check, so calling them
-        # only when due is behaviourally identical and skips two calls
-        # on the vast majority of polls.
         now = self.engine.now
         cfg = self.cfg
         if now - self._last_commit_push >= cfg.commit_push_period_ns:
-            self._maybe_push_commit_row()
+            self._push_commit_row()
         if now - self._last_gc >= cfg.gc_period_ns:
-            self._maybe_gc()
-
-    def _poll_noop(self) -> bool:
-        """True iff every step of on_poll is guaranteed to do nothing.
-
-        Each clause restates one sub-step's own skip condition: the
-        commit-ready negative cache, the release/eviction scan guards,
-        the heartbeat-observation version, the period clocks, and queue
-        emptiness.  A True verdict therefore proves the full dispatch
-        would leave every piece of node state untouched."""
-        role = self.role
-        e_cur = self.E_cur
-        # Covers the ELECTING branch too: _commit_ready never caches a
-        # verdict under ELECTING, so the role identity check fails.
-        if (self.Next is not self._cr_next or e_cur is not self._cr_ecur
-                or role is not self._cr_role):
-            return False
-        now = self.engine.now
-        if role is Role.LEADER:
-            ver = self._accept_sst._versions[self.node_id]
-            if ver != self._cr_version:
-                return False
-            if self.pending_client or self._pending_diffs:
-                return False
-            if (ver != self._rs_ver or self._ring.next_seq != self._rs_ns
-                    or self._evict_gen != self._rs_gen):
-                return False
-            if (self._commit_sst._versions[self.node_id] != self._hb_seen_version
-                    or self._hb_seen_version != self._evict_guard_version
-                    or now >= self._evict_next_due):
-                return False
-            if self._max_vote_cached().e_new > e_cur:
-                return False
-        else:
-            ver = self._commit_sst._versions[self.node_id]
-            if ver != self._cr_version or ver != self._hb_seen_version:
-                return False
-            ldr = e_cur.leader
-            if (ldr != self.node_id
-                    and now - self._peer_hb.get(ldr, (-1, 0))[1]
-                    > self.cfg.leader_timeout_ns):
-                return False
-        cfg = self.cfg
-        if (now - self._last_commit_push >= cfg.commit_push_period_ns
-                or now - self._last_gc >= cfg.gc_period_ns):
-            return False
-        for rr in self._ring_mirrors:
-            if rr._ready:
-                return False
-        for port in self._client_ports:
-            if port.request_backlog(self.node_id):
-                return False
-        return True
+            self._gc()
 
     # --------------------------------------------------------- poll elision
 
@@ -333,10 +266,6 @@ class AcuerdoNode(Process):
         the QP delivery path (heartbeat-only Commit-SST rows are logged
         instead, see heartbeat_is_quiet), and client_broadcast calls
         request_poll."""
-        if self._was_noop:
-            # This tick's on_poll proved a strict superset of the checks
-            # below (nothing between the two calls mutates node state).
-            return True
         if self.role is Role.ELECTING:
             return False
         for rr in self._ring_mirrors:
@@ -668,15 +597,12 @@ class AcuerdoNode(Process):
             return
         self.cluster.record_delivery(self.node_id, m)
 
-    def _maybe_push_commit_row(self) -> None:
-        now = self.engine.now
-        if now - self._last_commit_push < self.cfg.commit_push_period_ns:
-            return
-        self._last_commit_push = now
+    def _push_commit_row(self) -> None:
+        self._last_commit_push = self.engine.now
         self._hb_seq += 1
         self._commit_sst.set_and_push(self.node_id, CommitRow(self.Committed, self._hb_seq))
 
-    def _maybe_gc(self) -> None:
+    def _gc(self) -> None:
         """Garbage-collect the log below the cluster-wide commit frontier.
 
         Entries are only needed for (a) local delivery — covered once
@@ -688,10 +614,7 @@ class AcuerdoNode(Process):
         crashed peer's frozen row pins the log from its crash point on —
         a production deployment would add snapshot transfer (as
         ZooKeeper does) to reclaim it; see DESIGN.md."""
-        now = self.engine.now
-        if now - self._last_gc < self.cfg.gc_period_ns:
-            return
-        self._last_gc = now
+        self._last_gc = self.engine.now
         frontier = self.Committed
         for p in self.peers:
             if p == self.node_id:

@@ -69,28 +69,8 @@ REFERENCE_POINTS: dict[str, dict[str, Any]] = {
 SWEEP_CHECK_SPEC = RunSpec(system="acuerdo", n=3, payload_bytes=100, seed=5)
 SWEEP_CHECK = dict(min_completions=60, max_window=8)
 
-#: The poll-elision showcase: a low-rate Acuerdo deployment where most
-#: polls observe nothing, so the doorbell/parking machinery should elide
-#: the bulk of the executed events without changing the simulated
-#: result.  The commit-push (heartbeat) period is widened to 20 us — a
-#: lightly loaded deployment — because the heartbeat cadence is the
-#: floor on how long an idle replica can stay parked.
-DOORBELL_POINT: dict[str, Any] = {
-    "system": "acuerdo",
-    "n": 3,
-    "seed": 7,
-    "payload_bytes": 64,
-    "period_ns": 50_000,          # one open-loop message per 50 us
-    "duration_ms": 50,
-    "commit_push_period_ns": 20_000,
-}
-
-#: Parking must buy at least this factor in executed events on the
-#: doorbell point (the acceptance bar for the elision machinery).
-DOORBELL_MIN_EVENT_REDUCTION = 3.0
-
-#: Executed-event ceilings for the reference points with parking on
-#: (machine-independent, like the behavioral fingerprints).  ``--check``
+#: Executed-event ceilings for the reference points (machine-
+#: independent, like the behavioral fingerprints).  ``--check``
 #: fails if a reference run executes more events than this — the
 #: bench-smoke guard against poll-elision regressions.  Values are the
 #: measured counts plus ~25% headroom.
@@ -108,7 +88,7 @@ SHARD_POINT = RunSpec(system="acuerdo", n=3, seed=9, payload_bytes=64,
                       users=100_000, skew=0.99, arrival_rate=500_000.0)
 
 #: Executed-event ceiling for :data:`SHARD_POINT` (measured 223_221 with
-#: parking on and the farm heartbeat — 301_200 before heartbeat rows
+#: the farm heartbeat — 301_200 before heartbeat rows
 #: became quiet deposits — plus ~25% headroom).  Guards the
 #: per-group event cost of the farm: a regression here multiplies by the
 #: shard count.
@@ -193,76 +173,6 @@ def measure(repeats: int = 3) -> dict[str, dict[str, Any]]:
                         "events": events,
                         "events_per_wall_s": round(events / best) if best else 0,
                         "point": asdict(point)}
-    return out
-
-
-def _run_doorbell_point() -> tuple[float, int, dict[str, Any]]:
-    """One execution of the doorbell workload under the current
-    ``REPRO_PARK`` setting: (wall seconds, executed events, behaviour)."""
-    from repro.core.cluster import AcuerdoCluster
-    from repro.core.config import AcuerdoConfig
-    from repro.sim.engine import Engine, ms
-    from repro.workloads.openloop import OpenLoopClient
-
-    ref = DOORBELL_POINT
-    with _gc_paused():
-        t0 = time.perf_counter()
-        engine = Engine(seed=ref["seed"])
-        cfg = AcuerdoConfig(commit_push_period_ns=ref["commit_push_period_ns"])
-        cluster = AcuerdoCluster(engine, ref["n"], config=cfg)
-        cluster.preseed_leader(0)
-        cluster.start()
-        client = OpenLoopClient(cluster, period_ns=ref["period_ns"],
-                                message_size=ref["payload_bytes"])
-        client.start()
-        engine.run(until=engine.now + ms(ref["duration_ms"]))
-        client.stop()
-        secs = time.perf_counter() - t0
-    behaviour = {
-        "committed": client.committed,
-        "delivered": sorted(cluster.deliveries.counts.items()),
-        "fingerprint": repr(engine.trace.fingerprint()),
-        "leader": cluster.leader_id(),
-        "sim_now_ns": engine.now,
-    }
-    return secs, engine.events_executed, behaviour
-
-
-def doorbell_section() -> dict[str, Any]:
-    """Run the low-rate doorbell point with parking on and off.
-
-    Returns wall time and executed events for both, the event-reduction
-    factor, and whether the simulated results matched (they must: the
-    park/wake machinery is defined to be behaviour-preserving)."""
-    out: dict[str, Any] = {}
-    prior = os.environ.get("REPRO_PARK")
-    try:
-        for label, flag in (("parked", "1"), ("unparked", "0")):
-            os.environ["REPRO_PARK"] = flag
-            best = float("inf")
-            events = None
-            behaviour = None
-            for _ in range(2):
-                secs, ev, beh = _run_doorbell_point()
-                best = min(best, secs)
-                if events is None:
-                    events, behaviour = ev, beh
-                elif events != ev or behaviour != beh:
-                    raise AssertionError(
-                        "doorbell point not deterministic across repeats")
-            out[label] = {"seconds": round(best, 4), "events": events,
-                          "point": behaviour}
-    finally:
-        if prior is None:
-            os.environ.pop("REPRO_PARK", None)
-        else:
-            os.environ["REPRO_PARK"] = prior
-    parked, unparked = out["parked"], out["unparked"]
-    out["event_reduction"] = round(unparked["events"] / parked["events"], 2) \
-        if parked["events"] else float("inf")
-    out["wall_speedup"] = round(unparked["seconds"] / parked["seconds"], 3) \
-        if parked["seconds"] else float("inf")
-    out["identical_point"] = parked["point"] == unparked["point"]
     return out
 
 
@@ -517,17 +427,6 @@ def write_bench(path: pathlib.Path, repeats: int = 3,
                     f"{backend}: reference point executed {got} events, "
                     f"over the EVENT_CEILINGS bench-smoke bound {ceiling} "
                     "(poll-elision regression?)")
-
-    db = doorbell_section()
-    doc["doorbell"] = db
-    if not db["identical_point"]:
-        failures.append(
-            "doorbell point: parked and unparked runs produced different "
-            "simulated results (poll elision changed behaviour)")
-    if db["event_reduction"] < DOORBELL_MIN_EVENT_REDUCTION:
-        failures.append(
-            f"doorbell point: event reduction {db['event_reduction']}x is "
-            f"below the {DOORBELL_MIN_EVENT_REDUCTION}x bar")
 
     farm = shard_section(repeats=repeats)
     doc["shard_farm"] = farm

@@ -40,7 +40,11 @@ def default_workers() -> int:
     machine's core count (capped — sweeps rarely have >8 ready points)."""
     env = os.environ.get(WORKERS_ENV)
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(
+                f"{WORKERS_ENV}={env!r} is not an integer worker count") from None
     return min(os.cpu_count() or 1, 8)
 
 

@@ -15,18 +15,10 @@ drains it faster than the network refills it.  We reproduce exactly that:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from repro.sim.engine import Engine, Event, us
-
-
-def park_enabled_default() -> bool:
-    """Whether poll-elision parking is on.  ``REPRO_PARK=0`` forces
-    every poll tick onto the heap: the slow reference schedule the
-    equivalence tests compare parked runs against."""
-    return os.environ.get("REPRO_PARK", "1") != "0"
 
 
 @dataclass
@@ -50,10 +42,6 @@ class ProcessConfig:
     speed_factor:
         Multiplier applied to every CPU cost and poll gap; > 1 models the
         "long-latency node" of §4.2.
-    allow_park:
-        Poll-elision override: True/False forces parking on/off for this
-        process; None (default) defers to the ``REPRO_PARK`` environment
-        variable (see :func:`park_enabled_default`).
     """
 
     poll_interval_ns: int = 200
@@ -61,7 +49,6 @@ class ProcessConfig:
     deschedule_mean_interval_ns: int = 0
     deschedule_duration_ns: int = us(50)
     speed_factor: float = 1.0
-    allow_park: Optional[bool] = None
 
 
 class Cpu:
@@ -149,8 +136,6 @@ class Process:
         self._rng = engine.rng(f"proc.{base_name}")
         self._next_deschedule: Optional[Event] = None
         # --- poll-elision (parking) state --------------------------------
-        allow = self.config.allow_park
-        self._park_enabled = park_enabled_default() if allow is None else allow
         self._parked = False
         self._park_cursor = 0     # the poll tick the process parked at
         self._park_next = 0       # the tick after it (gap already drawn)
@@ -340,8 +325,7 @@ class Process:
     def _can_park(self) -> bool:
         # Deschedule sampling shares this process's RNG stream; parking
         # would reorder the draws, so it is disabled under deschedules.
-        return (self._park_enabled
-                and self.config.deschedule_mean_interval_ns <= 0
+        return (self.config.deschedule_mean_interval_ns <= 0
                 and self.park_ready())
 
     def doorbell(self, posted_at: int = -1) -> None:
@@ -444,6 +428,8 @@ class Process:
     def deschedule(self, duration_ns: int) -> None:
         """Take the process off-CPU for ``duration_ns`` (messages keep
         accumulating in its memory; the backlog drains at the next poll)."""
+        if self.crashed:
+            return
         # The poll already due keeps its tick; only the ones after it
         # wait for the CPU.  A parked loop has to put that poll on the
         # real schedule before the stall moves its successors.

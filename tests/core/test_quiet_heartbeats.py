@@ -1,23 +1,25 @@
 """Quiet Commit-SST heartbeats: which rows stay loud, and that eliding the
 quiet ones' polls changes nothing an unparked cluster would do.
 
-Every scenario runs twice — parked (the default) and with
-``ProcessConfig.allow_park=False``, the unparked oracle — and compares
-what the nodes did and when.  Heartbeat stamps are compared poll by
-poll: a parked node owes them only by its next real poll, so each real
-poll must leave ``_peer_hb`` exactly as the oracle's poll at that
-instant does.
+Every scenario runs twice — parked (production) and under
+``tests.park_reference.park_mode(False)``, the unparked oracle — and
+compares what the nodes did and when.  Heartbeat stamps are compared
+poll by poll: a parked node owes them only by its next real poll, so
+each real poll must leave ``_peer_hb`` exactly as the oracle's poll at
+that instant does.
 """
 
 from repro.core import AcuerdoCluster, AcuerdoConfig
 from repro.core.node import Role
 from repro.core.types import CommitRow, Epoch, MsgHdr
-from repro.sim import Engine, FailureInjector, ProcessConfig, ms, us
+from repro.sim import Engine, FailureInjector, ms, us
+from repro.workloads.openloop import OpenLoopClient
+from tests.park_reference import park_mode
 
 
-def _cluster(allow_park, n=3, seed=4):
+def _cluster(n=3, seed=4):
     e = Engine(seed=seed)
-    c = AcuerdoCluster(e, n, AcuerdoConfig(process=ProcessConfig(allow_park=allow_park)))
+    c = AcuerdoCluster(e, n)
     c.preseed_leader(0)
     c.hb_after_poll = {}
     for nd in c.nodes.values():
@@ -63,7 +65,7 @@ def _assert_same(parked, oracle):
 
 
 def test_verdict_keeps_rows_a_poll_would_act_on_loud():
-    _e, c = _cluster(True)
+    _e, c = _cluster()
     ldr, fol = c.nodes[0], c.nodes[1]
     e1 = Epoch(1, 0)
     old = CommitRow(MsgHdr(e1, 4), 7)
@@ -86,11 +88,12 @@ def test_verdict_keeps_rows_a_poll_would_act_on_loud():
 
 
 def test_heartbeats_are_elided_but_stamped_on_the_unparked_ticks():
-    def run(allow_park):
-        e, c = _cluster(allow_park)
-        for k in range(40):
-            e.schedule_at(us(3) + k * us(7), c.submit, ("m", k), 64)
-        e.run(until=us(400))
+    def run(parked):
+        with park_mode(parked):
+            e, c = _cluster()
+            for k in range(40):
+                e.schedule_at(us(3) + k * us(7), c.submit, ("m", k), 64)
+            e.run(until=us(400))
         return e, c
 
     parked, oracle = run(True), run(False)
@@ -101,18 +104,19 @@ def test_heartbeats_are_elided_but_stamped_on_the_unparked_ticks():
 
 
 def test_evicted_peer_heartbeat_stays_loud_and_readmits_on_the_same_tick():
-    def run(allow_park):
-        e, c = _cluster(allow_park)
-        ldr = c.nodes[0]
-        flips = []
-        _tap(ldr._ring, "exclude_from_accounting",
-             lambda p: flips.append(("out", p, e.now)))
-        _tap(ldr._ring, "include_in_accounting",
-             lambda p, _seq: flips.append(("in", p, e.now)))
-        # Node 2 loses its core for longer than the eviction horizon
-        # (3 x leader_timeout = 1.2 ms), then resumes heartbeating.
-        FailureInjector(e, c.processes()).deschedule_at(us(50), 2, us(1500))
-        e.run(until=ms(2))
+    def run(parked):
+        with park_mode(parked):
+            e, c = _cluster()
+            ldr = c.nodes[0]
+            flips = []
+            _tap(ldr._ring, "exclude_from_accounting",
+                 lambda p: flips.append(("out", p, e.now)))
+            _tap(ldr._ring, "include_in_accounting",
+                 lambda p, _seq: flips.append(("in", p, e.now)))
+            # Node 2 loses its core for longer than the eviction horizon
+            # (3 x leader_timeout = 1.2 ms), then resumes heartbeating.
+            FailureInjector(e, c.processes()).deschedule_at(us(50), 2, us(1500))
+            e.run(until=ms(2))
         return flips, (e, c)
 
     parked_flips, parked = run(True)
@@ -123,26 +127,27 @@ def test_evicted_peer_heartbeat_stays_loud_and_readmits_on_the_same_tick():
 
 
 def test_crash_with_a_pending_quiet_log():
-    def run(allow_park, crash_at=None):
-        e, c = _cluster(allow_park)
-        nd = c.nodes[2]
-        seen = {}
+    def run(parked, crash_at=None):
+        with park_mode(parked):
+            e, c = _cluster()
+            nd = c.nodes[2]
+            seen = {}
 
-        def crash_follower():
-            seen["at"], seen["logged"] = e.now, len(nd._quiet_log)
-            c.crash(2)
-            seen["after"] = len(nd._quiet_log)
+            def crash_follower():
+                seen["at"], seen["logged"] = e.now, len(nd._quiet_log)
+                c.crash(2)
+                seen["after"] = len(nd._quiet_log)
 
-        def probe():
-            if nd.parked and nd._quiet_log:
-                crash_follower()
-            else:
-                e.schedule(50, probe)
+            def probe():
+                if nd.parked and nd._quiet_log:
+                    crash_follower()
+                else:
+                    e.schedule(50, probe)
 
-        e.schedule_at(crash_at or us(30), crash_follower if crash_at else probe)
-        for k in range(10):
-            e.schedule_at(us(3) + k * us(9), c.submit, ("m", k), 64)
-        e.run(until=us(700))     # past the 400 us leader timeout
+            e.schedule_at(crash_at or us(30), crash_follower if crash_at else probe)
+            for k in range(10):
+                e.schedule_at(us(3) + k * us(9), c.submit, ("m", k), 64)
+            e.run(until=us(700))     # past the 400 us leader timeout
         return seen, (e, c)
 
     # A dry run finds an instant at which node 2 sleeps on logged rows.
@@ -155,18 +160,19 @@ def test_crash_with_a_pending_quiet_log():
 
 
 def test_two_leader_crashes_elect_at_identical_times():
-    def run(allow_park):
-        e, c = _cluster(allow_park, n=5, seed=11)
-        wins = []
-        _tap(c, "note_new_leader", lambda nid: wins.append((nid, e.now)))
-        k = 0
-        for t in range(us(5), ms(3), us(11)):
-            e.schedule_at(t, c.submit, ("m", k), 64)
-            k += 1
-        e.schedule_at(us(600), lambda: c.crash(c.leader_id()))
-        e.schedule_at(us(1800), lambda: c.crash(c.leader_id()))
-        e.run(until=ms(3))
-        c.deliveries.check_total_order()
+    def run(parked):
+        with park_mode(parked):
+            e, c = _cluster(n=5, seed=11)
+            wins = []
+            _tap(c, "note_new_leader", lambda nid: wins.append((nid, e.now)))
+            k = 0
+            for t in range(us(5), ms(3), us(11)):
+                e.schedule_at(t, c.submit, ("m", k), 64)
+                k += 1
+            e.schedule_at(us(600), lambda: c.crash(c.leader_id()))
+            e.schedule_at(us(1800), lambda: c.crash(c.leader_id()))
+            e.run(until=ms(3))
+            c.deliveries.check_total_order()
         return wins, (e, c)
 
     parked_wins, parked = run(True)
@@ -176,3 +182,26 @@ def test_two_leader_crashes_elect_at_identical_times():
     _assert_same(parked, oracle)
     assert [nd.role for nd in parked[1].nodes.values()
             if not nd.crashed].count(Role.LEADER) == 1
+
+
+def test_lightly_loaded_deployment_parks_away_most_events():
+    """One 64 B message per 50 us against a 20 us heartbeat — the
+    cadence is the floor on how long an idle replica stays parked.  The
+    run must equal the oracle's and execute at least 3x fewer events
+    (measured 14.3x: 8 649 against 123 788 over these 10 ms)."""
+    def run(parked):
+        with park_mode(parked):
+            e = Engine(seed=7)
+            c = AcuerdoCluster(e, 3, AcuerdoConfig(commit_push_period_ns=us(20)))
+            c.preseed_leader(0)
+            c.start()
+            client = OpenLoopClient(c, period_ns=us(50), message_size=64)
+            client.start()
+            e.run(until=ms(10))
+            client.stop()
+        return (client.committed, sorted(c.deliveries.counts.items()),
+                e.trace.fingerprint(), c.leader_id(), e.now), e.events_executed
+
+    (parked, parked_events), (oracle, oracle_events) = run(True), run(False)
+    assert parked == oracle and parked[0] > 150
+    assert 3 * parked_events <= oracle_events

@@ -87,3 +87,12 @@ def test_default_workers_env_override(monkeypatch):
     assert default_workers() == 3
     monkeypatch.delenv(WORKERS_ENV)
     assert default_workers() >= 1
+
+
+def test_default_workers_rejects_non_integer_by_name(monkeypatch):
+    monkeypatch.setenv(WORKERS_ENV, "four")
+    with pytest.raises(ValueError, match=r"REPRO_WORKERS='four'"):
+        default_workers()
+    for sequential in ("0", "1"):
+        monkeypatch.setenv(WORKERS_ENV, sequential)
+        assert default_workers() == 1

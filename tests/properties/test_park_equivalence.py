@@ -3,20 +3,21 @@
 The doorbell/parking machinery fast-forwards idle poll loops, but every
 virtual poll tick draws the same jitter from the same RNG stream as the
 real schedule would, so the observable run — trace fingerprint, delivery
-order and timing, tracer summary — must be *identical* with parking on
-(the default) and off (``REPRO_PARK=0``).  Executed events, the host-cost
+order and timing, tracer summary — must be *identical* to the unparked
+reference (``tests.park_reference``).  Executed events, the host-cost
 proxy, are the only thing allowed to change, and only downward.
 """
 
 from __future__ import annotations
 
-import os
+import functools
 
 import pytest
 
 from repro.harness.factory import build_from_spec, settle
 from repro.harness.runspec import RunSpec
 from repro.sim.engine import Engine, ms, us
+from tests.park_reference import park_mode
 from tests.substrate.test_golden_fingerprints import GOLDEN_FINGERPRINTS
 
 SYSTEMS = sorted(GOLDEN_FINGERPRINTS)
@@ -57,22 +58,18 @@ def run_observed(name, n=3, seed=7, messages=24):
     return observed, engine.events_executed
 
 
-def run_with_park(flag, name):
-    prior = os.environ.get("REPRO_PARK")
-    os.environ["REPRO_PARK"] = flag
-    try:
+@functools.cache
+def run_in_mode(parked, name):
+    """Each (mode, system) run happens once per session; both tests
+    below read it."""
+    with park_mode(parked):
         return run_observed(name)
-    finally:
-        if prior is None:
-            os.environ.pop("REPRO_PARK", None)
-        else:
-            os.environ["REPRO_PARK"] = prior
 
 
 @pytest.mark.parametrize("name", SYSTEMS)
 def test_parked_run_is_bit_identical(name):
-    parked, parked_events = run_with_park("1", name)
-    unparked, unparked_events = run_with_park("0", name)
+    parked, parked_events = run_in_mode(True, name)
+    unparked, unparked_events = run_in_mode(False, name)
     assert parked == unparked
     # Parking may only remove events, never add or reorder them.
     assert parked_events <= unparked_events
@@ -81,8 +78,6 @@ def test_parked_run_is_bit_identical(name):
 def test_parking_elides_events_overall():
     """Across the whole suite the elision must actually bite (a single
     protocol may be too busy to park much, but not all of them)."""
-    totals = {"1": 0, "0": 0}
-    for name in SYSTEMS:
-        for flag in totals:
-            totals[flag] += run_with_park(flag, name)[1]
-    assert totals["1"] < totals["0"]
+    totals = {parked: sum(run_in_mode(parked, name)[1] for name in SYSTEMS)
+              for parked in (True, False)}
+    assert totals[True] < totals[False]

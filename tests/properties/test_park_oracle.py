@@ -7,8 +7,9 @@ ships, at a fraction of their simulated duration — because that is where
 quiet heartbeat deposits, parking through a busy CPU and local wakes
 that land exactly on a poll tick occur thousands of times: closed loops
 at window 1 and 32, Zab over TCP, the 8-group Zipf farm, and the
-two-crash fail-over.  A parked run must reproduce the ``REPRO_PARK=0``
-run's exact latency sequence, commit instants and substrate counters.
+two-crash fail-over.  A parked run must reproduce the unparked
+reference run's (``tests.park_reference``) exact latency sequence,
+commit instants and substrate counters.
 
 The device path gets its own cases: closed loops over ZooKeeper and etcd
 at windows 1 and 32, where every commit waits on a group-committed fsync
@@ -28,6 +29,7 @@ import pytest
 from repro.harness.factory import build_from_spec, settle
 from repro.harness.runspec import RunSpec
 from repro.sim.engine import ms
+from tests.park_reference import park_mode
 
 _BENCH = pathlib.Path(__file__).resolve().parents[2] / "bench" / "workloads.py"
 _spec = importlib.util.spec_from_file_location("bench_workloads", _BENCH)
@@ -91,11 +93,10 @@ def observe_closed_loop(system_name: str, window: int,
     return observed, engine.events_executed
 
 
-def _assert_parked_equals_oracle(monkeypatch, run, *args):
-    monkeypatch.setenv("REPRO_PARK", "1")
+def _assert_parked_equals_oracle(run, *args):
     parked, parked_events = run(*args)
-    monkeypatch.setenv("REPRO_PARK", "0")
-    oracle, oracle_events = run(*args)
+    with park_mode(False):
+        oracle, oracle_events = run(*args)
     assert len(oracle["latencies"]) > 300
     for key in oracle:
         assert parked[key] == oracle[key], key
@@ -103,12 +104,10 @@ def _assert_parked_equals_oracle(monkeypatch, run, *args):
 
 
 @pytest.mark.parametrize("name,seed,scale", CASES)
-def test_parked_run_equals_unparked_oracle(monkeypatch, name, seed, scale):
-    _assert_parked_equals_oracle(monkeypatch, observe, name, seed, scale)
+def test_parked_run_equals_unparked_oracle(name, seed, scale):
+    _assert_parked_equals_oracle(observe, name, seed, scale)
 
 
 @pytest.mark.parametrize("system_name,window,sim_ms", DEVICE_CASES)
-def test_parking_through_fsync_equals_unparked_oracle(monkeypatch, system_name,
-                                                      window, sim_ms):
-    _assert_parked_equals_oracle(monkeypatch, observe_closed_loop,
-                                 system_name, window, sim_ms)
+def test_parking_through_fsync_equals_unparked_oracle(system_name, window, sim_ms):
+    _assert_parked_equals_oracle(observe_closed_loop, system_name, window, sim_ms)

@@ -8,7 +8,7 @@ poll body that charges CPU for what it handles (so the loop parks
 through a busy CPU).  Poll gaps are 3-5 ns, so inputs land exactly on a
 poll tick about one time in four and the tie rules carry the test.
 
-The unparked run (``allow_park=False``) is the oracle: the parked run
+The unparked run (``tests.park_reference``) is the oracle: the parked run
 must handle every input at the same poll, stamp every quiet deposit
 with the tick whose poll first read it, fire every deadline at the same
 instant, and leave the CPU equally busy — while polling only on oracle
@@ -20,6 +20,7 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro.sim import Engine, FailureInjector, Process, ProcessConfig
+from tests.park_reference import park_mode
 
 GAP_MIN, GAP_MAX = 3, 5
 #: ns between an event being scheduled and landing: often inside the
@@ -29,10 +30,9 @@ HORIZON = 400
 
 
 class Observer(Process):
-    def __init__(self, engine, allow_park, period):
+    def __init__(self, engine, period):
         super().__init__(engine, 0, ProcessConfig(
-            poll_interval_ns=GAP_MIN, poll_jitter_ns=GAP_MAX - GAP_MIN,
-            allow_park=allow_park))
+            poll_interval_ns=GAP_MIN, poll_jitter_ns=GAP_MAX - GAP_MIN))
         self.period = period
         self.last_fire = 0
         self.inbox = []      # (item, cpu cost) awaiting a poll
@@ -79,9 +79,9 @@ EVENT = st.one_of(
 SCRIPT = st.lists(st.tuples(st.integers(0, HORIZON), EVENT), min_size=1, max_size=14)
 
 
-def run(script, allow_park, period, seed):
+def run(script, period, seed):
     e = Engine(seed=seed)
-    p = Observer(e, allow_park, period)
+    p = Observer(e, period)
     inject = FailureInjector(e, [p])
     quiet_seq = [0]
 
@@ -119,8 +119,9 @@ def run(script, allow_park, period, seed):
 @settings(max_examples=300, deadline=None)
 @given(script=SCRIPT, period=st.integers(20, 120), seed=st.integers(0, 50))
 def test_parked_loop_matches_unparked_oracle(script, period, seed):
-    oracle = run(script, False, period, seed)
-    parked = run(script, True, period, seed)
+    with park_mode(False):
+        oracle = run(script, period, seed)
+    parked = run(script, period, seed)
     assert parked.handled == oracle.handled
     assert parked.fired == oracle.fired
     assert parked.stamps == oracle.stamps

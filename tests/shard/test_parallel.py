@@ -5,10 +5,9 @@ contiguous slices on separate worker engines produces bit-identical
 per-shard results to the single-engine farm — same per-group
 fingerprints (substrate counters, submit/commit/drop, exact latency
 sequences, leader, violations), same latency percentiles, same
-violation counts — across every combination of slice width and poll
-parking.  Only the host-cost field ``events_executed`` (which sums
-over worker engines) and the self-describing ``workers`` field may
-differ.
+violation counts — at every slice width.  Only the host-cost field
+``events_executed`` (which sums over worker engines) and the
+self-describing ``workers`` field may differ.
 """
 
 import dataclasses
@@ -68,11 +67,12 @@ def test_slice_ranges_rejects_nonpositive():
 # ------------------------------------------------- parallel == serial
 
 
-@pytest.mark.parametrize("park", ["0", "1"])
-def test_parallel_matches_serial_across_modes(monkeypatch, park):
-    """workers in {1, 2, 4} x REPRO_PARK: identical per-shard
-    fingerprints, latency percentiles, and violation counts."""
-    monkeypatch.setenv("REPRO_PARK", park)
+def test_parallel_matches_serial_across_modes():
+    """workers in {1, 2, 4}: identical per-shard fingerprints, latency
+    percentiles, and violation counts.  The unparked reference is not
+    a second axis here: the parked serial farm equals the unparked
+    serial farm by ``test_park_oracle[farm8_zipf_open-5-0.3]``, and the
+    sliced farm equals the serial one by this test."""
     serial_collect = {}
     serial = shard_point(FARM, collect=serial_collect)
     assert serial.workers == 1

@@ -4,6 +4,7 @@ import pytest
 
 from repro.sim import Engine, FailureInjector, Process, ProcessConfig, us
 from repro.sim.disk import Disk
+from tests.park_reference import park_mode
 
 
 class IdleParker(Process):
@@ -38,20 +39,21 @@ class Noticing(IdleParker):
             self.noticed_at = self.engine.now
 
 
-def _cfg(allow_park, **kw):
+def _cfg(**kw):
     kw.setdefault("poll_interval_ns", 100)
     kw.setdefault("poll_jitter_ns", 50)
-    return ProcessConfig(allow_park=allow_park, **kw)
+    return ProcessConfig(**kw)
 
 
-def _run(allow_park, ring=None, until=us(50), deadline_in=None, **cfg_kw):
-    e = Engine(seed=9)
-    p = IdleParker(e, config=_cfg(allow_park, **cfg_kw), deadline_in=deadline_in)
-    p.start()
-    if ring is not None:
-        at, fn = ring
-        e.schedule_at(at, fn, p)
-    e.run(until=until)
+def _run(parked, ring=None, until=us(50), deadline_in=None, **cfg_kw):
+    with park_mode(parked):
+        e = Engine(seed=9)
+        p = IdleParker(e, config=_cfg(**cfg_kw), deadline_in=deadline_in)
+        p.start()
+        if ring is not None:
+            at, fn = ring
+            e.schedule_at(at, fn, p)
+        e.run(until=until)
     return p, e
 
 
@@ -125,14 +127,15 @@ def test_out_of_poll_cpu_charge_rederives_schedule():
         p.cpu.stall(us(5))
         p.request_poll()
 
-    def run(allow_park):
-        e = Engine(seed=9)
-        p = IdleParker(e, config=_cfg(allow_park))
-        p.start()
-        e.schedule_at(1_000, stall_and_ring, p)
-        e.schedule_at(us(4), p.doorbell, us(4))     # lands while still busy
-        e.schedule_at(us(8), p.doorbell, us(8))     # lands after the drain
-        e.run(until=us(10))
+    def run(parked):
+        with park_mode(parked):
+            e = Engine(seed=9)
+            p = IdleParker(e, config=_cfg())
+            p.start()
+            e.schedule_at(1_000, stall_and_ring, p)
+            e.schedule_at(us(4), p.doorbell, us(4))     # lands while still busy
+            e.schedule_at(us(8), p.doorbell, us(8))     # lands after the drain
+            e.run(until=us(10))
         return p
 
     baseline, parked = run(False), run(True)
@@ -148,13 +151,14 @@ def test_deschedule_flushes_the_parked_loop_first():
     """A deschedule stalls the CPU under a parked loop: the poll already
     due keeps its tick, its successors wait for busy_until + 1 — so a
     doorbell during the stall is not noticed before the CPU is back."""
-    def run(allow_park):
-        e = Engine(seed=9)
-        p = IdleParker(e, config=_cfg(allow_park))
-        p.start()
-        e.schedule_at(us(10), p.deschedule, us(5))
-        e.schedule_at(us(12), p.doorbell, us(12))
-        e.run(until=us(20))
+    def run(parked):
+        with park_mode(parked):
+            e = Engine(seed=9)
+            p = IdleParker(e, config=_cfg())
+            p.start()
+            e.schedule_at(us(10), p.deschedule, us(5))
+            e.schedule_at(us(12), p.doorbell, us(12))
+            e.run(until=us(20))
         return p
 
     baseline, parked = run(False), run(True)
@@ -167,13 +171,14 @@ def test_deschedule_flushes_the_parked_loop_first():
 def test_slow_node_flushes_the_parked_loop_first():
     """Ticks up to the pending poll were drawn at the old speed factor;
     replaying them after slow_node() changed it would stretch them."""
-    def run(allow_park):
-        e = Engine(seed=9)
-        p = IdleParker(e, config=_cfg(allow_park))
-        p.start()
-        e.schedule_at(us(10), FailureInjector(e, [p]).slow_node, p, 7.5)
-        e.schedule_at(us(20), p.doorbell, us(20))
-        e.run(until=us(30))
+    def run(parked):
+        with park_mode(parked):
+            e = Engine(seed=9)
+            p = IdleParker(e, config=_cfg())
+            p.start()
+            e.schedule_at(us(10), FailureInjector(e, [p]).slow_node, p, 7.5)
+            e.schedule_at(us(20), p.doorbell, us(20))
+            e.run(until=us(30))
         return p
 
     baseline, parked = run(False), run(True)
@@ -194,12 +199,13 @@ def test_request_poll_on_a_tick_respects_event_order(scheduled_after_previous_ti
     prev, tick, after = ticks.polls[20:23]
     post_at = prev + 1 if scheduled_after_previous_tick else prev - 1
 
-    def run(allow_park):
-        e = Engine(seed=9)
-        p = Noticing(e, config=_cfg(allow_park))
-        p.start()
-        e.schedule_at(post_at, e.schedule_at, tick, change, p)
-        e.run(until=us(5))
+    def run(parked):
+        with park_mode(parked):
+            e = Engine(seed=9)
+            p = Noticing(e, config=_cfg())
+            p.start()
+            e.schedule_at(post_at, e.schedule_at, tick, change, p)
+            e.run(until=us(5))
         return p
 
     baseline, parked = run(False), run(True)
@@ -207,20 +213,21 @@ def test_request_poll_on_a_tick_respects_event_order(scheduled_after_previous_ti
     assert parked.noticed_at == baseline.noticed_at
 
 
-def _disk_run(allow_park, append_at, fsync_ns):
+def _disk_run(parked, append_at, fsync_ns):
     """One append whose completion flags the owner and charges its CPU,
     as an fsync callback sending an ACK does."""
-    e = Engine(seed=9)
-    p = Noticing(e, config=_cfg(allow_park))
-    disk = Disk(e, fsync_ns, owner=p)
+    with park_mode(parked):
+        e = Engine(seed=9)
+        p = Noticing(e, config=_cfg())
+        disk = Disk(e, fsync_ns, owner=p)
 
-    def durable():
-        p.changed = True
-        p.cpu.stall(us(2))
+        def durable():
+            p.changed = True
+            p.cpu.stall(us(2))
 
-    p.start()
-    e.schedule_at(append_at, disk.append, durable)
-    e.run(until=us(12))
+        p.start()
+        e.schedule_at(append_at, disk.append, durable)
+        e.run(until=us(12))
     return p
 
 
@@ -262,13 +269,14 @@ def test_epoll_poll_of_a_parked_loop_is_elided_until_its_deadline():
     deadline = first.polls[0] + us(5)       # IdleParker parks at its first poll
     early = us(2) + 1
 
-    def run(allow_park):
-        e = Engine(seed=9)
-        p = IdleParker(e, config=_cfg(allow_park), deadline_in=us(5))
-        p.start()
-        p.wake(us(2))
-        p.wake(deadline - 1)
-        e.run(until=deadline)
+    def run(parked):
+        with park_mode(parked):
+            e = Engine(seed=9)
+            p = IdleParker(e, config=_cfg(), deadline_in=us(5))
+            p.start()
+            p.wake(us(2))
+            p.wake(deadline - 1)
+            e.run(until=deadline)
         return p
 
     baseline, parked = run(False), run(True)
@@ -280,23 +288,11 @@ def test_epoll_poll_of_a_parked_loop_is_elided_until_its_deadline():
 def test_deschedules_disable_parking():
     e = Engine(seed=9)
     cfg = ProcessConfig(poll_interval_ns=100, poll_jitter_ns=50,
-                        deschedule_mean_interval_ns=us(5), allow_park=True)
+                        deschedule_mean_interval_ns=us(5))
     p = IdleParker(e, config=cfg)
     p.start()
     e.run(until=us(20))
     assert not p.parked  # deschedule draws share the RNG stream
-
-
-def test_allow_park_override_beats_env(monkeypatch):
-    monkeypatch.setenv("REPRO_PARK", "0")
-    p, _ = _run(True)
-    assert p.parked
-    monkeypatch.setenv("REPRO_PARK", "1")
-    p, _ = _run(None)
-    assert p.parked
-    monkeypatch.setenv("REPRO_PARK", "0")
-    p, _ = _run(None)
-    assert not p.parked
 
 
 def test_parking_preserves_rng_stream_for_later_draws():
@@ -309,12 +305,13 @@ def test_parking_preserves_rng_stream_for_later_draws():
             # Park only before the doorbell; afterwards poll for real.
             return self.engine.now < ring_at
 
-    def run(allow):
-        e = Engine(seed=9)
-        p = WakesThenRuns(e, config=_cfg(allow))
-        p.start()
-        e.schedule_at(ring_at, p.doorbell, ring_at)
-        e.run(until=us(10))
+    def run(parked):
+        with park_mode(parked):
+            e = Engine(seed=9)
+            p = WakesThenRuns(e, config=_cfg())
+            p.start()
+            e.schedule_at(ring_at, p.doorbell, ring_at)
+            e.run(until=us(10))
         return p.polls
 
     baseline, parked = run(False), run(True)

@@ -4,13 +4,11 @@
 :func:`repro.sim.failure.parse_partition` into
 :meth:`FailureInjector.partition_at` / :meth:`heal_at` against the
 deployment's substrate.  The schedule must be deterministic — the same
-cut and heal produce the same observable run whether the poll-parking
-fast path is on or off.
+cut and heal produce the same observable run whether idle poll loops
+park or stay on the heap (the ``tests.park_reference`` schedule).
 """
 
 from __future__ import annotations
-
-import os
 
 import pytest
 
@@ -22,6 +20,7 @@ from repro.sim.failure import (
     parse_partition,
     schedule_partitions,
 )
+from tests.park_reference import park_mode
 
 
 # ----------------------------------------------------------- the grammar
@@ -134,24 +133,13 @@ def _partitioned_run(name: str, entry: str = "0,1|2@1-6"):
             system.substrate.partition_drops), engine.events_executed
 
 
-def _run_with_park(flag: str, name: str):
-    prior = os.environ.get("REPRO_PARK")
-    os.environ["REPRO_PARK"] = flag
-    try:
-        return _partitioned_run(name)
-    finally:
-        if prior is None:
-            os.environ.pop("REPRO_PARK", None)
-        else:
-            os.environ["REPRO_PARK"] = prior
-
-
 @pytest.mark.parametrize("name", ["acuerdo", "zookeeper"])
 def test_partition_and_heal_are_park_invariant(name):
     """The cut and the heal land at the same simulated instants whether
     idle poll loops are parked or not: bit-identical observable runs."""
-    parked, parked_events = _run_with_park("1", name)
-    unparked, unparked_events = _run_with_park("0", name)
+    parked, parked_events = _partitioned_run(name)
+    with park_mode(False):
+        unparked, unparked_events = _partitioned_run(name)
     assert parked == unparked
     assert parked_events <= unparked_events
 

@@ -1,6 +1,7 @@
 """Unit tests for the CPU resource and polling process model."""
 
-from repro.sim import Engine, Process, ProcessConfig, us
+from repro.obs.spans import SpanRecorder
+from repro.sim import Engine, FailureInjector, Process, ProcessConfig, us
 from repro.sim.process import Cpu
 
 
@@ -81,6 +82,22 @@ def test_crash_stops_polling():
     e.run(until=us(5))
     assert p.crashed
     assert all(t <= us(1) for t in p.polls)
+
+
+def test_deschedule_after_crash_is_inert():
+    """A crashed process emits nothing: no stall, no count, no obs span."""
+    e = Engine(seed=1)
+    e.obs = SpanRecorder()
+    p = Recorder(e)
+    p.start()
+    inj = FailureInjector(e, [p])
+    inj.crash_at(us(5), 0)
+    inj.deschedule_at(us(10), 0, us(50))
+    e.run(until=us(20))
+    assert e.trace.get("process.crashes") == 1
+    assert e.trace.get("process.deschedules") == 0
+    assert p.cpu.busy_until <= us(5)
+    assert [kind for kind, *_ in e.obs.process_events] == ["crash"]
 
 
 def test_start_is_idempotent():
