@@ -16,23 +16,27 @@ from __future__ import annotations
 from benchmarks.conftest import WORKERS, emit, run_once
 from repro.harness.parallel import run_points
 from repro.harness.render import render_table
-from repro.harness.table1 import DEFAULT_SLOW_NODES, table1_elections
+from repro.harness.table1 import (DEFAULT_SLOW_NODES, election_spec,
+                                   elections)
 
 PAPER_MS = {3: 0.3, 5: 6.8, 7: 12.1, 9: 12.6}
 
 SEEDS = (1, 2)
 
+KILLS = 4
+
 
 def _run() -> dict[int, list[float]]:
-    cells = [(n, seed, 4) for n in (3, 5, 7, 9) for seed in SEEDS]
-    runs = run_points(table1_elections, cells, workers=WORKERS)
+    cells = [(election_spec(n, seed=seed, kills=KILLS), KILLS)
+             for n in (3, 5, 7, 9) for seed in SEEDS]
+    runs = run_points(elections, cells, workers=WORKERS)
     out: dict[int, list[float]] = {n: [] for n in (3, 5, 7, 9)}
-    for (n, _seed, _kills), durations in zip(cells, runs):
-        out[n].extend(durations)
+    for (spec, _kills), durations in zip(cells, runs):
+        out[spec.n].extend(durations)
     return out
 
 
-def test_table1_elections(benchmark, capsys):
+def test_table1_election_durations(benchmark, capsys):
     durations = run_once(benchmark, _run)
     means = {n: (sum(d) / len(d) if d else float("nan")) for n, d in durations.items()}
     rows = [[n, len(durations[n]), round(means[n], 3), PAPER_MS[n],

@@ -35,11 +35,9 @@ import sys
 
 
 def _cmd_shootout(args: argparse.Namespace) -> int:
-    from repro.harness import RunSpec, SYSTEMS, build_from_spec, render_table, settle
+    from repro.harness import RunSpec, SYSTEMS, prepare, render_table
     from repro.harness.factory import EXTENSION_SYSTEMS
     from repro.sim import ms
-    from repro.sim.failure import (schedule_byz, schedule_crashes,
-                                   schedule_partitions)
     from repro.workloads.closedloop import ClosedLoopClient
 
     names = args.systems or (SYSTEMS + (EXTENSION_SYSTEMS if args.extensions else []))
@@ -52,16 +50,8 @@ def _cmd_shootout(args: argparse.Namespace) -> int:
                        crashes=tuple(args.crash),
                        partitions=tuple(args.partition),
                        byz=tuple(args.byz))
-        engine = spec.make_engine()
-        system = build_from_spec(spec, engine)
-        settle(system)
-        if spec.crashes:
-            schedule_crashes(engine, system.processes(), spec.crashes)
-        if spec.partitions:
-            schedule_partitions(engine, system.substrate, spec.partitions,
-                                processes=system.processes())
-        if spec.byz:
-            schedule_byz(engine, system, spec.byz)
+        system = prepare(spec)
+        engine = system.engine
         client = ClosedLoopClient(system, window=args.window,
                                   message_size=args.size, warmup=30)
         client.start()

@@ -461,7 +461,17 @@ class AcuerdoNode(Process):
                 return True
             return False
         elif self.E_new <= e:
-            self._accept_diff(msg)
+            if msg.hdr.cnt != 0:
+                # We never saw this epoch's opening diff (it was posted
+                # into a partition and placed nowhere; the ring does not
+                # replay it).  Without the diff the message cannot be
+                # applied, so drop it and vote: the higher vote is what
+                # the leader's stranded-voter recovery reacts to, and
+                # the next epoch's diff re-admits us.
+                self.engine.trace.count("acuerdo.missed_diff_drop")
+                self._start_election()
+            else:
+                self._accept_diff(msg)
         else:
             # Stale epoch: a deposed leader's leftovers; drop silently.
             self.engine.trace.count("acuerdo.stale_drop")

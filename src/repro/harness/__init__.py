@@ -22,27 +22,30 @@ Cross-cutting plumbing:
 
 The benchmarks in ``benchmarks/`` are thin wrappers over these drivers.
 
-Every entry point consumes a :class:`RunSpec`.  The historical keyword
-entry points (``build_system``, ``fig8_point``, ``fig8_sweep``,
-``fig9_point``, ``table1_elections``) are retired: they remain
-importable, but calling one raises a ``TypeError`` that names the
-RunSpec field replacing each keyword.
+Every entry point consumes a :class:`RunSpec`, and every driver turns
+it into a running system in one place: :func:`prepare` (build, settle,
+arm the spec's crash / partition / Byzantine schedules) for a single
+group, :func:`repro.shard.parallel.prepare_farm` for a slice of a farm.
+Farm points have one driver too — :func:`shard_point` runs
+``min(shards, workers)`` slices and merges them; ``workers=1`` is the
+one-slice case, not a separate path.
 """
 
-from repro.harness.factory import SYSTEMS, build_from_spec, build_system, settle
-from repro.harness.fig8 import Fig8Point, fig8_point, fig8_sweep
-from repro.harness.fig9 import fig9_grid, fig9_point, fig9_ycsb
+from repro.harness.factory import SYSTEMS, build_from_spec, prepare, settle
+from repro.harness.fig8 import Fig8Point
+from repro.harness.fig9 import fig9_grid, fig9_ycsb
 from repro.harness.parallel import default_workers, run_points
 from repro.harness.render import render_series, render_table
 from repro.harness.runspec import WORKLOADS, RunSpec
 from repro.harness.shardsweep import ShardPoint, shard_point, shard_sweep
-from repro.harness.table1 import table1_all, table1_elections
+from repro.harness.table1 import table1_all
 
 __all__ = [
     "SYSTEMS",
     "WORKLOADS",
     "RunSpec",
     "build_from_spec",
+    "prepare",
     "settle",
     "Fig8Point",
     "run_points",

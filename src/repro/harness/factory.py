@@ -1,8 +1,10 @@
 """Build any of the evaluated systems from a RunSpec.
 
-:func:`build_from_spec` is the factory entry point; the retired
-keyword form (``build_system(name, engine, n, ...)``) raises a
-``TypeError`` pointing at the RunSpec fields that replaced it.
+:func:`build_from_spec` is the factory entry point; :func:`prepare` is
+the one place a spec becomes a *running* single-group system — built,
+settled, and with its ``crashes`` / ``partitions`` / ``byz`` schedules
+armed relative to workload start (the farm counterpart is
+:func:`repro.shard.parallel.prepare_farm`).
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from repro.protocols.paxos import PaxosCluster
 from repro.protocols.raft import RaftCluster
 from repro.protocols.zab import ZabCluster
 from repro.sim.engine import Engine, ms
+from repro.sim.failure import (schedule_byz, schedule_crashes,
+                               schedule_partitions)
 from repro.substrate import CostModel
 
 #: All systems of §4, by benchmark name.
@@ -67,15 +71,6 @@ SETTLE_MS = {
     "dolev": 1,
     "bracha": 1,
 }
-
-
-def build_system(*args, **kwargs):
-    """Retired keyword entry point; raises with migration guidance."""
-    raise TypeError(
-        "build_system(name, engine, n, ...) was retired: build a "
-        "RunSpec(system=<name>, n=<n>, ...) and call "
-        "build_from_spec(spec, engine, ...) — the name maps to "
-        "RunSpec.system and the replica count to RunSpec.n")
 
 
 def _build_named(name: str, engine: Engine, n: int,
@@ -167,3 +162,21 @@ def settle(system: BroadcastSystem, preseed: bool = True,
         system.engine.run(until=system.engine.now + ms(1))
     if system.leader_id() is None:
         raise RuntimeError(f"{system.name}: no leader after settle window")
+
+
+def prepare(spec, substrate_params: Optional[CostModel] = None,
+            **kwargs) -> BroadcastSystem:
+    """Turn ``spec`` into a serving single-group system on a fresh
+    engine (``system.engine``): build, :func:`settle`, then arm the
+    spec's crash / partition / Byzantine schedules.  ``@ms`` times count
+    from the moment this returns, which is where every driver starts
+    its workload.  Empty schedules attach nothing, so a fault-free run
+    stays bit-identical to the golden fingerprints."""
+    system = build_from_spec(spec, substrate_params=substrate_params, **kwargs)
+    settle(system)
+    engine = system.engine
+    schedule_crashes(engine, system.processes(), spec.crashes)
+    schedule_partitions(engine, system.substrate, spec.partitions,
+                        processes=system.processes())
+    schedule_byz(engine, system, spec.byz)
+    return system

@@ -5,9 +5,7 @@ For each system the driver sweeps the client window over powers of two
 point per window; the sweep stops once throughput saturates — the knee.
 
 The entry points consume a :class:`~repro.harness.runspec.RunSpec`
-(:func:`point`, :func:`sweep`); the retired keyword signatures
-(:func:`fig8_point`, :func:`fig8_sweep`) raise a ``TypeError`` naming
-the RunSpec fields that replaced their keywords.
+(:func:`point`, :func:`sweep`).
 """
 
 from __future__ import annotations
@@ -15,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.harness.factory import build_from_spec, settle
+from repro.harness.factory import prepare
 from repro.harness.runspec import RunSpec
 from repro.sim.engine import ms
 from repro.substrate import CostModel
@@ -51,22 +49,8 @@ def point(spec: RunSpec, min_completions: int = 400,
     ``spec.duration_ms`` sim-time budget is exhausted (the slow TCP
     systems need far more simulated time per message than the RDMA
     ones)."""
-    engine = spec.make_engine()
-    system = build_from_spec(spec, engine, substrate_params=substrate_params)
-    settle(system)
-    if spec.crashes:
-        from repro.sim.failure import schedule_crashes
-
-        schedule_crashes(engine, system.processes(), spec.crashes)
-    if spec.partitions:
-        from repro.sim.failure import schedule_partitions
-
-        schedule_partitions(engine, system.substrate, spec.partitions,
-                            processes=system.processes())
-    if spec.byz:
-        from repro.sim.failure import schedule_byz
-
-        schedule_byz(engine, system, spec.byz)
+    system = prepare(spec, substrate_params=substrate_params)
+    engine = system.engine
     client = ClosedLoopClient(system, window=spec.window,
                               message_size=spec.payload_bytes,
                               warmup=min(50, 2 * spec.window))
@@ -101,16 +85,6 @@ def point(spec: RunSpec, min_completions: int = 400,
         wire_bytes=counters.get(f"substrate.{backend}.tx_bytes", 0),
         wire_msgs=counters.get(f"substrate.{backend}.tx_msgs", 0),
     )
-
-
-def fig8_point(*args, **kwargs):
-    """Retired keyword entry point; raises with migration guidance."""
-    raise TypeError(
-        "fig8_point(system_name, n, message_size, window, ...) was "
-        "retired: build a RunSpec (system_name -> RunSpec.system, "
-        "message_size -> RunSpec.payload_bytes, max_sim_ms -> "
-        "RunSpec.duration_ms; n/window/seed keep their names) and call "
-        "fig8.point(spec, min_completions=...)")
 
 
 def sweep(spec: RunSpec, max_window: int = 1024, min_completions: int = 400,
@@ -156,16 +130,6 @@ def sweep(spec: RunSpec, max_window: int = 1024, min_completions: int = 400,
                 if gain < saturation_gain or blowup:
                     return points
     return points
-
-
-def fig8_sweep(*args, **kwargs):
-    """Retired keyword entry point; raises with migration guidance."""
-    raise TypeError(
-        "fig8_sweep(system_name, n, message_size, ...) was retired: "
-        "build a RunSpec (system_name -> RunSpec.system, message_size "
-        "-> RunSpec.payload_bytes, workers -> RunSpec.workers; n/seed "
-        "keep their names) and call fig8.sweep(spec, max_window=..., "
-        "min_completions=...)")
 
 
 def knee(points: list[Fig8Point]) -> Fig8Point:

@@ -10,8 +10,7 @@ The paper compares the Acuerdo-backed table against ZooKeeper and etcd
 (both effectively in-memory-equivalent deployments of the same state).
 
 The entry point consumes a :class:`~repro.harness.runspec.RunSpec`
-(:func:`point`); the retired keyword signature (:func:`fig9_point`)
-raises a ``TypeError`` naming the RunSpec fields that replaced it.
+(:func:`point`).
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.apps.hashtable import ReplicatedHashTable
-from repro.harness.factory import build_from_spec, settle
+from repro.harness.factory import prepare
 from repro.harness.runspec import RunSpec
 from repro.sim.engine import ms
 from repro.substrate import CostModel
@@ -54,7 +53,6 @@ def point(spec: RunSpec, min_completions: int = 500,
     ``spec.payload_bytes`` is the wire size of one update op: 8 bytes of
     key plus the YCSB value (so the value size is ``payload_bytes - 8``).
     """
-    engine = spec.make_engine()
     kwargs = {}
     if spec.system == "acuerdo":
         from repro.core.config import AcuerdoConfig
@@ -62,9 +60,8 @@ def point(spec: RunSpec, min_completions: int = 500,
         cfg = AcuerdoConfig()
         cfg.broadcast_cpu_ns += KV_SERVICE_CPU_NS
         kwargs["config"] = cfg
-    system = build_from_spec(spec, engine,
-                             substrate_params=substrate_params, **kwargs)
-    settle(system)
+    system = prepare(spec, substrate_params=substrate_params, **kwargs)
+    engine = system.engine
     table = ReplicatedHashTable(system)
     value_size = max(1, spec.payload_bytes - 8)
     workload = YcsbLoadWorkload(engine, record_count=record_count,
@@ -86,16 +83,6 @@ def point(spec: RunSpec, min_completions: int = 500,
     return Fig9Point(system=spec.system, n=spec.n,
                      ops_per_sec=res.throughput_msgs_per_sec,
                      completed=res.completed)
-
-
-def fig9_point(*args, **kwargs):
-    """Retired keyword entry point; raises with migration guidance."""
-    raise TypeError(
-        "fig9_point(system_name, n, ...) was retired: build a RunSpec "
-        "(system_name -> RunSpec.system, 8 + value_size -> "
-        "RunSpec.payload_bytes, max_sim_ms -> RunSpec.duration_ms, "
-        "workload='ycsb'; n/window/seed keep their names) and call "
-        "fig9.point(spec, min_completions=..., record_count=...)")
 
 
 def grid_spec(system: str, n: int, seed: int = 1, window: int = 96,

@@ -42,10 +42,11 @@ import pathlib
 import sys
 import time
 from dataclasses import asdict
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from repro.harness.fig8 import point
 from repro.harness.runspec import RunSpec
+from repro.harness.shardsweep import shard_point
 
 SCHEMA = "repro.host_perf/v1"
 
@@ -139,116 +140,117 @@ def _gc_paused():
             gc.collect()
 
 
-def run_reference_point(backend: str, collect: Optional[dict] = None):
-    """Execute the reference workload for one backend; returns Fig8Point."""
+def _best_of(thunks: "dict[str, Callable[[], Any]]", repeats: int,
+             floor: int = 3) -> "dict[str, tuple[float, Any]]":
+    """The one timing loop: run the labelled thunks round-robin for
+    ``max(floor, repeats)`` rounds, collector paused, and return
+    ``label -> (best wall seconds, result)``.
+
+    A single sample confounds host scheduling noise with real cost and
+    best-of needs a population, hence the floor.  Each label's result
+    (a pure function of its spec) must repeat exactly — a mismatch is
+    raised, not reported.  With several labels the rounds interleave
+    (off, on, off, on, ...) rather than time sequential blocks: host
+    load swings on a shared machine last seconds, and interleaving
+    exposes every configuration to the same load phases so best-of
+    compares like with like."""
+    best = dict.fromkeys(thunks, float("inf"))
+    first: dict[str, Any] = {}
+    for _ in range(max(floor, repeats)):
+        for label, thunk in thunks.items():
+            with _gc_paused():
+                t0 = time.perf_counter()
+                result = thunk()
+                best[label] = min(best[label], time.perf_counter() - t0)
+            if label not in first:
+                first[label] = result
+            elif first[label] != result:
+                raise AssertionError(
+                    f"{label}: reference point not deterministic across "
+                    "repeats")
+    return {label: (best[label], first[label]) for label in thunks}
+
+
+def _timed_point(seconds: float, events: int, point: Any) -> dict[str, Any]:
+    """The BENCH record of one timed reference point."""
+    return {"seconds": round(seconds, 4),
+            "events": events,
+            "events_per_wall_s": round(events / seconds) if seconds else 0,
+            "point": asdict(point)}
+
+
+def _reference_thunk(backend: str,
+                     check_invariants: bool = False) -> Callable[[], Any]:
+    """``() -> (Fig8Point, events_executed, violations)`` for one
+    backend's reference point."""
     ref = REFERENCE_POINTS[backend]
-    return point(ref["spec"], min_completions=ref["min_completions"],
-                 collect=collect)
+    spec = ref["spec"].replace(check_invariants=check_invariants)
+
+    def thunk() -> Any:
+        collect: dict[str, Any] = {}
+        p = point(spec, min_completions=ref["min_completions"],
+                  collect=collect)
+        return p, collect["events_executed"], collect["violations"]
+    return thunk
 
 
 def measure(repeats: int = 3) -> dict[str, dict[str, Any]]:
-    """Best-of-``repeats`` wall-clock seconds per backend, plus the
-    simulated result (identical across repeats — it is asserted) and the
-    executed-event count with its events/wall-second rate.
-
-    ``repeats`` is clamped to >= 3: a single sample confounds host
-    scheduling noise with real cost, and best-of needs a population."""
-    out: dict[str, dict[str, Any]] = {}
-    for backend in sorted(REFERENCE_POINTS):
-        best = float("inf")
-        point = None
-        events = None
-        for _ in range(max(3, repeats)):
-            collect: dict[str, Any] = {}
-            with _gc_paused():
-                t0 = time.perf_counter()
-                p = run_reference_point(backend, collect)
-                best = min(best, time.perf_counter() - t0)
-            if point is None:
-                point, events = p, collect["events_executed"]
-            elif point != p or events != collect["events_executed"]:
-                raise AssertionError(
-                    f"{backend}: reference point not deterministic across repeats")
-        out[backend] = {"seconds": round(best, 4),
-                        "events": events,
-                        "events_per_wall_s": round(events / best) if best else 0,
-                        "point": asdict(point)}
-    return out
+    """Best-of-``repeats`` (>= 3) wall-clock seconds per backend, plus
+    the simulated result (asserted identical across repeats) and the
+    executed-event count with its events/wall-second rate."""
+    timed = _best_of({backend: _reference_thunk(backend)
+                      for backend in sorted(REFERENCE_POINTS)}, repeats)
+    return {backend: _timed_point(best, events, p)
+            for backend, (best, (p, events, _violations)) in timed.items()}
 
 
 def shard_section(repeats: int = 3) -> dict[str, Any]:
-    """Run :data:`SHARD_POINT` ``repeats`` (>= 3) times: wall time (best
-    of), executed events, events/wall-second, and the simulated result.
-
-    The simulated result must be identical across repeats (the farm is
-    a pure function of the spec) — a mismatch is raised, not reported.
-    """
-    from repro.harness.shardsweep import shard_point
-
-    best = float("inf")
-    result = None
-    for _ in range(max(3, repeats)):
-        with _gc_paused():
-            t0 = time.perf_counter()
-            p = shard_point(SHARD_POINT)
-            best = min(best, time.perf_counter() - t0)
-        if result is None:
-            result = p
-        elif result != p:
-            raise AssertionError(
-                "shard-farm point not deterministic across repeats")
-    return {"seconds": round(best, 4),
-            "events": result.events_executed,
-            "events_per_wall_s": round(result.events_executed / best) if best else 0,
-            "point": asdict(result)}
+    """Run :data:`SHARD_POINT` ``repeats`` (>= 3) times on one engine
+    (``workers=1``: the one-slice farm): wall time (best of), executed
+    events, events/wall-second, and the simulated result (asserted
+    identical across repeats — the farm is a pure function of the
+    spec)."""
+    [(best, result)] = _best_of(
+        {"shard farm": lambda: shard_point(SHARD_POINT)}, repeats).values()
+    return _timed_point(best, result.events_executed, result)
 
 
 def shard_parallel_section(serial: dict[str, Any],
                            repeats: int = 3) -> dict[str, Any]:
-    """Run :data:`SHARD_POINT` space-parallel at :data:`PARALLEL_WORKERS`
-    slice workers and compare against the serial farm (``serial`` is
+    """Run :data:`SHARD_POINT` as :data:`PARALLEL_WORKERS` slices and
+    compare against the one-slice farm (``serial`` is
     :func:`shard_section`'s result, reused as the timing baseline).
 
     Four measurements:
 
-    - one serial run with the per-shard fingerprint side channel (the
-      equivalence oracle; untimed),
-    - best-of-``repeats`` parallel runs through the real process pool
+    - one one-slice run with the per-shard fingerprint side channel
+      (the equivalence oracle; untimed),
+    - best-of-``repeats`` sliced runs through the real process pool
       (``wall_speedup``),
-    - one sequential-slices run (``pool_workers=1``) whose per-slice
+    - sequential-slices runs (``pool_workers=1``) whose per-slice
       *inner* seconds give ``projected_speedup`` — the honest parallel
       bound on hosts with fewer CPUs than workers, where concurrent
       slices would measure scheduler queueing,
-    - one monitored parallel run, which must report zero violations and
+    - one monitored sliced run, which must report zero violations and
       the same fingerprints (monitors are pure observers).
 
     ``identical_point`` requires bit-identical per-shard fingerprints
     AND an identical :class:`ShardPoint` minus the host-cost fields
-    (``events_executed`` sums over worker engines; ``workers`` is
+    (``events_executed`` sums over slice engines; ``workers`` is
     self-describing by design).
     """
-    from repro.harness.shardsweep import shard_point
-    from repro.shard.parallel import parallel_shard_point
-
     spec = SHARD_POINT.replace(workers=PARALLEL_WORKERS)
     serial_collect: dict[str, Any] = {}
     serial_point = shard_point(SHARD_POINT, collect=serial_collect)
 
-    best = float("inf")
-    par_point = None
-    par_collect: dict[str, Any] = {}
-    for _ in range(max(3, repeats)):
+    def sliced() -> Any:
         collect: dict[str, Any] = {}
-        with _gc_paused():
-            t0 = time.perf_counter()
-            p = parallel_shard_point(spec, collect=collect)
-            best = min(best, time.perf_counter() - t0)
-        if par_point is None:
-            par_point, par_collect = p, collect
-        elif (par_point != p or par_collect["shard_fingerprints"]
-                != collect["shard_fingerprints"]):
-            raise AssertionError(
-                "shard-parallel point not deterministic across repeats")
+        p = shard_point(spec, collect=collect)
+        return (p, collect["shard_fingerprints"], collect["slices"],
+                collect["foreign"])
+
+    [(best, (par_point, par_prints, slices, foreign))] = _best_of(
+        {"shard-parallel farm": sliced}, repeats).values()
 
     # Per-slice inner seconds, best-of-2 per slice: the serial baseline
     # is a best-of too, and the projected-speedup gate is a ratio of the
@@ -257,14 +259,13 @@ def shard_parallel_section(serial: dict[str, Any],
     for _ in range(2):
         seq_collect: dict[str, Any] = {}
         with _gc_paused():
-            parallel_shard_point(spec, collect=seq_collect, pool_workers=1)
+            shard_point(spec, collect=seq_collect, pool_workers=1)
         secs = seq_collect["slice_seconds"]
         slice_secs = (secs if not slice_secs
                       else [min(a, b) for a, b in zip(slice_secs, secs)])
 
     mon_collect: dict[str, Any] = {}
-    parallel_shard_point(spec.replace(check_invariants=True),
-                         collect=mon_collect)
+    shard_point(spec.replace(check_invariants=True), collect=mon_collect)
 
     host_cost = {"events_executed", "workers"}
     serial_beh = {k: v for k, v in asdict(serial_point).items()
@@ -274,7 +275,7 @@ def shard_parallel_section(serial: dict[str, Any],
     return {
         "workers": PARALLEL_WORKERS,
         "host_cpus": os.cpu_count() or 1,
-        "slices": [list(s) for s in par_collect["slices"]],
+        "slices": [list(s) for s in slices],
         "serial_seconds": serial["seconds"],
         "seconds": round(best, 4),
         "wall_speedup": round(serial["seconds"] / best, 3)
@@ -284,60 +285,33 @@ def shard_parallel_section(serial: dict[str, Any],
             if max(slice_secs) else float("inf"),
         "identical_point": (
             par_beh == serial_beh
-            and par_collect["shard_fingerprints"]
-                == serial_collect["shard_fingerprints"]
+            and par_prints == serial_collect["shard_fingerprints"]
             and mon_collect["shard_fingerprints"]
                 == serial_collect["shard_fingerprints"]),
         "monitored_violations": len(mon_collect["violations"]),
-        "foreign_total": par_collect["foreign"],
+        "foreign_total": foreign,
         "point": asdict(par_point),
     }
 
 
 def monitors_section(repeats: int = 3) -> dict[str, Any]:
-    """Run the rdma reference point with the safety monitors off and on.
+    """Run the rdma reference point with the safety monitors off and on,
+    interleaved round by round (see :func:`_best_of`).
 
     The monitors are observers: the simulated :class:`Fig8Point` must be
     identical with ``check_invariants`` on and off (asserted by the
     caller via ``identical_point``), the audited run must report zero
     violations, and the wall-clock overhead must stay under
-    :data:`MONITOR_MAX_OVERHEAD`.
-
-    The off/on runs are *interleaved* round by round (off, on, off, on,
-    ...) rather than timed as two sequential blocks: the overhead being
-    measured (~10%) is the same magnitude as multi-second host-load
-    swings on a shared machine, and interleaving exposes both
-    configurations to the same load phases so best-of-rounds compares
-    like with like."""
-    ref = REFERENCE_POINTS["rdma"]
-    configs = (("off", False), ("on", True))
-    best = {label: float("inf") for label, _ in configs}
-    results: dict[str, Any] = {}
-    violations: dict[str, int] = {}
+    :data:`MONITOR_MAX_OVERHEAD`."""
     # One extra interleaved round vs the other sections: the gate is a
     # ratio of two best-ofs, so its noise compounds.
-    for _ in range(max(4, repeats)):
-        for label, checked in configs:
-            spec = ref["spec"].replace(check_invariants=checked)
-            collect: dict[str, Any] = {}
-            with _gc_paused():
-                t0 = time.perf_counter()
-                p = point(spec, min_completions=ref["min_completions"],
-                          collect=collect)
-                best[label] = min(best[label], time.perf_counter() - t0)
-            if label not in results:
-                results[label] = p
-                violations[label] = collect.get("violations", 0)
-            elif (results[label] != p
-                  or violations[label] != collect.get("violations", 0)):
-                raise AssertionError(
-                    f"monitored reference point ({label}) not deterministic "
-                    "across repeats")
+    timed = _best_of({"off": _reference_thunk("rdma"),
+                      "on": _reference_thunk("rdma", check_invariants=True)},
+                     repeats, floor=4)
     out: dict[str, Any] = {
-        label: {"seconds": round(best[label], 4),
-                "point": asdict(results[label]),
-                "violations": violations[label]}
-        for label, _ in configs}
+        label: {"seconds": round(best, 4), "point": asdict(p),
+                "violations": violations}
+        for label, (best, (p, _events, violations)) in timed.items()}
     out["identical_point"] = out["on"]["point"] == out["off"]["point"]
     out["overhead"] = round(out["on"]["seconds"] / out["off"]["seconds"], 3) \
         if out["off"]["seconds"] else float("inf")
@@ -388,7 +362,7 @@ def write_bench(path: pathlib.Path, repeats: int = 3,
                 capture_baseline: bool = False, check: bool = False,
                 sweep_workers: int = 4) -> int:
     """Measure and (re)write the BENCH file; returns a process exit code."""
-    repeats = max(3, repeats)  # best-of needs a population (see measure)
+    repeats = max(3, repeats)  # best-of needs a population (see _best_of)
     existing: Optional[dict] = None
     if path.exists():
         existing = json.loads(path.read_text())

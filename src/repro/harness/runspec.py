@@ -8,9 +8,7 @@ backend, under what workload, for how long, from which seed — and every
 harness entry point (:mod:`~repro.harness.fig8`,
 :mod:`~repro.harness.fig9`, :mod:`~repro.harness.table1`,
 :mod:`~repro.harness.hostperf`, ``repro`` CLI, ``repro trace``)
-consumes it.  The old keyword signatures are retired: calling one
-raises a ``TypeError`` that names the ``RunSpec`` field replacing each
-keyword.
+consumes it.
 
 Frozen + hashable + picklable: a spec can key a result cache, travel
 through the :mod:`~repro.harness.parallel` process pool, and be
@@ -59,7 +57,9 @@ class RunSpec:
     check_invariants: bool = False
     #: Crash schedule: ``"node@ms"`` / ``"group:node@ms"`` entries
     #: (see :func:`repro.sim.failure.parse_crash`), applied relative to
-    #: workload start by the drivers that support failure injection.
+    #: workload start by :func:`repro.harness.factory.prepare` (farms:
+    #: :func:`repro.shard.parallel.prepare_farm`), like the two
+    #: schedules below.
     crashes: "tuple[str, ...]" = ()
     #: Partition schedule: ``"GROUPS@MS"`` / ``"GROUPS@MS-MS"`` entries
     #: (see :func:`repro.sim.failure.parse_partition`), applied against

@@ -21,9 +21,7 @@ wait on its response cadence, which is where the growth and the
 
 The entry point consumes a :class:`~repro.harness.runspec.RunSpec`
 (:func:`elections`, an open-loop run whose ``duration_ms`` spans
-``kills`` kill periods); the retired keyword signature
-(:func:`table1_elections`) raises a ``TypeError`` naming the RunSpec
-fields that replaced it.
+``kills`` kill periods).
 """
 
 from __future__ import annotations
@@ -95,16 +93,6 @@ def elections(spec: RunSpec, kills: int = 6,
         engine.monitors.check()
     durations_ns = engine.trace.series("acuerdo.election_duration_ns")
     return [d / 1e6 for d in durations_ns]
-
-
-def table1_elections(*args, **kwargs):
-    """Retired keyword entry point; raises with migration guidance."""
-    raise TypeError(
-        "table1_elections(n, seed, kills, kill_period_ms, ...) was "
-        "retired: build a RunSpec (system='acuerdo', payload_bytes=10, "
-        "workload='openloop', duration_ms=kills * kill_period_ms; "
-        "n/seed keep their names) and call table1.elections(spec, "
-        "kills=..., slow_nodes=...)")
 
 
 def election_spec(n: int, seed: int = 1, kills: int = 6,

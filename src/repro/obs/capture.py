@@ -2,8 +2,11 @@
 with tracing on and collect spans + metrics + exportable documents.
 
 This is the engine behind ``repro trace`` and the span-based
-latency-anatomy tooling: build the system the spec names, settle it,
-drive the spec's workload for ``duration_ms`` of simulated time with a
+latency-anatomy tooling: prepare the system the spec names through the
+shared :func:`~repro.harness.factory.prepare` (farms:
+:func:`~repro.shard.parallel.prepare_farm`) — so a trace honours the
+spec's fault schedules exactly as every other driver does — drive the
+spec's workload for ``duration_ms`` of simulated time with a
 :class:`~repro.obs.spans.SpanRecorder` attached, then fold the tracer
 and substrate counters into one :class:`~repro.obs.metrics.MetricsRegistry`.
 """
@@ -58,29 +61,14 @@ def capture_run(spec: Any, *, min_completions: Optional[int] = None,
     once that many client completions have been measured; the sim-time
     budget is always ``spec.duration_ms``.
     """
-    from repro.harness.factory import build_from_spec, settle
+    from repro.harness.factory import prepare
     from repro.sim.engine import ms, us
 
     spec = spec.replace(capture_spans=True)
-    engine = spec.make_engine()
-    recorder = engine.obs
     if spec.shards > 1:
-        return _capture_sharded(spec, engine, recorder)
-    system = build_from_spec(spec, engine, substrate_params=substrate_params)
-    settle(system)
-    if spec.crashes:
-        from repro.sim.failure import schedule_crashes
-
-        schedule_crashes(engine, system.processes(), spec.crashes)
-    if spec.partitions:
-        from repro.sim.failure import schedule_partitions
-
-        schedule_partitions(engine, system.substrate, spec.partitions,
-                            processes=system.processes())
-    if spec.byz:
-        from repro.sim.failure import schedule_byz
-
-        schedule_byz(engine, system, spec.byz)
+        return _capture_sharded(spec)
+    system = prepare(spec, substrate_params=substrate_params)
+    engine = system.engine
 
     result = None
     if spec.workload == "openloop":
@@ -132,13 +120,14 @@ def capture_run(spec: Any, *, min_completions: Optional[int] = None,
         metrics.ingest_substrate(system.substrate)
     violations = (tuple(engine.monitors.finish(metrics))
                   if engine.monitors is not None else ())
-    return CaptureResult(spec=spec, recorder=recorder, metrics=metrics,
-                        result=result, violations=violations)
+    return CaptureResult(spec=spec, recorder=engine.obs, metrics=metrics,
+                         result=result, violations=violations)
 
 
-def _capture_sharded(spec: Any, engine: Any, recorder: SpanRecorder) -> CaptureResult:
+def _capture_sharded(spec: Any) -> CaptureResult:
     """The shard-farm capture path: ``spec.shards`` groups behind the
-    router, driven by the aggregate Poisson/Zipfian arrival process.
+    router, driven by the aggregate Poisson/Zipfian arrival process
+    (10⁴ users at 10⁵ req/s unless the spec names its own).
 
     Spans and process/NIC events come out tagged with the groups'
     ``shard.<g>.*`` identities (labels like ``shard.3.acuerdo.msg``),
@@ -146,39 +135,13 @@ def _capture_sharded(spec: Any, engine: Any, recorder: SpanRecorder) -> CaptureR
     substrate counters land in the metrics under ``shard.<g>.*``.
     """
     from repro.harness.shardsweep import farm_group_config
-    from repro.shard import ShardedDeployment, aggregate_client
-    from repro.sim.engine import ms
-    from repro.sim.failure import check_group_schedules
+    from repro.shard.parallel import drive_farm, prepare_farm
 
-    # Fail loudly on schedules the farm cannot honour (byz, cross-group
-    # partitions, ambiguous bare node ids) — these used to be silently
-    # ignored here, the worst kind of adversarial-capture no-op.
-    check_group_schedules(spec.shards, spec.crashes, spec.partitions,
-                          spec.byz)
-    dep = ShardedDeployment(engine, system=spec.system, shards=spec.shards,
-                            n=spec.n, group_config=farm_group_config(spec))
-    dep.settle()
-    if spec.crashes:
-        from repro.sim.failure import schedule_crashes
-
-        schedule_crashes(engine, dep.processes(), spec.crashes)
-    if spec.partitions:
-        from repro.shard.deployment import schedule_farm_partitions
-
-        schedule_farm_partitions(dep, spec.partitions)
-    if spec.byz:
-        from repro.sim.failure import schedule_byz
-
-        schedule_byz(engine, dep.groups[0], spec.byz)
-    users = spec.users if spec.users >= 1 else 10_000
-    rate = spec.arrival_rate if spec.arrival_rate > 0 else 100_000.0
-    client = aggregate_client(dep, users=users, rate_rps=rate,
-                              skew=spec.skew,
-                              message_size=spec.payload_bytes)
-    client.start()
-    engine.run(until=engine.now + ms(spec.duration_ms))
-    client.stop()
-    engine.run(until=engine.now + ms(1))
+    load = spec.replace(users=spec.users or 10_000,
+                        arrival_rate=spec.arrival_rate or 100_000.0)
+    dep, client = prepare_farm(load, 0, spec.shards, farm_group_config(spec))
+    engine = dep.engine
+    drive_farm(dep, client, spec.duration_ms)
 
     metrics = MetricsRegistry()
     metrics.ingest_tracer(engine.trace)
@@ -186,5 +149,5 @@ def _capture_sharded(spec: Any, engine: Any, recorder: SpanRecorder) -> CaptureR
     dep.metrics(metrics)
     violations = (tuple(engine.monitors.finish(metrics))
                   if engine.monitors is not None else ())
-    return CaptureResult(spec=spec, recorder=recorder, metrics=metrics,
+    return CaptureResult(spec=spec, recorder=engine.obs, metrics=metrics,
                          result=None, violations=violations)

@@ -8,14 +8,15 @@ and :func:`~repro.shard.arrivals.aggregate_client` models 10⁵–10⁶
 logical users as one Poisson/Zipfian open-loop arrival process.  See
 DESIGN.md "Sharded deployment" for the identity scheme and the
 determinism argument; ``repro shard`` and
-:mod:`repro.harness.shardsweep` drive the shard-count × skew sweeps.
+:mod:`repro.harness.shardsweep` drive the shard-count × skew sweeps,
+each point through the slice machinery of :mod:`repro.shard.parallel`.
 """
 
 from repro.shard.arrivals import ARRIVAL_STREAM, aggregate_client
 from repro.shard.deployment import (ShardedDeployment, default_key_of,
                                     schedule_farm_partitions)
-from repro.shard.parallel import (SliceResult, parallel_shard_point,
-                                  run_slice, slice_ranges)
+from repro.shard.parallel import (SliceResult, prepare_farm, run_slice,
+                                  slice_ranges)
 from repro.shard.router import ShardRouter, stable_key_hash
 
 __all__ = [
@@ -25,7 +26,7 @@ __all__ = [
     "SliceResult",
     "aggregate_client",
     "default_key_of",
-    "parallel_shard_point",
+    "prepare_farm",
     "run_slice",
     "schedule_farm_partitions",
     "slice_ranges",

@@ -28,15 +28,25 @@ Why a slice is bit-identical to the same groups inside the full farm:
   orders lexicographically, so in-slice events execute in the same
   relative order at the same simulated times.
 
-This argument needs one precondition, checked at run time: ``settle``
-must leave the engine clock at 0 (true for the Acuerdo preseeded start;
-protocols that *run* an election to settle advance the clock
-cumulatively per group, making slice and farm diverge — those raise).
+This argument needs one precondition, checked at run time whenever a
+farm runs as more than one slice: ``settle`` must leave the engine
+clock at 0 (true for the Acuerdo preseeded start; protocols that *run*
+an election to settle advance the clock cumulatively per group, making
+slice and farm diverge — those raise).  A single slice holding every
+group IS the serial farm, so it carries no precondition.
+
+There is one farm driver (:func:`repro.harness.shardsweep.shard_point`)
+and everything it runs lives here: :func:`prepare_farm` turns a spec
+and a group range into a settled, fault-armed deployment plus its
+arrival client; :func:`run_slice` drives one such slice and sends home
+a :class:`SliceResult`; :func:`merge_slices` folds the slices into the
+:class:`ShardPoint`.  ``spec.workers`` only sets how many slices there
+are — ``workers=1`` is the one-slice case of the same code.
 
 Merging is deterministic: each group is owned by exactly one slice, so
 per-shard arrays concatenate exactly; the latency multiset (and hence
-every percentile) is identical; ``events_executed`` sums to the
-parallel host cost (NOT comparable 1:1 to the serial farm —
+every percentile) is identical; ``events_executed`` sums the slices'
+engines (with several slices NOT comparable 1:1 to the one-slice farm —
 foreign-event elision makes the sum smaller).
 """
 
@@ -44,12 +54,55 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
-from repro.harness.runspec import RunSpec
-from repro.harness.shardsweep import (ShardPoint, _percentile,
-                                      farm_group_config)
+from repro.shard.arrivals import aggregate_client
+from repro.shard.deployment import ShardedDeployment, schedule_farm_partitions
 from repro.sim.engine import ms
+from repro.sim.failure import (check_group_schedules, parse_crash,
+                               schedule_byz, schedule_crashes)
+
+if TYPE_CHECKING:  # harness imports this module; keep the edge one-way
+    from repro.harness.runspec import RunSpec
+    from repro.workloads.openloop import OpenLoopClient
+
+
+@dataclass(frozen=True)
+class ShardPoint:
+    """One point of a shard-farm sweep."""
+
+    system: str
+    shards: int
+    n: int
+    users: int
+    skew: float
+    arrival_rate: float
+    duration_ms: float
+    submitted: int
+    committed: int
+    dropped: int
+    throughput_rps: float
+    mean_latency_us: float
+    p50_latency_us: float
+    p99_latency_us: float
+    #: Load share of the most-loaded shard (1/shards when uniform;
+    #: rises with Zipfian skew — the routing signature of hot keys).
+    hottest_share: float
+    #: Host-cost proxy: events the slices' engines executed in total.
+    events_executed: int
+    #: Safety violations the runtime monitors observed (0 unless the
+    #: spec set ``check_invariants``; always 0 on a healthy farm).
+    violations: int = 0
+    #: Group slices that produced this point (1 = one engine ran every
+    #: group) — recorded so BENCH artifacts are self-describing.
+    workers: int = 1
+
+
+def _percentile(sorted_vals: list[int], pct: float) -> float:
+    if not sorted_vals:
+        return 0.0
+    idx = min(len(sorted_vals) - 1, int(len(sorted_vals) * pct / 100.0))
+    return sorted_vals[idx]
 
 
 def slice_ranges(shards: int, workers: int) -> "list[tuple[int, int]]":
@@ -92,8 +145,6 @@ def _slice_crashes(spec: RunSpec, lo: int, hi: int) -> "tuple[str, ...]":
     """The crash entries whose target group falls in [lo, hi).  With one
     shard every entry is local; with more, validation has already forced
     the unambiguous ``g:n`` form."""
-    from repro.sim.failure import parse_crash
-
     if spec.shards == 1:
         return spec.crashes
     keep = []
@@ -104,104 +155,100 @@ def _slice_crashes(spec: RunSpec, lo: int, hi: int) -> "tuple[str, ...]":
     return tuple(keep)
 
 
-def run_slice(spec: RunSpec, lo: int, hi: int,
-              heartbeat_us: Optional[int] = None) -> SliceResult:
-    """Run groups [lo, hi) of ``spec``'s farm on a fresh engine and
-    collect the per-shard observables.  Module-level and picklable, so
-    :func:`~repro.harness.parallel.run_points` can fan it out."""
-    from repro.shard import ShardedDeployment, aggregate_client
+def prepare_farm(spec: RunSpec, lo: int, hi: int,
+                 group_config: "dict | None" = None,
+                 ) -> "tuple[ShardedDeployment, OpenLoopClient]":
+    """Turn ``spec`` into groups [lo, hi) of its farm, serving, on a
+    fresh engine (``dep.engine``): validate the fault schedules against
+    the shard count, build the deployment with the *original* group
+    indices, settle it, arm the crash / partition / Byzantine entries
+    this slice owns (``@ms`` counts from the moment this returns), and
+    build the full aggregate arrival client — returned unstarted.
 
-    t_wall = _time.perf_counter()
+    The farm counterpart of :func:`repro.harness.factory.prepare`, and
+    the only place a farm is constructed or faulted."""
+    check_group_schedules(spec.shards, spec.crashes, spec.partitions,
+                          spec.byz)
     engine = spec.make_engine()
     dep = ShardedDeployment(engine, system=spec.system, shards=spec.shards,
-                            n=spec.n,
-                            group_config=farm_group_config(spec, heartbeat_us),
+                            n=spec.n, group_config=group_config,
                             group_range=(lo, hi))
     dep.settle()
-    if engine.now != 0:
+    if (lo, hi) != (0, spec.shards) and engine.now != 0:
         raise RuntimeError(
             f"system {spec.system!r} advances the engine clock while "
             f"settling (now={engine.now}ns after settle), so a slice's "
-            f"clock would diverge from the serial farm's; shard-parallel "
-            f"execution needs a clock-neutral settle (acuerdo preseeds "
-            f"without running the engine) — use workers=1")
-    if spec.crashes:
-        from repro.sim.failure import schedule_crashes
-
-        schedule_crashes(engine, dep.processes(), _slice_crashes(spec, lo, hi))
-    if spec.partitions:
-        from repro.shard.deployment import schedule_farm_partitions
-
-        schedule_farm_partitions(dep, spec.partitions)
+            f"clock would diverge from the whole farm's; slicing a farm "
+            f"needs a clock-neutral settle (acuerdo preseeds without "
+            f"running the engine) — use workers=1")
+    schedule_crashes(engine, dep.processes(), _slice_crashes(spec, lo, hi))
+    schedule_farm_partitions(dep, spec.partitions)
     if spec.byz:
         # check_group_schedules restricts byz to shards == 1, where the
         # single slice holds the single group.
-        from repro.sim.failure import schedule_byz
-
         schedule_byz(engine, dep.groups[0], spec.byz)
     client = aggregate_client(dep, users=spec.users,
                               rate_rps=spec.arrival_rate, skew=spec.skew,
                               message_size=spec.payload_bytes)
+    return dep, client
+
+
+def drive_farm(dep: ShardedDeployment, client: OpenLoopClient,
+               duration_ms: float) -> int:
+    """Issue arrivals for ``duration_ms`` of simulated time, stop, and
+    let commits in flight at the deadline drain for one extra
+    millisecond.  Returns the simulated nanoseconds elapsed."""
+    engine = dep.engine
     t_start = engine.now
     client.start()
-    engine.run(until=t_start + ms(spec.duration_ms))
+    engine.run(until=t_start + ms(duration_ms))
     client.stop()
-    engine.run(until=t_start + ms(spec.duration_ms) + ms(1))
+    engine.run(until=t_start + ms(duration_ms) + ms(1))
+    return engine.now - t_start
+
+
+def run_slice(spec: RunSpec, lo: int, hi: int,
+              group_config: "dict | None" = None) -> SliceResult:
+    """Run groups [lo, hi) of ``spec``'s farm on a fresh engine and
+    collect the per-shard observables.  Module-level and picklable, so
+    :func:`~repro.harness.parallel.run_points` can fan it out."""
+    t_wall = _time.perf_counter()
+    dep, client = prepare_farm(spec, lo, hi, group_config)
+    engine = dep.engine
+    sim_elapsed_ns = drive_farm(dep, client, spec.duration_ms)
     violations = (engine.monitors.finish()
                   if engine.monitors is not None else [])
-    spans = list(engine.obs.messages) if getattr(engine, "obs", None) else []
+    spans = list(engine.obs.messages) if engine.obs is not None else []
     return SliceResult(
         lo=lo, hi=hi,
-        submitted=[dep.submitted[g] for g in range(lo, hi)],
-        committed=[dep.committed[g] for g in range(lo, hi)],
-        dropped=[dep.dropped[g] for g in range(lo, hi)],
-        latencies_ns=[dep.latencies_ns[g] for g in range(lo, hi)],
+        submitted=dep.submitted[lo:hi],
+        committed=dep.committed[lo:hi],
+        dropped=dep.dropped[lo:hi],
+        latencies_ns=dep.latencies_ns[lo:hi],
         fingerprints=dep.shard_fingerprints(violations),
         violations=[(v.group, str(v)) for v in violations],
         foreign=dep.foreign,
         events_executed=engine.events_executed,
-        sim_elapsed_ns=engine.now - t_start,
+        sim_elapsed_ns=sim_elapsed_ns,
         seconds=_time.perf_counter() - t_wall,
         spans=spans,
     )
 
 
-def parallel_shard_point(spec: RunSpec,
-                         heartbeat_us: Optional[int] = None,
-                         collect: Optional[dict] = None,
-                         pool_workers: Optional[int] = None) -> ShardPoint:
-    """Measure ``spec``'s farm point by fanning contiguous group slices
-    over ``spec.workers`` processes and merging deterministically.
+def merge_slices(spec: RunSpec, results: "list[SliceResult]",
+                 collect: Optional[dict] = None) -> ShardPoint:
+    """Fold the slices of one farm run (in slice order, which is group
+    order) into its :class:`ShardPoint`.
 
     The merge is exact, not approximate: each group is owned by one
     slice, per-shard counters and latency sequences concatenate in
     group order, and percentiles are computed over the identical
-    latency multiset — so the returned point matches ``workers=1``
-    bit-for-bit (modulo the host-cost fields, which sum the workers'
-    engines; see module docstring).
+    latency multiset — so the point is the same at every slice count
+    (modulo the host-cost fields; see module docstring).
 
-    ``collect`` (a dict) receives the merge's side channel:
+    ``collect`` (a dict) receives the side channel:
     ``shard_fingerprints``, ``slices``, ``slice_seconds``,
-    ``violations``, ``foreign``, and ``spans``.  ``pool_workers``
-    overrides the process-pool width without changing the slicing —
-    ``pool_workers=1`` runs the same slices sequentially, which is how
-    hostperf measures honest per-slice inner times on small hosts.
-    """
-    from repro.harness.parallel import run_points
-    from repro.sim.failure import check_group_schedules
-
-    if spec.users < 1 or spec.arrival_rate <= 0:
-        raise ValueError("parallel_shard_point needs spec.users >= 1 and "
-                         f"spec.arrival_rate > 0, got users={spec.users}, "
-                         f"arrival_rate={spec.arrival_rate}")
-    check_group_schedules(spec.shards, spec.crashes, spec.partitions,
-                          spec.byz)
-    slices = slice_ranges(spec.shards, max(1, spec.workers))
-    pool = len(slices) if pool_workers is None else pool_workers
-    results: "list[SliceResult]" = run_points(
-        run_slice, [(spec, lo, hi, heartbeat_us) for lo, hi in slices],
-        workers=pool)
-
+    ``violations``, ``foreign``, and ``spans``."""
     sim_elapsed = {r.sim_elapsed_ns for r in results}
     if len(sim_elapsed) != 1:
         raise RuntimeError(
@@ -214,7 +261,7 @@ def parallel_shard_point(spec: RunSpec,
     fingerprints: "dict[int, str]" = {}
     violations: "list[tuple[Any, str]]" = []
     spans: "list[Any]" = []
-    for r in results:                      # slice order == group order
+    for r in results:
         submitted.extend(r.submitted)
         committed.extend(r.committed)
         dropped.extend(r.dropped)
@@ -228,7 +275,7 @@ def parallel_shard_point(spec: RunSpec,
     elapsed_s = results[0].sim_elapsed_ns / 1e9
     if collect is not None:
         collect["shard_fingerprints"] = fingerprints
-        collect["slices"] = slices
+        collect["slices"] = [(r.lo, r.hi) for r in results]
         collect["slice_seconds"] = [r.seconds for r in results]
         collect["violations"] = [text for _g, text in violations]
         collect["foreign"] = sum(r.foreign for r in results)
@@ -251,5 +298,5 @@ def parallel_shard_point(spec: RunSpec,
         hottest_share=max(submitted) / total_sub if total_sub else 0.0,
         events_executed=sum(r.events_executed for r in results),
         violations=len(violations),
-        workers=len(slices),
+        workers=len(results),
     )

@@ -149,8 +149,10 @@ def check_group_schedules(shards: int, crashes: Iterable[str] = (),
     partition cut, or requests an adversarial mode the farm does not
     support — instead of failing mid-run (or, worse, silently never
     firing).  The ``repro shard`` / ``repro trace`` CLIs call this at
-    parse time; :func:`~repro.harness.shardsweep.shard_point` and the
-    sharded capture path call it again as a run-level backstop.
+    parse time; :func:`~repro.harness.shardsweep.shard_point` calls it
+    before forking slice workers, and
+    :func:`~repro.shard.parallel.prepare_farm` — the one place farm
+    faults are armed — calls it again as the run-level backstop.
     """
     valid = (f"valid groups are 0..{shards - 1}" if shards > 1
              else "a 1-shard deployment only has group 0")

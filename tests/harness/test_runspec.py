@@ -80,31 +80,6 @@ def test_make_engine_capture_gate():
     assert traced.obs.tracer is traced.trace
 
 
-def test_retired_keyword_entry_points_name_their_runspec_fields():
-    """The PR-3 keyword signatures are gone: calling one raises a
-    TypeError that tells the caller which RunSpec field replaces each
-    keyword (so stale call sites self-diagnose)."""
-    from repro.harness.factory import build_system
-    from repro.harness.fig8 import fig8_point, fig8_sweep
-    from repro.harness.fig9 import fig9_point
-    from repro.harness.table1 import table1_elections
-
-    for retired, fields in [
-        (build_system, ["RunSpec.system", "RunSpec.n", "build_from_spec"]),
-        (fig8_point, ["RunSpec.system", "RunSpec.payload_bytes",
-                      "RunSpec.duration_ms"]),
-        (fig8_sweep, ["RunSpec.system", "RunSpec.payload_bytes",
-                      "RunSpec.workers"]),
-        (fig9_point, ["RunSpec.system", "RunSpec.payload_bytes",
-                      "RunSpec.duration_ms"]),
-        (table1_elections, ["RunSpec", "duration_ms"]),
-    ]:
-        with pytest.raises(TypeError) as exc:
-            retired("acuerdo", 3, 10)
-        for field in fields:
-            assert field in str(exc.value), (retired.__name__, field)
-
-
 def test_shard_fields_default_to_single_group():
     spec = RunSpec()
     assert (spec.shards, spec.users, spec.skew, spec.arrival_rate) == \

@@ -14,9 +14,10 @@ import dataclasses
 
 import pytest
 
+from repro.core.node import Role
 from repro.harness.runspec import RunSpec
 from repro.harness.shardsweep import shard_point, shard_sweep
-from repro.shard.parallel import parallel_shard_point, slice_ranges
+from repro.shard.parallel import slice_ranges
 
 #: Small but non-trivial: 4 Zipfian-skewed groups, ~1000 arrivals.
 FARM = RunSpec(system="acuerdo", n=3, workload="openloop", duration_ms=5.0,
@@ -99,7 +100,7 @@ def test_parallel_monitored_matches_serial():
 
 def test_parallel_point_latency_percentiles_exact():
     serial = shard_point(FARM)
-    par = parallel_shard_point(FARM.replace(workers=2))
+    par = shard_point(FARM.replace(workers=2))
     assert par.p50_latency_us == serial.p50_latency_us
     assert par.p99_latency_us == serial.p99_latency_us
     assert par.mean_latency_us == serial.mean_latency_us
@@ -108,18 +109,54 @@ def test_parallel_point_latency_percentiles_exact():
 
 
 def test_workers_clamped_to_shards():
-    par = parallel_shard_point(FARM.replace(workers=16))
+    par = shard_point(FARM.replace(workers=16))
     assert par.workers == FARM.shards
 
 
 def test_slice_side_channel_shapes():
     collect = {}
-    parallel_shard_point(FARM.replace(workers=2), collect=collect)
+    shard_point(FARM.replace(workers=2), collect=collect)
     assert collect["slices"] == [(0, 2), (2, 4)]
     assert len(collect["slice_seconds"]) == 2
     assert all(s > 0 for s in collect["slice_seconds"])
     assert set(collect["shard_fingerprints"]) == {0, 1, 2, 3}
     assert collect["foreign"] > 0      # each slice skipped foreign keys
+
+
+def test_one_slice_farm_reproduces_recorded_reference():
+    """``workers=1`` is the one-slice case of the sliced driver, and it
+    still is the farm ``BENCH_host_perf.json`` recorded from one serial
+    engine: same events, same commits, same simulated point."""
+    import json
+    import pathlib
+
+    from repro.harness.hostperf import SHARD_POINT
+
+    bench = pathlib.Path(__file__).resolve().parents[2] / "BENCH_host_perf.json"
+    recorded = json.loads(bench.read_text())["shard_farm"]["point"]
+    collect = {}
+    point = shard_point(SHARD_POINT, collect=collect)
+    assert collect["slices"] == [(0, SHARD_POINT.shards)]
+    assert collect["foreign"] == 0
+    assert point.events_executed == 223_221
+    assert point.committed == 10_038
+    assert point.workers == 1
+    assert dataclasses.asdict(point) == recorded
+
+
+def test_clock_advancing_settle_runs_as_one_slice_only():
+    """ZooKeeper elects while settling, so its clock is not 0 when the
+    workload starts: fine for one engine holding every group, but two
+    slices would each start at their own instant — that, and only
+    that, raises."""
+    spec = RunSpec(system="zookeeper", n=3, workload="openloop",
+                   duration_ms=3.0, seed=5, shards=2, users=500, skew=0.0,
+                   arrival_rate=20_000.0)
+    point = shard_point(spec)
+    assert point.workers == 1 and point.committed > 0
+    with pytest.raises(RuntimeError, match="'zookeeper' advances the engine "
+                                           "clock while settling"):
+        shard_point(spec.replace(workers=2))
 
 
 # ------------------------------------------------------- crash routing
@@ -156,6 +193,38 @@ def test_partition_routed_to_owning_group():
     for g in (1, 2, 3):
         assert serial_c["shard_fingerprints"][g] == \
             healthy_c["shard_fingerprints"][g]
+
+
+def test_missed_epoch_diff_does_not_assert_the_farm_down():
+    """Isolate group 1's leader for a millisecond: the others elect a
+    new leader whose epoch-opening diff to node 0 is dropped at the cut,
+    so after the heal node 0 sees count > 0 messages of an epoch it
+    never joined.  It must drop them and vote (DESIGN.md §5 deviation
+    8) so stranded-voter recovery re-admits it — not assert."""
+    spec = RunSpec(system="acuerdo", n=3, seed=9, payload_bytes=64,
+                   workload="openloop", duration_ms=5.0, shards=2,
+                   users=100_000, skew=0.99, arrival_rate=500_000.0,
+                   partitions=("1:0|1:1,1:2@1.0-2.0",),
+                   check_invariants=True)
+    assert shard_point(spec).violations == 0
+
+    # The same run again, by hand, to look inside group 1.
+    from repro.harness.shardsweep import farm_group_config
+    from repro.shard.parallel import drive_farm, prepare_farm
+
+    dep, client = prepare_farm(spec, 0, 2, farm_group_config(spec))
+    drive_farm(dep, client, spec.duration_ms)
+    assert dep.engine.monitors.finish() == []
+    counters = dep.engine.trace.counters
+    assert counters["acuerdo.missed_diff_drop"] >= 1
+    assert counters["acuerdo.stranded_voter_recovery"] >= 1
+    group = dep.groups[1]
+    leader = group.leader_id()
+    assert leader in (1, 2)
+    isolated = group.nodes[0]
+    assert isolated.role is Role.FOLLOWER
+    assert isolated.E_cur == group.nodes[leader].E_cur
+    assert dep.committed[1] > 0.9 * dep.submitted[1] > 1000
 
 
 # -------------------------------------------------- schedule validation
