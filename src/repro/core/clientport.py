@@ -67,7 +67,7 @@ class AcuerdoClientPort(Process):
             self._pending[req_id] = on_reply
         ldr = self.cluster.leader_id()
         target = ldr if ldr is not None else self.cluster.node_ids[0]
-        self._charge_doorbell()
+        self.cpu.charge(self.cluster.fabric.params.doorbell_cpu_ns)
         self._req_boxes[target].send(self.node_id, (req_id, payload, size_bytes),
                                      size_bytes + 16)
         # request() runs outside on_poll and advances this CPU's
@@ -75,11 +75,6 @@ class AcuerdoClientPort(Process):
         # re-derives from the new busy time exactly as an unparked one.
         self.request_poll()
         return req_id
-
-    def _charge_doorbell(self) -> None:
-        cpu = self.cpu
-        cpu.busy_until = max(cpu.busy_until, self.engine.now) + \
-            self.cluster.fabric.params.doorbell_cpu_ns
 
     def on_poll(self) -> None:
         for _src, (req_id,) in [(s, (p,)) for s, p in self._reply_box.drain()]:

@@ -8,13 +8,13 @@ the node processes.  It implements the harness-facing
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Optional
 
 from repro.core.config import AcuerdoConfig
 from repro.core.node import AcuerdoNode, Role
 from repro.core.types import CommitRow, Epoch, Message, MsgHdr, Vote, HDR_ZERO, VOTE_BYTES, \
     COMMIT_ROW_BYTES, HDR_BYTES
-from repro.protocols.base import BroadcastSystem, CommitCallback
+from repro.protocols.base import BroadcastSystem
 from repro.sim.engine import Engine
 from repro.substrate import (RdmaParams, RingBuffer, SharedStateTable,
                              SlotReleasePolicy, build_substrate)
@@ -80,10 +80,6 @@ class AcuerdoCluster(BroadcastSystem):
 
     # ------------------------------------------------------------- lifecycle
 
-    def start(self) -> None:
-        for node in self.nodes.values():
-            node.start()
-
     def preseed_leader(self, leader: int = 0, round_nbr: int = 1) -> None:
         """Install the steady state of epoch ``(round_nbr, leader)`` on
         every node, as if the cold-start election (and its diff) had
@@ -102,19 +98,11 @@ class AcuerdoCluster(BroadcastSystem):
                 self.vote_sst.copies[reader][owner] = Vote(epoch, hdr0)
         self._leader_hint = leader
 
-    def processes(self):
-        return list(self.nodes.values())
-
     # ---------------------------------------------------------------- client
 
-    def submit(self, payload: Any, size_bytes: int,
-               on_commit: Optional[CommitCallback] = None) -> bool:
-        ldr = self.leader_id()
-        if ldr is None:
-            return False
-        self.obs_begin(payload)
-        self.nodes[ldr].client_broadcast(payload, size_bytes, on_commit)
-        return True
+    # The inherited submit, bound in this class's namespace because
+    # bench/hosttrace.py wraps ``submit`` here by name.
+    submit = BroadcastSystem.submit
 
     def leader_id(self) -> Optional[int]:
         """The live node currently acting as leader (highest epoch wins
@@ -127,12 +115,6 @@ class AcuerdoCluster(BroadcastSystem):
                 best = node
         return best.node_id if best is not None else None
 
-    # --------------------------------------------------------------- failure
-
-    def crash(self, node_id: int) -> None:
-        self.nodes[node_id].crash()
-        self.fabric.crash_node(node_id)
-
     # ------------------------------------------------------------- callbacks
 
     def record_delivery(self, node_id: int, msg: Message) -> None:
@@ -144,10 +126,10 @@ class AcuerdoCluster(BroadcastSystem):
         # Re-route client payloads stranded at a deposed/crashed leader;
         # real clients re-send on timeout, this models that cheaply.
         if old is not None and old != node_id:
-            stranded = self.nodes[old].pending_client
+            stranded = self.nodes[old].pending
             if stranded:
-                self.nodes[node_id].pending_client.extend(stranded)
-                self.nodes[old].pending_client = []
+                self.nodes[node_id].pending.extend(stranded)
+                self.nodes[old].pending = []
 
     # ------------------------------------------------------------ inspection
 

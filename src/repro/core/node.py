@@ -36,7 +36,6 @@ DESIGN.md:
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 from typing import Any, Callable, Optional, TYPE_CHECKING
 
@@ -53,7 +52,7 @@ from repro.core.types import (
     Vote,
     diff_payload_size,
 )
-from repro.sim.process import Process
+from repro.protocols.base import Replica
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.cluster import AcuerdoCluster
@@ -77,16 +76,11 @@ class _Noop:
 NOOP = _Noop()
 
 
-class AcuerdoNode(Process):
+class AcuerdoNode(Replica):
     """One replica of an Acuerdo instance."""
 
     def __init__(self, cluster: "AcuerdoCluster", node_id: int, config: AcuerdoConfig):
-        # Every node gets a private ProcessConfig copy so slow-node
-        # injection on one replica does not leak to the others.
-        super().__init__(cluster.engine, node_id,
-                         dataclasses.replace(config.process), name=f"acuerdo{node_id}")
-        self.cluster = cluster
-        self.cfg = config
+        super().__init__(cluster, node_id, config, name=f"acuerdo{node_id}")
         self.peers = list(cluster.node_ids)
         self.quorum = config.quorum(len(self.peers))
 
@@ -101,7 +95,6 @@ class AcuerdoNode(Process):
         self.log = MessageLog()
 
         # --- broadcast plumbing ---
-        self.pending_client: list[tuple[Any, int, Optional[Callable[[MsgHdr], None]]]] = []
         self._epoch_msg_seq: dict[int, int] = {}   # cnt -> own-ring seq (current epoch)
         self._diff_seq: dict[int, int] = {}        # follower -> seq of its diff
         self._pending_diffs: list[tuple[int, Message]] = []
@@ -175,13 +168,6 @@ class AcuerdoNode(Process):
         self._mon_release_gen = -1
         self._mon_admin_gen = 0
 
-    def _charge(self, cost_ns: int) -> None:
-        """Charge protocol CPU work for this poll iteration."""
-        cpu = self.cpu
-        sf = cpu.speed_factor
-        cpu.busy_until = max(cpu.busy_until, self.engine.now) + (
-            cost_ns if sf == 1.0 and type(cost_ns) is int else int(cost_ns * sf))
-
     def _mon_note_floor(self, monitors: Any) -> None:
         """Report ring slot reuse to the monitors: one ``slot_release``
         event each time the effective release floor advances (eviction
@@ -222,7 +208,7 @@ class AcuerdoNode(Process):
                 self._serve_client_ports()
             self._commit_loop()
             if self.role is Role.LEADER:
-                if self.pending_client or self._pending_diffs:
+                if self.pending or self._pending_diffs:
                     self._pump_client_queue()
                 self._release_slots()
                 self._evict_dead_receivers()
@@ -277,7 +263,7 @@ class AcuerdoNode(Process):
         if self._commit_ready():
             return False
         if self.role is Role.LEADER:
-            if self.pending_client or self._pending_diffs:
+            if self.pending or self._pending_diffs:
                 return False
             # A persistent higher-epoch vote awaits the rate-limited
             # stranded-voter reaction: keep polling through it.
@@ -332,20 +318,9 @@ class AcuerdoNode(Process):
 
     # ------------------------------------------------------ Fig. 4: broadcast
 
-    def client_broadcast(self, payload: Any, size: int,
-                         on_commit: Optional[Callable[[MsgHdr], None]] = None) -> None:
-        """Enqueue a client payload for broadcast.
-
-        Callable from any context; the message leaves at the leader's
-        next poll (Fig. 4's precondition ``Role == LEADER`` is enforced
-        there — a deposed leader's queue is re-routed by the cluster).
-        """
-        self.pending_client.append((payload, size, on_commit))
-        # Local-state doorbell: a parked leader resumes polling at the
-        # first tick that would see this entry (no-op when unparked).
-        self.request_poll()
-
     def _pump_client_queue(self) -> None:
+        # Runs from a leader's poll only: Fig. 4's precondition ``Role ==
+        # LEADER`` (a deposed leader's queue is re-routed by the cluster).
         monitors = self.engine.monitors
         if monitors is not None:
             self._mon_note_floor(monitors)
@@ -363,9 +338,9 @@ class AcuerdoNode(Process):
                 monitors.note(self.cluster, "slot_bind", self.node_id,
                               seq=seq, extra=self._ring.capacity)
         budget = self.cfg.max_broadcasts_per_poll
-        while self.pending_client and budget > 0:
+        while self.pending and budget > 0:
             budget -= 1
-            payload, size, on_commit = self.pending_client[0]
+            payload, size, on_commit = self.pending[0]
             hdr = MsgHdr(self.E_new, self.Count + 1)
             msg = Message(hdr, payload, size)
             if self._ring.free_slots() <= 0:
@@ -373,7 +348,7 @@ class AcuerdoNode(Process):
                 self._ring.stalls += 1
                 self.engine.trace.count("acuerdo.ring_full")
                 return
-            self._charge(self.cfg.broadcast_cpu_ns)
+            self.cpu.charge(self.cfg.broadcast_cpu_ns)
             obs = self.engine.obs
             if obs is not None:
                 # The wire object for this payload is the Message; bind it
@@ -381,7 +356,7 @@ class AcuerdoNode(Process):
                 obs.bind(msg, payload)
                 obs.mark(payload, "propose", self.engine.now)
             seq = self._ring.try_send(msg, size, earliest_ns=self.cpu.busy_until)
-            self.pending_client.pop(0)
+            self.pending.pop(0)
             self.Count += 1
             self._epoch_msg_seq[hdr.cnt] = seq
             if monitors is not None:
@@ -408,7 +383,7 @@ class AcuerdoNode(Process):
                     payload, size,
                     on_commit=lambda hdr, p=port, r=req_id:
                         p.post_reply(self.node_id, r))
-                self._charge(self.cfg.broadcast_cpu_ns // 2)
+                self.cpu.charge(self.cfg.broadcast_cpu_ns // 2)
 
     # ------------------------------------------------------- Fig. 5: accept
 
@@ -447,7 +422,7 @@ class AcuerdoNode(Process):
             # Normal acceptance (Fig. 5 lines 47-53).  Thanks to FIFO
             # delivery, storing only the newest header in the Accept SST
             # implicitly acknowledges everything before it.
-            self._charge(self.cfg.accept_cpu_ns)
+            self.cpu.charge(self.cfg.accept_cpu_ns)
             self.log.insert(msg)
             self.Accepted = msg.hdr
             self._accept_sst.write_local(self.node_id, msg.hdr)
@@ -497,7 +472,7 @@ class AcuerdoNode(Process):
             # Leader knows of nothing we are missing: drop any
             # uncommitted leftovers from deposed epochs.
             self.log.truncate_from(self.Committed.next())
-        self._charge(self.cfg.accept_cpu_ns * (1 + len(entries)))
+        self.cpu.charge(self.cfg.accept_cpu_ns * (1 + len(entries)))
         self.Accepted = msg.hdr
         self._accept_sst.write_local(self.node_id, msg.hdr)
         monitors = self.engine.monitors
@@ -558,7 +533,7 @@ class AcuerdoNode(Process):
         for _ in range(self.cfg.max_commits_per_poll):
             if not self._commit_ready():
                 return
-            self._charge(self.cfg.commit_cpu_ns)
+            self.cpu.charge(self.cfg.commit_cpu_ns)
             if self.Next.cnt != 0:
                 m = self.log.get(self.Next)
                 if m is None:
@@ -789,7 +764,7 @@ class AcuerdoNode(Process):
         if action.decision is not VoteDecision.HOLD:
             self.E_new = action.new_e_new
             self._vote_sst.set_and_push(self.node_id, action.new_vote)
-            self._charge(self.cfg.election_cpu_ns)
+            self.cpu.charge(self.cfg.election_cpu_ns)
             self.engine.trace.count(f"acuerdo.vote_{action.decision.value}")
             votes = self._vote_sst.snapshot(self.node_id)
         own = votes.get(self.node_id) or VOTE_ZERO
@@ -835,7 +810,7 @@ class AcuerdoNode(Process):
                                   seq=seq, extra=self._ring.capacity)
             else:
                 self._pending_diffs.append((j, dmsg))
-        self._charge(self.cfg.broadcast_cpu_ns * len(self.peers))
+        self.cpu.charge(self.cfg.broadcast_cpu_ns * len(self.peers))
         if self._election_started_at is not None:
             self.engine.trace.sample(
                 "acuerdo.election_duration_ns",

@@ -114,17 +114,16 @@ class TcpEndpoint(Endpoint):
         load genuinely costs time.
         """
         out: list[tuple[int, Any]] = []
-        cpu = self.process.cpu
+        charge = self.process.cpu.charge
         now = self.engine.now
         recv_cpu_ns = self._recv_cpu_ns
-        speed = cpu.speed_factor
         inbox = self.inbox
         obs = self.engine.obs
         while inbox and (max_batch is None or len(out) < max_batch):
             src, payload, _size = inbox.popleft()
             out.append((src, payload))
             self.received += 1
-            cpu.busy_until = max(cpu.busy_until, now) + int(recv_cpu_ns * speed)
+            charge(recv_cpu_ns)
             if obs is not None:
                 obs.mark(payload, "poll_notice", now)
         return out
@@ -181,10 +180,7 @@ class TcpNetwork(Substrate):
         if self._blocked(src, dst):
             self._drop_partitioned()
             return
-        cpu = src_ep.process.cpu
-        cpu.busy_until = max(cpu.busy_until, self.engine.now) + int(
-            self._send_cpu_ns * cpu.speed_factor)
-        start = max(cpu.busy_until, src_ep.tx_free_at)
+        start = max(src_ep.process.cpu.charge(self._send_cpu_ns), src_ep.tx_free_at)
         tx_done = start + p.tx_serialization_ns(size_bytes)
         src_ep.tx_free_at = tx_done
         src_ep.sent += 1

@@ -19,6 +19,6 @@ Acuerdo itself lives in :mod:`repro.core` and exposes the same
 interface through :class:`repro.core.cluster.AcuerdoCluster`.
 """
 
-from repro.protocols.base import BroadcastSystem, DeliveryRecorder
+from repro.protocols.base import BroadcastSystem, DeliveryRecorder, Replica
 
-__all__ = ["BroadcastSystem", "DeliveryRecorder"]
+__all__ = ["BroadcastSystem", "DeliveryRecorder", "Replica"]

@@ -17,14 +17,13 @@ Acuerdo/Derecho, which exploit FIFO delivery to process partial batches.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from repro.protocols.base import BroadcastSystem, CommitCallback
+from repro.protocols.base import BroadcastSystem, CommitCallback, Replica
 from repro.substrate import RdmaParams, SharedStateTable, build_substrate
 from repro.sim.engine import Engine, us
-from repro.sim.process import Process, ProcessConfig
+from repro.sim.process import ProcessConfig
 
 
 @dataclass
@@ -53,20 +52,16 @@ class _AckRow:
     hb: int
 
 
-class ApusNode(Process):
+class ApusNode(Replica):
     """One APUS replica (leader or acceptor)."""
 
     def __init__(self, cluster: "ApusCluster", node_id: int, cfg: ApusConfig):
-        super().__init__(cluster.engine, node_id,
-                         dataclasses.replace(cfg.process), name=f"apus{node_id}")
-        self.cluster = cluster
-        self.cfg = cfg
+        super().__init__(cluster, node_id, cfg, name=f"apus{node_id}")
         self.term = 0
         self.is_leader = node_id == 0
         self.log: list[tuple[Any, int]] = []     # (payload, size)
         self.commit_index = 0                    # entries delivered up to
         self.seen_commit = 0                     # commit index learnt from leader
-        self.pending: list[tuple[Any, int, Optional[CommitCallback]]] = []
         self.batch_in_flight: Optional[tuple[int, int]] = None  # (start, end)
         self._cbs: dict[int, CommitCallback] = {}
         self._hb = 0
@@ -82,10 +77,6 @@ class ApusNode(Process):
         else:
             self._acceptor_step()
         self._deliver()
-
-    def _charge(self, cost: int) -> None:
-        cpu = self.cpu
-        cpu.busy_until = max(cpu.busy_until, self.engine.now) + int(cost * cpu.speed_factor)
 
     # --------------------------------------------------------- poll elision
 
@@ -104,11 +95,6 @@ class ApusNode(Process):
         return self._last_ack_push + self.cfg.ack_push_period_ns
 
     # ---------------------------------------------------------------- leader
-
-    def client_broadcast(self, payload: Any, size: int,
-                         on_commit: Optional[CommitCallback] = None) -> None:
-        self.pending.append((payload, size, on_commit))
-        self.request_poll()
 
     def _leader_step(self) -> None:
         c = self.cluster
@@ -147,7 +133,7 @@ class ApusNode(Process):
                 self.log.append((payload, size))
                 entries.append((payload, size))
                 size_total += size
-                self._charge(self.cfg.paxos_cpu_ns)
+                self.cpu.charge(self.cfg.paxos_cpu_ns)
                 if obs is not None:
                     obs.mark(payload, "propose", self.engine.now)
             end = len(self.log)
@@ -200,7 +186,7 @@ class ApusNode(Process):
             del self.log[start:]
             for payload, size in entries:
                 self.log.append((payload, size))
-                self._charge(self.cfg.accept_cpu_ns)
+                self.cpu.charge(self.cfg.accept_cpu_ns)
                 if obs is not None:
                     obs.mark(payload, "accept", self.engine.now)
             if monitors is not None:
@@ -240,7 +226,7 @@ class ApusNode(Process):
                 obs.mark(payload, "commit", self.engine.now)
             self.cluster.record_delivery(self.node_id, payload)
             self.cluster.delivered[self.node_id] = i + 1
-            self._charge(self.cfg.deliver_cpu_ns)
+            self.cpu.charge(self.cfg.deliver_cpu_ns)
 
 
 class ApusCluster(BroadcastSystem):
@@ -289,8 +275,7 @@ class ApusCluster(BroadcastSystem):
         if monitors is not None:
             monitors.note(self, "leader", self.leader,
                           term=self.nodes[self.leader].term)
-        for nd in self.nodes.values():
-            nd.start()
+        super().start()
         self.engine.schedule(self.cfg.heartbeat_timeout_ns, self._watchdog)
 
     def _watchdog(self) -> None:
@@ -311,7 +296,7 @@ class ApusCluster(BroadcastSystem):
                 nd.term = max(self.nodes[i].term for i in live) + 1
                 nd.commit_index = max(self.nodes[i].seen_commit for i in live + [donor])
                 nd.commit_index = max(nd.commit_index, self.nodes[donor].seen_commit)
-                nd._charge(self.cfg.state_transfer_ns_per_entry * max(1, len(transfer)))
+                nd.cpu.charge(self.cfg.state_transfer_ns_per_entry * max(1, len(transfer)))
                 nd.is_leader = True
                 monitors = self.engine.monitors
                 if monitors is not None:
@@ -329,21 +314,5 @@ class ApusCluster(BroadcastSystem):
                 nd.request_poll()
         self.engine.schedule(self.cfg.heartbeat_timeout_ns, self._watchdog)
 
-    def processes(self):
-        return list(self.nodes.values())
-
-    def submit(self, payload: Any, size_bytes: int,
-               on_commit: Optional[CommitCallback] = None) -> bool:
-        nd = self.nodes[self.leader]
-        if nd.crashed:
-            return False
-        self.obs_begin(payload)
-        nd.client_broadcast(payload, size_bytes, on_commit)
-        return True
-
     def leader_id(self) -> Optional[int]:
         return None if self.nodes[self.leader].crashed else self.leader
-
-    def crash(self, node_id: int) -> None:
-        self.nodes[node_id].crash()
-        self.fabric.crash_node(node_id)

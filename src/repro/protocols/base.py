@@ -2,12 +2,14 @@
 
 The harness (workload clients, safety checker, Fig. 8/9 drivers) only
 talks to :class:`BroadcastSystem`, so Acuerdo and the six baselines are
-driven and measured by exactly the same code.
+driven and measured by exactly the same code.  Their replica processes
+share one skeleton, :class:`Replica`.
 """
 
 from __future__ import annotations
 
 import abc
+import dataclasses
 from typing import Any, Callable, Optional
 
 from repro.sim.engine import Engine
@@ -17,6 +19,39 @@ from repro.substrate.interface import Substrate
 #: Signature of a commit acknowledgment: called once, at the moment the
 #: message is committed at (and deliverable from) the serving node.
 CommitCallback = Callable[[Any], None]
+
+
+class Replica(Process):
+    """One replica process of a :class:`BroadcastSystem`.
+
+    ``cfg`` is the protocol config; its ``process`` field is copied so
+    slow-node injection on one replica does not leak to the others.
+    Client payloads queue in ``pending`` as ``(payload, size,
+    on_commit)`` until the node's poll loop takes them.
+    """
+
+    def __init__(self, cluster: "BroadcastSystem", node_id: int, cfg: Any, name: str):
+        super().__init__(cluster.engine, node_id,
+                         dataclasses.replace(cfg.process), name=name)
+        self.cluster = cluster
+        self.cfg = cfg
+        self.pending: list[tuple[Any, int, Optional[CommitCallback]]] = []
+
+    def client_broadcast(self, payload: Any, size: int,
+                         on_commit: Optional[CommitCallback] = None) -> None:
+        """Enqueue a client payload for broadcast; callable from any
+        context, it leaves at this node's next poll."""
+        self.pending.append((payload, size, on_commit))
+        # Local-state doorbell: a parked node resumes polling at the
+        # first tick that would see this entry (no-op when unparked).
+        self.request_poll()
+
+    def crash(self) -> None:
+        """Host crash: the process halts and its transport goes down
+        with it (an RDMA NIC powers off).  ``BroadcastSystem.crash`` and
+        the failure injector both land here."""
+        super().crash()
+        self.cluster.substrate.crash_node(self.node_id)
 
 
 class DeliveryRecorder:
@@ -85,6 +120,9 @@ class BroadcastSystem(abc.ABC):
     #: harness code reads cost accounting uniformly across systems.
     substrate: Optional[Substrate] = None
 
+    #: the replica processes by node id; every concrete cluster builds them
+    nodes: dict[int, Replica]
+
     def __init__(self, engine: Engine, n: int, record_deliveries: bool = True):
         self.engine = engine
         self.n = n
@@ -109,17 +147,18 @@ class BroadcastSystem(abc.ABC):
 
     # ------------------------------------------------------------- lifecycle
 
-    @abc.abstractmethod
     def start(self) -> None:
-        """Start all replica processes (and any election needed)."""
+        """Start all replica processes (systems that need an initial
+        leader or election extend this)."""
+        for nd in self.nodes.values():
+            nd.start()
 
-    @abc.abstractmethod
     def processes(self) -> list[Process]:
         """All replica processes (for failure injection)."""
+        return list(self.nodes.values())
 
     # ---------------------------------------------------------------- client
 
-    @abc.abstractmethod
     def submit(self, payload: Any, size_bytes: int,
                on_commit: Optional[CommitCallback] = None) -> bool:
         """Hand a client payload to the current serving node.
@@ -128,6 +167,12 @@ class BroadcastSystem(abc.ABC):
         (mid-election); the client retries.  ``on_commit`` fires when the
         message commits at the serving node.
         """
+        ldr = self.leader_id()
+        if ldr is None:
+            return False
+        self.obs_begin(payload)
+        self.nodes[ldr].client_broadcast(payload, size_bytes, on_commit)
+        return True
 
     @abc.abstractmethod
     def leader_id(self) -> Optional[int]:
@@ -136,11 +181,9 @@ class BroadcastSystem(abc.ABC):
     # --------------------------------------------------------------- failure
 
     def crash(self, node_id: int) -> None:
-        """Crash-stop a replica: its process halts and, for RDMA systems,
-        its NIC powers off."""
-        for p in self.processes():
-            if p.node_id == node_id:
-                p.crash()
+        """Crash-stop a replica (see :meth:`Replica.crash`); an unknown
+        ``node_id`` raises KeyError."""
+        self.nodes[node_id].crash()
 
     def record_delivery(self, node_id: int, payload: Any) -> None:
         self.deliveries.record(node_id, payload)
@@ -161,8 +204,8 @@ class BroadcastSystem(abc.ABC):
 
     def obs_begin(self, payload: Any) -> None:
         """Open a span for a client payload at submit time (no-op without
-        an attached recorder).  Every concrete ``submit()`` calls this on
-        the accepted-for-broadcast path."""
+        an attached recorder).  ``submit()`` calls this on the
+        accepted-for-broadcast path."""
         obs = self.engine.obs
         if obs is not None:
             # begin() records the submit timestamp itself; the first

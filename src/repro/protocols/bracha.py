@@ -21,14 +21,13 @@ Fig. 8-style comparison surfaces.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from repro.protocols.base import BroadcastSystem, CommitCallback
+from repro.protocols.base import BroadcastSystem, CommitCallback, Replica
 from repro.substrate import TcpParams, build_substrate
 from repro.sim.engine import Engine
-from repro.sim.process import Process, ProcessConfig
+from repro.sim.process import ProcessConfig
 
 
 @dataclass
@@ -44,16 +43,12 @@ class BrachaConfig:
                                               poll_jitter_ns=500))
 
 
-class BrachaNode(Process):
+class BrachaNode(Replica):
     """One replica of the double-echo broadcast."""
 
     def __init__(self, cluster: "BrachaCluster", node_id: int,
                  cfg: BrachaConfig):
-        super().__init__(cluster.engine, node_id,
-                         dataclasses.replace(cfg.process),
-                         name=f"bracha{node_id}")
-        self.cluster = cluster
-        self.cfg = cfg
+        super().__init__(cluster, node_id, cfg, name=f"bracha{node_id}")
         self.ep = cluster.net.attach(self)
         self._echoed: set[int] = set()            # slots this node echoed
         self._readied: set[int] = set()           # slots this node readied
@@ -63,16 +58,10 @@ class BrachaNode(Process):
         self._buffer: dict[int, Any] = {}         # slot -> deliverable value
         self.next_deliver = 0
         # sequencer-only state
-        self.pending: list[tuple[Any, int, Optional[CommitCallback]]] = []
         self.next_slot = 0
         self._cbs: dict[int, CommitCallback] = {}
 
     # ------------------------------------------------------------------ util
-
-    def _charge(self, cost: int) -> None:
-        cpu = self.cpu
-        cpu.busy_until = max(cpu.busy_until, self.engine.now) + int(
-            cost * cpu.speed_factor)
 
     def _bcast(self, msg: tuple, size: int) -> None:
         nodes = self.cluster.nodes
@@ -96,7 +85,7 @@ class BrachaNode(Process):
                 self.next_slot += 1
                 if cb is not None:
                     self._cbs[s] = cb
-                self._charge(self.cfg.request_cpu_ns)
+                self.cpu.charge(self.cfg.request_cpu_ns)
                 msg = ("SEND", s, payload, size)
                 obs = self.engine.obs
                 if obs is not None:
@@ -105,11 +94,6 @@ class BrachaNode(Process):
                 self._bcast(msg, size)
                 self._on_send(s, payload, size)
                 self.engine.trace.count("bracha.send")
-
-    def client_broadcast(self, payload: Any, size: int,
-                         on_commit: Optional[CommitCallback] = None) -> None:
-        self.pending.append((payload, size, on_commit))
-        self.request_poll()
 
     # -------------------------------------------------------------- messages
 
@@ -127,7 +111,7 @@ class BrachaNode(Process):
         if s in self._echoed:
             return
         self._echoed.add(s)
-        self._charge(self.cfg.echo_cpu_ns)
+        self.cpu.charge(self.cfg.echo_cpu_ns)
         monitors = self.engine.monitors
         if monitors is not None:
             # Echoing is this node's per-slot acceptance vote for v.
@@ -154,7 +138,7 @@ class BrachaNode(Process):
 
     def _send_ready(self, s: int, v: Any, size: int) -> None:
         self._readied.add(s)
-        self._charge(self.cfg.echo_cpu_ns)
+        self.cpu.charge(self.cfg.echo_cpu_ns)
         monitors = self.engine.monitors
         if monitors is not None:
             # The ready vote re-asserts acceptance of v for slot s (the
@@ -201,22 +185,6 @@ class BrachaCluster(BroadcastSystem):
         self.sequencer = 0
         self.nodes: dict[int, BrachaNode] = {
             i: BrachaNode(self, i, self.cfg) for i in self.node_ids}
-
-    def start(self) -> None:
-        for nd in self.nodes.values():
-            nd.start()
-
-    def processes(self):
-        return list(self.nodes.values())
-
-    def submit(self, payload: Any, size_bytes: int,
-               on_commit: Optional[CommitCallback] = None) -> bool:
-        if self.nodes[self.sequencer].crashed:
-            return False
-        self.obs_begin(payload)
-        self.nodes[self.sequencer].client_broadcast(payload, size_bytes,
-                                                    on_commit)
-        return True
 
     def leader_id(self) -> Optional[int]:
         """The fixed sequencer plays the serving-node role (there is no

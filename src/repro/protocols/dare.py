@@ -28,14 +28,13 @@ that places the whole RDMA lineage on one axis.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from repro.protocols.base import BroadcastSystem, CommitCallback
+from repro.protocols.base import BroadcastSystem, CommitCallback, Replica
 from repro.substrate import RdmaParams, SharedStateTable, build_substrate
 from repro.sim.engine import Engine, us
-from repro.sim.process import Process, ProcessConfig
+from repro.sim.process import ProcessConfig
 
 
 @dataclass
@@ -52,7 +51,7 @@ class DareConfig:
     process: ProcessConfig = field(default_factory=ProcessConfig)
 
 
-class DareNode(Process):
+class DareNode(Replica):
     """One DARE replica.
 
     Acceptors are CPU-passive for replication: their logs fill via
@@ -62,16 +61,12 @@ class DareNode(Process):
     """
 
     def __init__(self, cluster: "DareCluster", node_id: int, cfg: DareConfig):
-        super().__init__(cluster.engine, node_id,
-                         dataclasses.replace(cfg.process), name=f"dare{node_id}")
-        self.cluster = cluster
-        self.cfg = cfg
+        super().__init__(cluster, node_id, cfg, name=f"dare{node_id}")
         self.term = 0
         self.is_leader = False
         self.log: list[tuple[Any, int]] = []
         self.commit_index = 0
         self.seen_commit = 0
-        self.pending: list[tuple[Any, int, Optional[CommitCallback]]] = []
         self._cbs: dict[int, CommitCallback] = {}
         # Leader-side replication chains: per follower, the next entry to
         # write and the phase of the in-flight step.
@@ -86,10 +81,6 @@ class DareNode(Process):
         self._last_commit_push = 0
 
     # ------------------------------------------------------------------ util
-
-    def _charge(self, cost: int) -> None:
-        cpu = self.cpu
-        cpu.busy_until = max(cpu.busy_until, self.engine.now) + int(cost * cpu.speed_factor)
 
     def _reset_timer(self) -> None:
         span = self.cfg.heartbeat_timeout_max_ns - self.cfg.heartbeat_timeout_min_ns
@@ -146,11 +137,6 @@ class DareNode(Process):
 
     # ---------------------------------------------------------------- leader
 
-    def client_broadcast(self, payload: Any, size: int,
-                         on_commit: Optional[CommitCallback] = None) -> None:
-        self.pending.append((payload, size, on_commit))
-        self.request_poll()
-
     def become_leader(self, term: int) -> None:
         self.is_leader = True
         self.term = term
@@ -172,7 +158,7 @@ class DareNode(Process):
             if cb is not None:
                 self._cbs[len(self.log)] = cb
             self.log.append((payload, size))
-            self._charge(self.cfg.entry_cpu_ns)
+            self.cpu.charge(self.cfg.entry_cpu_ns)
             if monitors is not None:
                 # The leader's local append counts toward the quorum
                 # (the len(self.log) term in _advance_commit).
@@ -288,7 +274,7 @@ class DareNode(Process):
                 self.engine.schedule_at(max(self.engine.now, self.cpu.busy_until),
                                         cb, delivered)
             delivered += 1
-            self._charge(self.cfg.deliver_cpu_ns)
+            self.cpu.charge(self.cfg.deliver_cpu_ns)
         self.cluster.delivered[self.node_id] = delivered
 
 
@@ -344,8 +330,7 @@ class DareCluster(BroadcastSystem):
     def start(self) -> None:
         self.nodes[0].become_leader(term=1)
         self._election_term = 1
-        for nd in self.nodes.values():
-            nd.start()
+        super().start()
 
     # -------------------------------------------------------------- election
 
@@ -389,22 +374,6 @@ class DareCluster(BroadcastSystem):
 
     # ------------------------------------------------------------- interface
 
-    def processes(self):
-        return list(self.nodes.values())
-
-    def submit(self, payload: Any, size_bytes: int,
-               on_commit: Optional[CommitCallback] = None) -> bool:
-        nd = self.nodes[self.leader]
-        if nd.crashed or not nd.is_leader:
-            return False
-        self.obs_begin(payload)
-        nd.client_broadcast(payload, size_bytes, on_commit)
-        return True
-
     def leader_id(self) -> Optional[int]:
         nd = self.nodes[self.leader]
         return self.leader if (not nd.crashed and nd.is_leader) else None
-
-    def crash(self, node_id: int) -> None:
-        self.nodes[node_id].crash()
-        self.fabric.crash_node(node_id)

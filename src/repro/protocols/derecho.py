@@ -28,11 +28,11 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from repro.protocols.base import BroadcastSystem, CommitCallback
+from repro.protocols.base import BroadcastSystem, CommitCallback, Replica
 from repro.substrate import (RdmaParams, RingBuffer, SharedStateTable,
                              SlotReleasePolicy, build_substrate)
 from repro.sim.engine import Engine, us
-from repro.sim.process import Process, ProcessConfig
+from repro.sim.process import ProcessConfig
 
 
 class _Null:
@@ -125,14 +125,11 @@ class _Row:
     proposal: Optional[tuple] = None  # (view_no, members, trim_point)
 
 
-class DerechoNode(Process):
+class DerechoNode(Replica):
     """One Derecho replica."""
 
     def __init__(self, cluster: "DerechoCluster", node_id: int, cfg: DerechoConfig):
-        super().__init__(cluster.engine, node_id,
-                         dataclasses.replace(cfg.process), name=f"derecho{node_id}")
-        self.cluster = cluster
-        self.cfg = cfg
+        super().__init__(cluster, node_id, cfg, name=f"derecho{node_id}")
         self.view = 0
         self.members: list[int] = list(cluster.node_ids)
         self.senders: list[int] = cluster.senders_for(self.members)
@@ -140,7 +137,6 @@ class DerechoNode(Process):
         self.delivered_upto = 0          # next global RR index to deliver
         self.sent_rounds = 0             # my rounds sent (if I am a sender)
         self._round_seq: dict[int, int] = {}   # my round -> my ring seq
-        self.pending_client: list[tuple[Any, int, Optional[CommitCallback]]] = []
         self._cbs: dict[int, CommitCallback] = {}  # my round -> ack
         self._hb = 0
         self._last_push = 0
@@ -210,7 +206,7 @@ class DerechoNode(Process):
                 return False
         if self.cluster.sst.version(self.node_id) != self._seen_sst_version:
             return False
-        if self.pending_client:
+        if self.pending:
             return False
         if (not self.wedged and self.node_id in self.senders
                 and len(self.senders) > 1):
@@ -241,11 +237,6 @@ class DerechoNode(Process):
 
     # ------------------------------------------------------------------- send
 
-    def client_broadcast(self, payload: Any, size: int,
-                         on_commit: Optional[CommitCallback] = None) -> None:
-        self.pending_client.append((payload, size, on_commit))
-        self.request_poll()
-
     def _maybe_send(self) -> None:
         if self.node_id not in self.senders:
             return
@@ -261,14 +252,14 @@ class DerechoNode(Process):
             monitors.note(self.cluster, "leader", self.node_id, term=self.view)
         k = len(self.senders)
         my_idx = self.senders.index(self.node_id)
-        while self.pending_client and budget > 0:
+        while self.pending and budget > 0:
             budget -= 1
-            payload, size, cb = self.pending_client[0]
+            payload, size, cb = self.pending[0]
             if ring.free_slots() <= 0:
                 ring.stalls += 1
                 self.engine.trace.count("derecho.ring_full")
                 return
-            self._charge(self.cfg.broadcast_cpu_ns)
+            self.cpu.charge(self.cfg.broadcast_cpu_ns)
             if obs is not None:
                 obs.mark(payload, "propose", self.engine.now)
             thr = self.cfg.rdmc_threshold_bytes
@@ -288,7 +279,7 @@ class DerechoNode(Process):
                     obs.bind(msg, payload)
                 seq = ring.try_send(msg, size,
                                     earliest_ns=self.cpu.busy_until)
-            self.pending_client.pop(0)
+            self.pending.pop(0)
             self._round_seq[self.sent_rounds] = seq
             if monitors is not None:
                 # Global round-robin index; views restart it, so the
@@ -315,10 +306,6 @@ class DerechoNode(Process):
                                   seq=seq, extra=ring.capacity)
                 self.sent_rounds += 1
                 self.engine.trace.count("derecho.null_send")
-
-    def _charge(self, cost: int) -> None:
-        cpu = self.cpu
-        cpu.busy_until = max(cpu.busy_until, self.engine.now) + int(cost * cpu.speed_factor)
 
     # ------------------------------------------------------------------ RDMC
 
@@ -348,7 +335,7 @@ class DerechoNode(Process):
             child = order[child_pos]
             if self.cluster.nodes[child].crashed:
                 continue
-            self._charge(self.cfg.relay_cpu_ns)
+            self.cpu.charge(self.cfg.relay_cpu_ns)
             region, rkey = self.cluster.bulk_regions[child]
             for ci in range(nchunks):
                 csize = min(self.RDMC_CHUNK, size - ci * self.RDMC_CHUNK)
@@ -392,7 +379,7 @@ class DerechoNode(Process):
             pending.pop(0)
             payload, _sz = entry
             self._store_put(sender, rnd, payload)
-            self._charge(self.cfg.accept_cpu_ns)
+            self.cpu.charge(self.cfg.accept_cpu_ns)
             obs = self.engine.obs
             if obs is not None:
                 obs.mark(payload, "accept", self.engine.now)
@@ -430,7 +417,7 @@ class DerechoNode(Process):
                     got = True
                     continue
                 self._store_put(s, rnd, payload)
-                self._charge(self.cfg.accept_cpu_ns)
+                self.cpu.charge(self.cfg.accept_cpu_ns)
                 if payload is not NULL:
                     if obs is not None:
                         obs.mark(payload, "accept", self.engine.now)
@@ -483,7 +470,7 @@ class DerechoNode(Process):
         return mins if mins is not None else ()
 
     def _deliver_stable(self) -> None:
-        self._charge(self.cfg.predicate_cpu_ns)
+        self.cpu.charge(self.cfg.predicate_cpu_ns)
         mins = self._min_received()
         k = len(self.senders)
         progressed = False
@@ -502,7 +489,7 @@ class DerechoNode(Process):
             payload = store[rnd]
             self.delivered_upto += 1
             progressed = True
-            self._charge(self.cfg.deliver_cpu_ns)
+            self.cpu.charge(self.cfg.deliver_cpu_ns)
             if payload is not NULL and payload is not None:
                 if obs is not None:
                     obs.mark(payload, "commit", self.engine.now)
@@ -724,30 +711,21 @@ class DerechoCluster(BroadcastSystem):
             return [min(members)]
         return sorted(members)
 
-    def start(self) -> None:
-        for nd in self.nodes.values():
-            nd.start()
-
-    def processes(self):
-        return list(self.nodes.values())
-
     def submit(self, payload: Any, size_bytes: int,
                on_commit: Optional[CommitCallback] = None) -> bool:
+        if self.cfg.mode != "all":
+            return super().submit(payload, size_bytes, on_commit)
         ldr = self.leader_id()
         if ldr is None:
             return False
-        if self.cfg.mode == "all":
-            # Clients spread load round-robin over all senders.
-            live = [s for s in self.nodes[ldr].senders if not self.nodes[s].crashed]
-            if not live:
-                return False
-            target = live[self._rr_next % len(live)]
-            self._rr_next += 1
-            self.obs_begin(payload)
-            self.nodes[target].client_broadcast(payload, size_bytes, on_commit)
-            return True
+        # Clients spread load round-robin over all senders.
+        live = [s for s in self.nodes[ldr].senders if not self.nodes[s].crashed]
+        if not live:
+            return False
+        target = live[self._rr_next % len(live)]
+        self._rr_next += 1
         self.obs_begin(payload)
-        self.nodes[ldr].client_broadcast(payload, size_bytes, on_commit)
+        self.nodes[target].client_broadcast(payload, size_bytes, on_commit)
         return True
 
     def leader_id(self) -> Optional[int]:
@@ -758,10 +736,6 @@ class DerechoCluster(BroadcastSystem):
                 if live:
                     return min(live)
         return None
-
-    def crash(self, node_id: int) -> None:
-        self.nodes[node_id].crash()
-        self.fabric.crash_node(node_id)
 
     def on_view_installed(self, node_id: int, view_no: int, members: list[int]) -> None:
         # Rebuild this sender's ring set lazily: new senders need rings.

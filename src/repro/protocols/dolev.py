@@ -27,14 +27,13 @@ commit-implies-quorum obligation to check.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from repro.protocols.base import BroadcastSystem, CommitCallback
+from repro.protocols.base import BroadcastSystem, CommitCallback, Replica
 from repro.substrate import TcpParams, build_substrate
 from repro.sim.engine import Engine
-from repro.sim.process import Process, ProcessConfig
+from repro.sim.process import ProcessConfig
 
 
 @dataclass
@@ -51,16 +50,12 @@ class DolevConfig:
                                               poll_jitter_ns=500))
 
 
-class DolevNode(Process):
+class DolevNode(Replica):
     """One replica of the path-flooding broadcast."""
 
     def __init__(self, cluster: "DolevCluster", node_id: int,
                  cfg: DolevConfig):
-        super().__init__(cluster.engine, node_id,
-                         dataclasses.replace(cfg.process),
-                         name=f"dolev{node_id}")
-        self.cluster = cluster
-        self.cfg = cfg
+        super().__init__(cluster, node_id, cfg, name=f"dolev{node_id}")
         self.ep = cluster.net.attach(self)
         #: (slot, value) -> effective paths observed so far
         self._paths: dict[tuple, list[frozenset]] = {}
@@ -70,16 +65,10 @@ class DolevNode(Process):
         self.next_deliver = 0
         self._max_slot = -1
         # source-only state
-        self.pending: list[tuple[Any, int, Optional[CommitCallback]]] = []
         self.next_slot = 0
         self._cbs: dict[int, CommitCallback] = {}
 
     # ------------------------------------------------------------------ util
-
-    def _charge(self, cost: int) -> None:
-        cpu = self.cpu
-        cpu.busy_until = max(cpu.busy_until, self.engine.now) + int(
-            cost * cpu.speed_factor)
 
     def _msg_bytes(self, size: int, path_len: int) -> int:
         return (size + self.cfg.msg_overhead_bytes
@@ -105,7 +94,7 @@ class DolevNode(Process):
                 self.next_slot += 1
                 if cb is not None:
                     self._cbs[s] = cb
-                self._charge(self.cfg.request_cpu_ns)
+                self.cpu.charge(self.cfg.request_cpu_ns)
                 msg = ("MSG", s, payload, size, ())
                 obs = self.engine.obs
                 if obs is not None:
@@ -122,11 +111,6 @@ class DolevNode(Process):
                 if p != self.node_id and p not in skip
                 and not nodes[p].crashed]
         self.cluster.net.broadcast(self.node_id, dsts, msg, wire_bytes)
-
-    def client_broadcast(self, payload: Any, size: int,
-                         on_commit: Optional[CommitCallback] = None) -> None:
-        self.pending.append((payload, size, on_commit))
-        self.request_poll()
 
     # -------------------------------------------------------------- messages
 
@@ -155,7 +139,7 @@ class DolevNode(Process):
         # is still short enough for the disjointness budget to care.
         if (s, v) not in self._relayed and len(eff) <= self.cluster.f:
             self._relayed.add((s, v))
-            self._charge(self.cfg.relay_cpu_ns)
+            self.cpu.charge(self.cfg.relay_cpu_ns)
             fwd_path = tuple(sorted(eff | {self.node_id}))
             self._bcast(("MSG", s, v, size, fwd_path),
                         self._msg_bytes(size, len(fwd_path)),
@@ -209,22 +193,6 @@ class DolevCluster(BroadcastSystem):
         self.source = 0
         self.nodes: dict[int, DolevNode] = {
             i: DolevNode(self, i, self.cfg) for i in self.node_ids}
-
-    def start(self) -> None:
-        for nd in self.nodes.values():
-            nd.start()
-
-    def processes(self):
-        return list(self.nodes.values())
-
-    def submit(self, payload: Any, size_bytes: int,
-               on_commit: Optional[CommitCallback] = None) -> bool:
-        if self.nodes[self.source].crashed:
-            return False
-        self.obs_begin(payload)
-        self.nodes[self.source].client_broadcast(payload, size_bytes,
-                                                 on_commit)
-        return True
 
     def leader_id(self) -> Optional[int]:
         """The fixed source plays the serving-node role (no election,

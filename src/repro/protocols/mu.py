@@ -24,14 +24,13 @@ extension benchmark puts it on the same axis as Acuerdo:
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from repro.protocols.base import BroadcastSystem, CommitCallback
+from repro.protocols.base import BroadcastSystem, CommitCallback, Replica
 from repro.substrate import RdmaParams, SharedStateTable, build_substrate
 from repro.sim.engine import Engine, ms, us
-from repro.sim.process import Process, ProcessConfig
+from repro.sim.process import ProcessConfig
 
 
 @dataclass
@@ -50,29 +49,21 @@ class MuConfig:
     process: ProcessConfig = field(default_factory=ProcessConfig)
 
 
-class MuNode(Process):
+class MuNode(Replica):
     """One Mu replica."""
 
     def __init__(self, cluster: "MuCluster", node_id: int, cfg: MuConfig):
-        super().__init__(cluster.engine, node_id,
-                         dataclasses.replace(cfg.process), name=f"mu{node_id}")
-        self.cluster = cluster
-        self.cfg = cfg
+        super().__init__(cluster, node_id, cfg, name=f"mu{node_id}")
         self.term = 0
         self.is_leader = False
         self.log: list[tuple[Any, int]] = []
         self.commit_index = 0
         self.seen_commit = 0
-        self.pending: list[tuple[Any, int, Optional[CommitCallback]]] = []
         self._cbs: dict[int, CommitCallback] = {}
         self._acks: dict[int, set[int]] = {}     # entry idx -> followers acked
         self._next_write: dict[int, int] = {}    # follower -> next entry to write
         self._last_commit_push = 0
         self._last_leader_sign = 0
-
-    def _charge(self, cost: int) -> None:
-        cpu = self.cpu
-        cpu.busy_until = max(cpu.busy_until, self.engine.now) + int(cost * cpu.speed_factor)
 
     # ------------------------------------------------------------------ poll
 
@@ -122,11 +113,6 @@ class MuNode(Process):
 
     # ---------------------------------------------------------------- leader
 
-    def client_broadcast(self, payload: Any, size: int,
-                         on_commit: Optional[CommitCallback] = None) -> None:
-        self.pending.append((payload, size, on_commit))
-        self.request_poll()
-
     def become_leader(self, term: int) -> None:
         self.is_leader = True
         self.term = term
@@ -145,7 +131,7 @@ class MuNode(Process):
             if cb is not None:
                 self._cbs[len(self.log)] = cb
             self.log.append((payload, size))
-            self._charge(self.cfg.entry_cpu_ns)
+            self.cpu.charge(self.cfg.entry_cpu_ns)
             if monitors is not None:
                 # The leader's local append is its own acceptance (the
                 # "+ 1" in the quorum count below).
@@ -236,7 +222,7 @@ class MuNode(Process):
                 self.engine.schedule_at(max(self.engine.now, self.cpu.busy_until),
                                         cb, delivered)
             delivered += 1
-            self._charge(self.cfg.deliver_cpu_ns)
+            self.cpu.charge(self.cfg.deliver_cpu_ns)
         self.cluster.delivered[self.node_id] = delivered
 
 
@@ -287,8 +273,7 @@ class MuCluster(BroadcastSystem):
 
     def start(self) -> None:
         self.nodes[0].become_leader(term=1)
-        for nd in self.nodes.values():
-            nd.start()
+        super().start()
 
     # -------------------------------------------------------------- failover
 
@@ -336,24 +321,8 @@ class MuCluster(BroadcastSystem):
 
     # ------------------------------------------------------------- interface
 
-    def processes(self):
-        return list(self.nodes.values())
-
-    def submit(self, payload: Any, size_bytes: int,
-               on_commit: Optional[CommitCallback] = None) -> bool:
-        nd = self.nodes[self.leader]
-        if nd.crashed or not nd.is_leader or self._failover_in_progress:
-            return False
-        self.obs_begin(payload)
-        nd.client_broadcast(payload, size_bytes, on_commit)
-        return True
-
     def leader_id(self) -> Optional[int]:
         nd = self.nodes[self.leader]
         if nd.crashed or not nd.is_leader or self._failover_in_progress:
             return None
         return self.leader
-
-    def crash(self, node_id: int) -> None:
-        self.nodes[node_id].crash()
-        self.fabric.crash_node(node_id)

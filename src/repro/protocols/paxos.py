@@ -11,14 +11,13 @@ kernel-TCP messages quadratic in the learner fan-out.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from repro.protocols.base import BroadcastSystem, CommitCallback
+from repro.protocols.base import BroadcastSystem, CommitCallback, Replica
 from repro.substrate import TcpParams, build_substrate
 from repro.sim.engine import Engine, us
-from repro.sim.process import Process, ProcessConfig
+from repro.sim.process import ProcessConfig
 
 
 @dataclass
@@ -37,14 +36,11 @@ class PaxosConfig:
         default_factory=lambda: ProcessConfig(poll_interval_ns=2_000, poll_jitter_ns=500))
 
 
-class PaxosNode(Process):
+class PaxosNode(Replica):
     """One libpaxos replica (proposer + acceptor + learner)."""
 
     def __init__(self, cluster: "PaxosCluster", node_id: int, cfg: PaxosConfig):
-        super().__init__(cluster.engine, node_id,
-                         dataclasses.replace(cfg.process), name=f"paxos{node_id}")
-        self.cluster = cluster
-        self.cfg = cfg
+        super().__init__(cluster, node_id, cfg, name=f"paxos{node_id}")
         self.ep = cluster.net.attach(self)
         # Acceptor state, per instance id.
         self.promised: dict[int, int] = {}
@@ -58,7 +54,6 @@ class PaxosNode(Process):
         self.is_proposer = node_id == 0
         self.ballot = node_id + 1        # disjoint ballot spaces per node
         self.next_iid = 0
-        self.pending: list[tuple[Any, int, Optional[CommitCallback]]] = []
         self._cbs: dict[int, CommitCallback] = {}
         self.open_instances: set[int] = set()
         self._prepare_promises: dict[int, dict] = {}
@@ -68,9 +63,14 @@ class PaxosNode(Process):
 
     # ------------------------------------------------------------------ util
 
-    def _charge(self, cost: int) -> None:
-        cpu = self.cpu
-        cpu.busy_until = max(cpu.busy_until, self.engine.now) + int(cost * cpu.speed_factor)
+    def crash(self) -> None:
+        super().crash()
+        # The takeover stagger reads peers' crashed flags; wake parked
+        # survivors so their park deadlines re-derive from the new
+        # liveness picture.
+        for nd in self.cluster.nodes.values():
+            if not nd.crashed:
+                nd.request_poll()
 
     def _send(self, dst: int, msg: tuple, size: int) -> None:
         self.cluster.net.send(self.node_id, dst, msg, size + self.cfg.msg_overhead_bytes)
@@ -110,7 +110,7 @@ class PaxosNode(Process):
             return self._last_hb_sent + self.cfg.heartbeat_period_ns
         # Takeover: needs now - seen > timeout AND, when a lower-ranked
         # live node exists, now - seen >= timeout * (1 + rank).  Crashes
-        # re-wake everyone (PaxosCluster.crash), so the stagger term can
+        # re-wake everyone (PaxosNode.crash), so the stagger term can
         # be trusted between wakes.
         seen = self._last_hb_seen
         live_lower = any(p < self.node_id and not self.cluster.nodes[p].crashed
@@ -121,11 +121,6 @@ class PaxosNode(Process):
 
     # -------------------------------------------------------------- proposer
 
-    def client_broadcast(self, payload: Any, size: int,
-                         on_commit: Optional[CommitCallback] = None) -> None:
-        self.pending.append((payload, size, on_commit))
-        self.request_poll()
-
     def _propose_step(self) -> None:
         while self.pending and len(self.open_instances) < self.cfg.window:
             payload, size, cb = self.pending.pop(0)
@@ -134,7 +129,7 @@ class PaxosNode(Process):
             if cb is not None:
                 self._cbs[iid] = cb
             self.open_instances.add(iid)
-            self._charge(self.cfg.propose_cpu_ns)
+            self.cpu.charge(self.cfg.propose_cpu_ns)
             accept_msg = ("ACCEPT", self.ballot, iid, payload, size)
             obs = self.engine.obs
             if obs is not None:
@@ -169,7 +164,7 @@ class PaxosNode(Process):
                           term=self.ballot)
         self.next_iid = self.next_deliver
         self._prepare_promises = {}
-        self._charge(self.cfg.prepare_cpu_ns)
+        self.cpu.charge(self.cfg.prepare_cpu_ns)
         self._bcast(("PREPARE", self.ballot, self.next_deliver), 16, include_self=True)
         self.engine.trace.count("paxos.prepare")
 
@@ -182,7 +177,7 @@ class PaxosNode(Process):
             if ballot >= self.min_promised and ballot >= self.promised.get(iid, 0):
                 self.promised[iid] = ballot
                 self.accepted[iid] = (ballot, payload, size)
-                self._charge(self.cfg.accept_cpu_ns)
+                self.cpu.charge(self.cfg.accept_cpu_ns)
                 monitors = self.engine.monitors
                 if monitors is not None:
                     # Per-instance accept with value identity: only
@@ -202,7 +197,7 @@ class PaxosNode(Process):
             same = sum(1 for b in votes.values() if b == ballot)
             if same >= self.cluster.quorum and iid not in self.chosen:
                 self.chosen[iid] = (payload, size)
-                self._charge(self.cfg.learn_cpu_ns)
+                self.cpu.charge(self.cfg.learn_cpu_ns)
                 self._deliver_ready()
         elif kind == "HB":
             self._last_hb_seen = self.engine.now
@@ -284,20 +279,7 @@ class PaxosCluster(BroadcastSystem):
         if monitors is not None:
             # Node 0 is the initial distinguished proposer at ballot 1.
             monitors.note(self, "leader", 0, term=self.nodes[0].ballot)
-        for nd in self.nodes.values():
-            nd.start()
-
-    def processes(self):
-        return list(self.nodes.values())
-
-    def submit(self, payload: Any, size_bytes: int,
-               on_commit: Optional[CommitCallback] = None) -> bool:
-        ldr = self.leader_id()
-        if ldr is None:
-            return False
-        self.obs_begin(payload)
-        self.nodes[ldr].client_broadcast(payload, size_bytes, on_commit)
-        return True
+        super().start()
 
     def leader_id(self) -> Optional[int]:
         best = None
@@ -306,12 +288,3 @@ class PaxosCluster(BroadcastSystem):
                 if best is None or nd.ballot > best.ballot:
                     best = nd
         return best.node_id if best is not None else None
-
-    def crash(self, node_id: int) -> None:
-        super().crash(node_id)
-        # The takeover stagger reads peers' crashed flags; wake parked
-        # survivors so their park deadlines re-derive from the new
-        # liveness picture.
-        for nd in self.nodes.values():
-            if not nd.crashed:
-                nd.request_poll()

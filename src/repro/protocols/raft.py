@@ -13,15 +13,14 @@ the throughput ranking in Fig. 9, as measured in the paper.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from repro.protocols.base import BroadcastSystem, CommitCallback
+from repro.protocols.base import BroadcastSystem, CommitCallback, Replica
 from repro.substrate import TcpParams, build_substrate
 from repro.sim.disk import Disk
 from repro.sim.engine import Engine, us
-from repro.sim.process import Process, ProcessConfig
+from repro.sim.process import ProcessConfig
 
 
 @dataclass
@@ -44,16 +43,13 @@ class RaftConfig:
         default_factory=lambda: ProcessConfig(poll_interval_ns=2_000, poll_jitter_ns=500))
 
 
-class RaftNode(Process):
+class RaftNode(Replica):
     """One etcd/Raft server."""
 
     FOLLOWER, CANDIDATE, LEADER = "follower", "candidate", "leader"
 
     def __init__(self, cluster: "RaftCluster", node_id: int, cfg: RaftConfig):
-        super().__init__(cluster.engine, node_id,
-                         dataclasses.replace(cfg.process), name=f"etcd{node_id}")
-        self.cluster = cluster
-        self.cfg = cfg
+        super().__init__(cluster, node_id, cfg, name=f"etcd{node_id}")
         self.ep = cluster.net.attach(self)
         self.disk = Disk(cluster.engine, cfg.fsync_ns, name=f"etcd{node_id}.wal",
                          owner=self)
@@ -64,7 +60,6 @@ class RaftNode(Process):
         self.durable_len = 0
         self.commit_index = 0
         self.applied = 0
-        self.pending: list[tuple[Any, int, Optional[CommitCallback]]] = []
         self._cbs: dict[int, CommitCallback] = {}
         self.next_index: dict[int, int] = {}
         self.match_index: dict[int, int] = {}
@@ -75,10 +70,6 @@ class RaftNode(Process):
         self._reset_election_timer()
 
     # ------------------------------------------------------------------ util
-
-    def _charge(self, cost: int) -> None:
-        cpu = self.cpu
-        cpu.busy_until = max(cpu.busy_until, self.engine.now) + int(cost * cpu.speed_factor)
 
     def _send(self, dst: int, msg: tuple, size: int) -> None:
         self.cluster.net.send(self.node_id, dst, msg, size + self.cfg.msg_overhead_bytes)
@@ -150,17 +141,12 @@ class RaftNode(Process):
 
     # ---------------------------------------------------------------- leader
 
-    def client_broadcast(self, payload: Any, size: int,
-                         on_commit: Optional[CommitCallback] = None) -> None:
-        self.pending.append((payload, size, on_commit))
-        self.request_poll()
-
     def _leader_step(self) -> None:
         appended = False
         obs = self.engine.obs
         while self.pending:
             payload, size, cb = self.pending.pop(0)
-            self._charge(self.cfg.request_cpu_ns)
+            self.cpu.charge(self.cfg.request_cpu_ns)
             if obs is not None:
                 obs.mark(payload, "propose", self.engine.now)
             self.log.append((self.term, payload, size))
@@ -292,7 +278,7 @@ class RaftNode(Process):
                     if monitors is not None:
                         monitors.note(self.cluster, "accept_trunc",
                                       self.node_id, slot=ni)
-                self._charge(self.cfg.append_cpu_ns * len(entries))
+                self.cpu.charge(self.cfg.append_cpu_ns * len(entries))
                 obs = self.engine.obs
                 if obs is not None:
                     now = self.engine.now
@@ -332,22 +318,6 @@ class RaftCluster(BroadcastSystem):
         self.quorum = n // 2 + 1
         self.nodes: dict[int, RaftNode] = {i: RaftNode(self, i, self.cfg)
                                            for i in self.node_ids}
-
-    def start(self) -> None:
-        for nd in self.nodes.values():
-            nd.start()
-
-    def processes(self):
-        return list(self.nodes.values())
-
-    def submit(self, payload: Any, size_bytes: int,
-               on_commit: Optional[CommitCallback] = None) -> bool:
-        ldr = self.leader_id()
-        if ldr is None:
-            return False
-        self.obs_begin(payload)
-        self.nodes[ldr].client_broadcast(payload, size_bytes, on_commit)
-        return True
 
     def leader_id(self) -> Optional[int]:
         best = None

@@ -21,15 +21,14 @@ pipeline's per-op CPU cost.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from repro.protocols.base import BroadcastSystem, CommitCallback
+from repro.protocols.base import BroadcastSystem, CommitCallback, Replica
 from repro.substrate import TcpParams, build_substrate
 from repro.sim.disk import Disk
 from repro.sim.engine import Engine, us
-from repro.sim.process import Process, ProcessConfig
+from repro.sim.process import ProcessConfig
 
 
 @dataclass
@@ -54,16 +53,13 @@ class ZabConfig:
         default_factory=lambda: ProcessConfig(poll_interval_ns=2_000, poll_jitter_ns=500))
 
 
-class ZabNode(Process):
+class ZabNode(Replica):
     """One ZooKeeper server."""
 
     LOOKING, FOLLOWING, LEADING = "looking", "following", "leading"
 
     def __init__(self, cluster: "ZabCluster", node_id: int, cfg: ZabConfig):
-        super().__init__(cluster.engine, node_id,
-                         dataclasses.replace(cfg.process), name=f"zk{node_id}")
-        self.cluster = cluster
-        self.cfg = cfg
+        super().__init__(cluster, node_id, cfg, name=f"zk{node_id}")
         self.ep = cluster.net.attach(self)
         self.disk = Disk(cluster.engine, cfg.fsync_ns, name=f"zk{node_id}.disk",
                          owner=self)
@@ -73,7 +69,6 @@ class ZabNode(Process):
         self.log: list[tuple[tuple, Any, int]] = []     # (zxid, payload, size)
         self.counter = 0
         self.delivered_upto = 0                          # index into log
-        self.pending: list[tuple[Any, int, Optional[CommitCallback]]] = []
         self._cbs: dict[tuple, CommitCallback] = {}
         self.acks: dict[tuple, set[int]] = {}
         self.committed_zxid: tuple = (0, 0)
@@ -92,9 +87,13 @@ class ZabNode(Process):
 
     # ------------------------------------------------------------------ util
 
-    def _charge(self, cost: int) -> None:
-        cpu = self.cpu
-        cpu.busy_until = max(cpu.busy_until, self.engine.now) + int(cost * cpu.speed_factor)
+    def crash(self) -> None:
+        super().crash()
+        # The leader's quorum-contact step-down reads peers' crashed
+        # flags; wake parked survivors so their deadlines re-derive.
+        for nd in self.cluster.nodes.values():
+            if not nd.crashed:
+                nd.request_poll()
 
     def _send(self, dst: int, msg: tuple, size: int) -> None:
         self.cluster.net.send(self.node_id, dst, msg, size + self.cfg.msg_overhead_bytes)
@@ -169,11 +168,6 @@ class ZabNode(Process):
 
     # ------------------------------------------------------------- broadcast
 
-    def client_broadcast(self, payload: Any, size: int,
-                         on_commit: Optional[CommitCallback] = None) -> None:
-        self.pending.append((payload, size, on_commit))
-        self.request_poll()
-
     def _leader_step(self) -> None:
         now = self.engine.now
         if now - self._last_hb_sent >= self.cfg.heartbeat_period_ns:
@@ -195,7 +189,7 @@ class ZabNode(Process):
             payload, size, cb = self.pending.pop(0)
             self.counter += 1
             zxid = (self.epoch, self.counter)
-            self._charge(self.cfg.request_cpu_ns)
+            self.cpu.charge(self.cfg.request_cpu_ns)
             self.log.append((zxid, payload, size))
             if cb is not None:
                 self._cbs[zxid] = cb
@@ -288,7 +282,7 @@ class ZabNode(Process):
             if zxid[0] >= self.epoch:
                 self.epoch = zxid[0]
                 self.log.append((zxid, payload, size))
-                self._charge(self.cfg.ack_cpu_ns)
+                self.cpu.charge(self.cfg.ack_cpu_ns)
                 obs = self.engine.obs
                 if obs is not None:
                     obs.mark(msg, "accept", self.engine.now)
@@ -473,28 +467,12 @@ class ZabCluster(BroadcastSystem):
             nd.start()
             nd._enter_election()
 
-    def processes(self):
-        return list(self.nodes.values())
-
-    def submit(self, payload: Any, size_bytes: int,
-               on_commit: Optional[CommitCallback] = None) -> bool:
-        ldr = self.leader_id()
-        if ldr is None:
-            return False
-        self.obs_begin(payload)
-        self.nodes[ldr].client_broadcast(payload, size_bytes, on_commit)
-        return True
+    # The inherited submit, bound in this class's namespace because
+    # bench/hosttrace.py wraps ``submit`` here by name.
+    submit = BroadcastSystem.submit
 
     def leader_id(self) -> Optional[int]:
         for nd in self.nodes.values():
             if not nd.crashed and nd.state == ZabNode.LEADING and nd._phase is None:
                 return nd.node_id
         return None
-
-    def crash(self, node_id: int) -> None:
-        super().crash(node_id)
-        # The leader's quorum-contact step-down reads peers' crashed
-        # flags; wake parked survivors so their deadlines re-derive.
-        for nd in self.nodes.values():
-            if not nd.crashed:
-                nd.request_poll()

@@ -217,11 +217,9 @@ class RdmaFabric(Substrate):
         if self._blocked(src, dst):
             self._drop_partitioned()
             return
-        cpu = src_ep.process.cpu
-        cpu.busy_until = max(cpu.busy_until, self.engine.now) + int(
-            self._doorbell_cpu_ns * cpu.speed_factor)
         self.write(src, dst, dst_ep._region, dst_ep._rkey, src, payload,
-                   size_bytes, earliest_ns=cpu.busy_until)
+                   size_bytes,
+                   earliest_ns=src_ep.process.cpu.charge(self._doorbell_cpu_ns))
         src_ep.sent += 1
         src_ep.tx_bytes += self.params.wire_bytes(size_bytes)
 

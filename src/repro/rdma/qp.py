@@ -131,7 +131,9 @@ class QueuePair:
 
     def _complete(self, wr_id: Any, covers: int, posted_at: int) -> None:
         self._outstanding -= covers
-        if self.src.powered:
+        # A write into a powered-off host was never placed: RC retries
+        # until the retry budget dies, so the poster never sees success.
+        if self.src.powered and self.dst.powered:
             self.src.cq.push(Completion(qp_peer=self.dst.node_id, wr_id=wr_id,
                                         covers=covers, posted_at=posted_at,
                                         completed_at=self.engine.now))

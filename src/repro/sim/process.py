@@ -54,10 +54,11 @@ class ProcessConfig:
 class Cpu:
     """A serial execution resource owned by one simulated process.
 
-    ``submit(cost, fn)`` runs ``fn`` after charging ``cost`` nanoseconds,
-    serialised behind any work already queued on this CPU.  This is how
-    per-message protocol work (header computation, log insertion, syscall
-    costs for the TCP baselines) consumes simulated time.
+    ``charge(cost)`` books ``cost`` nanoseconds serialised behind any
+    work already queued on this CPU; ``submit(cost, fn)`` also runs
+    ``fn`` once that work is done.  This is how per-message protocol
+    work (header computation, log insertion, doorbells, syscall costs
+    for the TCP baselines) consumes simulated time.
     """
 
     __slots__ = ("engine", "name", "speed_factor", "busy_until", "halted")
@@ -69,6 +70,16 @@ class Cpu:
         self.busy_until: int = 0
         self.halted = False
 
+    def charge(self, cost_ns: int) -> int:
+        """Book ``cost_ns`` of CPU time (times the speed factor) after the
+        work already queued; returns the new ``busy_until``."""
+        sf = self.speed_factor
+        # int(cost * 1.0) == cost for int costs: skip the float round-trip
+        # on the (default) unit-speed path.
+        self.busy_until = busy = max(self.busy_until, self.engine.now) + (
+            cost_ns if sf == 1.0 and type(cost_ns) is int else int(cost_ns * sf))
+        return busy
+
     def submit(self, cost_ns: int, fn: Callable[..., Any], *args: Any) -> Optional[Event]:
         """Charge ``cost_ns`` of CPU time, then run ``fn(*args)``.
 
@@ -77,14 +88,7 @@ class Cpu:
         """
         if self.halted:
             return None
-        start = max(self.engine.now, self.busy_until)
-        sf = self.speed_factor
-        # int(cost * 1.0) == cost for int costs: skip the float round-trip
-        # on the (default) unit-speed path.
-        finish = start + (cost_ns if sf == 1.0 and type(cost_ns) is int
-                          else int(cost_ns * sf))
-        self.busy_until = finish
-        return self.engine.schedule_at(finish, self._run, fn, args)
+        return self.engine.schedule_at(self.charge(cost_ns), self._run, fn, args)
 
     def _run(self, fn: Callable[..., Any], args: tuple) -> None:
         if not self.halted:

@@ -2,7 +2,7 @@
 
 from repro.core import AcuerdoCluster
 from repro.core.clientport import AcuerdoClientPort
-from repro.sim import Engine, ms, us
+from repro.sim import Engine, ProcessConfig, ms, us
 
 
 def _setup(n=3, seed=1):
@@ -22,6 +22,17 @@ def test_request_reply_roundtrip():
     e.run(until=ms(1))
     assert replies == [0]
     assert c.deliveries.delivered_count(0) == 1
+
+
+def test_request_doorbell_scales_with_speed_factor():
+    """The doorbell is a CPU cost like any other: a client built with a
+    slow ProcessConfig pays it times the speed factor."""
+    e = Engine(seed=1)
+    c = AcuerdoCluster(e, 3)
+    c.preseed_leader(0)
+    port = AcuerdoClientPort(c, ProcessConfig(speed_factor=3.0))
+    port.request("slow", 10)
+    assert port.cpu.busy_until == 3 * c.fabric.params.doorbell_cpu_ns
 
 
 def test_client_observed_latency_close_to_delay_model():

@@ -137,6 +137,19 @@ def test_crashed_destination_swallows_writes():
     assert store == {}
 
 
+def test_write_to_crashed_host_completes_nothing():
+    """A signaled write in flight when its destination powers off is
+    never placed, so no completion reports it (the RC retry budget dies
+    instead) — while the send queue still retires the WQE."""
+    e, fab, region, store = _pair()
+    fab.write(0, 1, region, region.grant(), "k", 1, 10, signaled=True, wr_id="w")
+    fab.crash_node(1)
+    e.run()
+    assert store == {}
+    assert len(fab.nic(0).cq) == 0
+    assert fab.qp(0, 1).outstanding == 0
+
+
 def test_crashed_source_sends_nothing():
     e, fab, region, store = _pair()
     fab.crash_node(0)

@@ -35,6 +35,41 @@ def test_cpu_speed_factor_scales_cost():
     assert e.now == 300
 
 
+def test_cpu_charge_serialises_behind_busy_until():
+    e = Engine()
+    cpu = Cpu(e, "test")
+    assert cpu.charge(100) == 100
+    assert cpu.charge(50) == 150        # queued behind the first charge
+    e.run(until=1_000)
+    assert cpu.charge(10) == 1_010      # an idle CPU starts from now
+    assert cpu.busy_until == 1_010
+
+
+def test_cpu_charge_scales_by_speed_factor():
+    e = Engine()
+    cpu = Cpu(e, "slow", speed_factor=2.5)
+    assert cpu.charge(100) == 250
+    assert cpu.charge(3) == 250 + int(3 * 2.5)
+
+
+def test_cpu_charge_int_fast_path_equals_float_arithmetic():
+    e = Engine()
+    for cost in (0, 1, 599, 120_000, 2 ** 40 + 1):
+        assert Cpu(e, "unit").charge(cost) == int(cost * 1.0)
+    # A float cost takes the scaled path even at unit speed.
+    assert Cpu(e, "unit").charge(2.5) == 2
+
+
+def test_cpu_submit_is_charge_then_run():
+    e = Engine()
+    charged, submitted = Cpu(e, "a", 3.0), Cpu(e, "b", 3.0)
+    charged.charge(40)
+    submitted.submit(40, lambda: None)
+    assert submitted.busy_until == charged.busy_until == 120
+    e.run()
+    assert e.now == 120
+
+
 def test_cpu_stall_pushes_work_back():
     e = Engine()
     cpu = Cpu(e, "test")
