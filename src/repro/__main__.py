@@ -37,6 +37,7 @@ import sys
 def _cmd_shootout(args: argparse.Namespace) -> int:
     from repro.harness import RunSpec, SYSTEMS, prepare, render_table
     from repro.harness.factory import EXTENSION_SYSTEMS
+    from repro.monitors import finish_monitors
     from repro.sim import ms
     from repro.workloads.closedloop import ClosedLoopClient
 
@@ -64,7 +65,7 @@ def _cmd_shootout(args: argparse.Namespace) -> int:
                round(res.percentile_latency_us(99), 1),
                round(res.throughput_mb_per_sec, 3), res.completed]
         if spec.check_invariants:
-            violations = engine.monitors.finish()
+            violations = finish_monitors(engine)
             all_violations.extend(violations)
             row.append(len(violations))
         rows.append(row)

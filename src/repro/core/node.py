@@ -161,14 +161,14 @@ class AcuerdoNode(Replica):
         self._rs_ver = -1
         self._rs_ns = -1
         self._rs_gen = -1
-        # Highest ring-release floor reported to engine.monitors (the
+        # Highest ring-release floor reported to the monitors (the
         # slot_release event stream is monotonic per ring owner), plus
         # the ring release generation it was computed at.
         self._mon_floor = 0
         self._mon_release_gen = -1
         self._mon_admin_gen = 0
 
-    def _mon_note_floor(self, monitors: Any) -> None:
+    def _mon_note_floor(self, probe: Any) -> None:
         """Report ring slot reuse to the monitors: one ``slot_release``
         event each time the effective release floor advances (eviction
         can move the floor outside ``_release_slots``, so bind sites
@@ -192,8 +192,8 @@ class AcuerdoNode(Replica):
             admin = (ring.admin_gen != self._mon_admin_gen
                      or ring.accept_accounted < self.quorum)
             self._mon_admin_gen = ring.admin_gen
-            monitors.note(self.cluster, "slot_release", self.node_id, seq=floor,
-                          extra="admin" if admin else None)
+            probe.note(self.cluster, "slot_release", self.node_id, seq=floor,
+                       extra="admin" if admin else None)
         else:
             self._mon_admin_gen = ring.admin_gen
 
@@ -321,9 +321,9 @@ class AcuerdoNode(Replica):
     def _pump_client_queue(self) -> None:
         # Runs from a leader's poll only: Fig. 4's precondition ``Role ==
         # LEADER`` (a deposed leader's queue is re-routed by the cluster).
-        monitors = self.engine.monitors
-        if monitors is not None:
-            self._mon_note_floor(monitors)
+        probe = self.engine.probe
+        if probe is not None:
+            self._mon_note_floor(probe)
         while self._pending_diffs:
             j, msg = self._pending_diffs[0]
             seq = self._ring.try_send(msg, msg.size, targets=[j])
@@ -331,12 +331,12 @@ class AcuerdoNode(Replica):
                 return
             self._diff_seq[j] = seq
             self._pending_diffs.pop(0)
-            if monitors is not None:
+            if probe is not None:
                 # Diffs occupy ring slots but are released per receiver
                 # by epoch bookkeeping, not quorum accept: bind with a
                 # None slot (no reuse-safety obligation of their own).
-                monitors.note(self.cluster, "slot_bind", self.node_id,
-                              seq=seq, extra=self._ring.capacity)
+                probe.note(self.cluster, "slot_bind", self.node_id,
+                           seq=seq, extra=self._ring.capacity)
         budget = self.cfg.max_broadcasts_per_poll
         while self.pending and budget > 0:
             budget -= 1
@@ -349,19 +349,18 @@ class AcuerdoNode(Replica):
                 self.engine.trace.count("acuerdo.ring_full")
                 return
             self.cpu.charge(self.cfg.broadcast_cpu_ns)
-            obs = self.engine.obs
-            if obs is not None:
+            if probe is not None:
                 # The wire object for this payload is the Message; bind it
                 # so the QP's nic_tx/wire/deposit milestones attribute.
-                obs.bind(msg, payload)
-                obs.mark(payload, "propose", self.engine.now)
+                probe.bind(msg, payload)
+                probe.mark(payload, "propose", self.engine.now)
             seq = self._ring.try_send(msg, size, earliest_ns=self.cpu.busy_until)
             self.pending.pop(0)
             self.Count += 1
             self._epoch_msg_seq[hdr.cnt] = seq
-            if monitors is not None:
-                monitors.note(self.cluster, "slot_bind", self.node_id,
-                              slot=hdr, seq=seq, extra=self._ring.capacity)
+            if probe is not None:
+                probe.note(self.cluster, "slot_bind", self.node_id,
+                           slot=hdr, seq=seq, extra=self._ring.capacity)
             if on_commit is not None:
                 self._on_commit_cb[hdr] = on_commit
             self.engine.trace.count("acuerdo.broadcast")
@@ -405,14 +404,14 @@ class AcuerdoNode(Replica):
                 self._accept_sst.push(self.node_id, targets=[ldr],
                                       earliest_ns=self.cpu.busy_until)
         if self.Accepted != mon_prev:
-            monitors = self.engine.monitors
-            if monitors is not None:
+            probe = self.engine.probe
+            if probe is not None:
                 # Cumulative accept frontier, batched exactly like the
                 # Accept-SST acknowledgment above: the newest header
                 # implicitly covers the whole drained batch, and it is
                 # the only frontier any quorum observer ever sees.
-                monitors.note(self.cluster, "accept", self.node_id,
-                              slot=self.Accepted)
+                probe.note(self.cluster, "accept", self.node_id,
+                           slot=self.Accepted)
 
     def _accept(self, msg: Message) -> bool:
         """Handle one incoming message; returns True when a normal accept
@@ -430,9 +429,9 @@ class AcuerdoNode(Replica):
             # Monitor accept events are emitted per drained batch by
             # _drain_rings (same batching as the Accept-SST push).
             if e.leader != self.node_id:
-                obs = self.engine.obs
-                if obs is not None:
-                    obs.mark(msg, "accept", self.engine.now)
+                probe = self.engine.probe
+                if probe is not None:
+                    probe.mark(msg, "accept", self.engine.now)
                 return True
             return False
         elif self.E_new <= e:
@@ -475,11 +474,11 @@ class AcuerdoNode(Replica):
         self.cpu.charge(self.cfg.accept_cpu_ns * (1 + len(entries)))
         self.Accepted = msg.hdr
         self._accept_sst.write_local(self.node_id, msg.hdr)
-        monitors = self.engine.monitors
-        if monitors is not None:
+        probe = self.engine.probe
+        if probe is not None:
             # Accepting the epoch-opening diff means adopting the new
             # leader's whole log prefix: the frontier jumps to (e, 0).
-            monitors.note(self.cluster, "accept", self.node_id, slot=msg.hdr)
+            probe.note(self.cluster, "accept", self.node_id, slot=msg.hdr)
         if e.leader != self.node_id:
             self._accept_sst.push(self.node_id, targets=[e.leader],
                                   earliest_ns=self.cpu.busy_until)
@@ -555,11 +554,10 @@ class AcuerdoNode(Replica):
 
     def _deliver(self, m: Message) -> None:
         self.engine.trace.count("acuerdo.commit")
-        obs = self.engine.obs
-        if obs is not None and m.payload is not NOOP:
-            obs.mark(m, "commit", self.engine.now)
-        monitors = self.engine.monitors
-        if monitors is not None:
+        probe = self.engine.probe
+        if probe is not None:
+            if m.payload is not NOOP:
+                probe.mark(m, "commit", self.engine.now)
             # Every commit (no-ops included) must be quorum-covered.
             # Headers are totally ordered and each node commits them in
             # order, so only the group-wide *first* commit of a slot
@@ -571,7 +569,7 @@ class AcuerdoNode(Replica):
             hwm = cluster._mon_commit_hwm
             if hwm is None or m.hdr > hwm:
                 cluster._mon_commit_hwm = m.hdr
-                monitors.note(cluster, "commit", self.node_id, slot=m.hdr)
+                probe.note(cluster, "commit", self.node_id, slot=m.hdr)
         cb = self._on_commit_cb.pop(m.hdr, None)
         if cb is not None:
             # The client-visible acknowledgment leaves once the commit
@@ -644,9 +642,9 @@ class AcuerdoNode(Replica):
             seq = self._diff_seq.get(k) if h.cnt == 0 else self._epoch_msg_seq.get(h.cnt)
             if seq is not None:
                 ring.mark_released(k, seq + 1)
-        monitors = self.engine.monitors
-        if monitors is not None:
-            self._mon_note_floor(monitors)
+        probe = self.engine.probe
+        if probe is not None:
+            self._mon_note_floor(probe)
 
     def _observe_peer_heartbeats(self) -> None:
         # Version guard: commit-row versions bump exactly when a row in
@@ -786,14 +784,14 @@ class AcuerdoNode(Replica):
             self._evicted.discard(j)
             self._ring.include_in_accounting(j, base)
         self._evict_next_due = -1  # eviction state changed outside the scan
-        monitors = self.engine.monitors
-        if monitors is not None:
+        probe = self.engine.probe
+        if probe is not None:
             # Exclusive leadership claim for this epoch (the term of the
             # single-leader invariant).  The full ``(round, leader)``
             # pair is the term: like Paxos ballots, distinct candidates
             # may race distinct epochs sharing a round number.
-            monitors.note(self.cluster, "leader", self.node_id,
-                          term=self.E_new)
+            probe.note(self.cluster, "leader", self.node_id,
+                       term=self.E_new)
         comm_cpy = self._commit_sst.snapshot(self.node_id)
         hdr = MsgHdr(self.E_new, 0)
         for j in self.peers:
@@ -805,9 +803,9 @@ class AcuerdoNode(Replica):
             seq = self._ring.try_send(dmsg, dmsg.size, targets=[j])
             if seq is not None:
                 self._diff_seq[j] = seq
-                if monitors is not None:
-                    monitors.note(self.cluster, "slot_bind", self.node_id,
-                                  seq=seq, extra=self._ring.capacity)
+                if probe is not None:
+                    probe.note(self.cluster, "slot_bind", self.node_id,
+                               seq=seq, extra=self._ring.capacity)
             else:
                 self._pending_diffs.append((j, dmsg))
         self.cpu.charge(self.cfg.broadcast_cpu_ns * len(self.peers))
@@ -837,10 +835,10 @@ class AcuerdoNode(Replica):
         self._accept_sst.write_local(self.node_id, self.Accepted)
         self._commit_sst.write_local(self.node_id, CommitRow(self.Committed, 0))
         self._vote_sst.write_local(self.node_id, Vote(epoch, MsgHdr(epoch, 0)))
-        monitors = self.engine.monitors
-        if monitors is not None:
+        probe = self.engine.probe
+        if probe is not None:
             if role is Role.LEADER:
-                monitors.note(self.cluster, "leader", self.node_id,
-                              term=epoch)
-            monitors.note(self.cluster, "accept", self.node_id,
-                          slot=self.Accepted)
+                probe.note(self.cluster, "leader", self.node_id,
+                           term=epoch)
+            probe.note(self.cluster, "accept", self.node_id,
+                       slot=self.Accepted)

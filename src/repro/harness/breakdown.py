@@ -5,8 +5,8 @@ Two views, both reading uniform surfaces so every system is comparable:
 - :class:`LatencyAnatomy` derives each probe message's stage milestones
   — client submit, leader broadcast, follower acceptance, quorum
   commit, client acknowledgment — from the span recorder
-  (:mod:`repro.obs`), the same always-on instrumentation ``repro
-  trace`` exports, so the anatomy and the Chrome trace can never
+  (:mod:`repro.obs`) on ``engine.probe``, the same instrumentation
+  ``repro trace`` exports, so the anatomy and the Chrome trace can never
   disagree about where time went;
 - :func:`substrate_breakdown` renders any system's transport totals and
   per-message charges from the unified ``substrate.<backend>.*``
@@ -78,7 +78,7 @@ class LatencyAnatomy:
     """Per-message stage milestones for an AcuerdoCluster, from spans.
 
     Probes travel the exact production path: the milestones come from
-    the same ``engine.obs``-gated hooks every system carries (see
+    the same ``engine.probe``-gated hooks every system carries (see
     :mod:`repro.obs.spans`), which record host-side only — attaching
     the recorder adds zero simulated time, so an instrumented run's
     timeline is bit-identical to a plain one.

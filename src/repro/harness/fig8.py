@@ -15,6 +15,7 @@ from typing import Optional
 
 from repro.harness.factory import prepare
 from repro.harness.runspec import RunSpec
+from repro.monitors import finish_monitors
 from repro.sim.engine import ms
 from repro.substrate import CostModel
 from repro.workloads.closedloop import ClosedLoopClient
@@ -64,8 +65,7 @@ def point(spec: RunSpec, min_completions: int = 400,
     res = client.result()
     counters = system.substrate_counters()
     backend = system.substrate.backend if system.substrate else ""
-    violations = (engine.monitors.finish()
-                  if engine.monitors is not None else [])
+    violations = finish_monitors(engine)
     if collect is not None:
         # Host-cost side channel (Fig8Point itself is frozen: it is the
         # behavioral fingerprint recorded in BENCH_host_perf.json).

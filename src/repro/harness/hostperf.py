@@ -110,7 +110,7 @@ FARM_PARALLEL_MIN_SPEEDUP = 3.0
 #: Worst acceptable wall-clock ratio (monitors on / monitors off) for
 #: the rdma reference point with ``check_invariants`` set.  The
 #: monitors subscribe to protocol-emitted safety events (``engine.
-#: monitors`` gates every emission site, so "off" costs one attribute
+#: probe`` gates every emission site, so "off" costs one attribute
 #: load per site); "on" pays event construction plus the incremental
 #: invariant checks.  The reference point is a monitor-density worst
 #: case — ~37k safety events against ~74k simulator events, about 2 us

@@ -136,10 +136,10 @@ class RunSpec:
 
     def make_engine(self) -> Any:
         """A fresh :class:`~repro.sim.engine.Engine` for this run, with a
-        :class:`~repro.obs.spans.SpanRecorder` attached as ``engine.obs``
-        when ``capture_spans`` is set and a
-        :class:`~repro.monitors.MonitorRegistry` attached as
-        ``engine.monitors`` when ``check_invariants`` is set."""
+        :class:`~repro.obs.spans.SpanRecorder` subscribed to
+        ``engine.probe`` when ``capture_spans`` is set and a
+        :class:`~repro.monitors.MonitorRegistry` when
+        ``check_invariants`` is set."""
         from repro.sim.engine import Engine
 
         engine = Engine(seed=self.seed)

@@ -30,6 +30,7 @@ from typing import Optional
 
 from repro.core.cluster import AcuerdoCluster
 from repro.harness.runspec import RunSpec
+from repro.monitors import finish_monitors
 from repro.sim.engine import ms, us
 from repro.workloads.openloop import OpenLoopClient
 
@@ -87,10 +88,11 @@ def elections(spec: RunSpec, kills: int = 6,
     engine.run(until=engine.now + ms(2 * kill_period_ms))
     client.stop()
 
-    if engine.monitors is not None:
-        # Election churn is exactly what the safety monitors exist to
-        # audit; a check_invariants spec makes the run self-verifying.
-        engine.monitors.check()
+    # Election churn is exactly what the safety monitors exist to
+    # audit; a check_invariants spec makes the run self-verifying.
+    violations = finish_monitors(engine)
+    if violations:
+        raise AssertionError("\n".join(str(v) for v in violations))
     durations_ns = engine.trace.series("acuerdo.election_duration_ns")
     return [d / 1e6 for d in durations_ns]
 

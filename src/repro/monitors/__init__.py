@@ -10,8 +10,9 @@ that evaluate during any run:
 - protocols emit a small vocabulary of **normalized monitor events**
   (``leader``, ``accept``/``accept_one``/``accept_trunc``, ``commit``,
   ``deliver``, ``slot_bind``/``slot_release``) through
-  ``engine.monitors`` — the same is-None-gated hook pattern as
-  ``engine.obs``, so runs without monitors stay bit-identical;
+  ``engine.probe.note`` — the engine's one observation attachment,
+  loaded and None-tested once per hook site, so runs with nothing
+  attached stay bit-identical;
 - a :class:`MonitorRegistry` demultiplexes events per consensus group
   (sharded deployments get per-group monitor instances for free) and
   feeds each registered :class:`Monitor`;
@@ -19,7 +20,8 @@ that evaluate during any run:
   time, shard, protocol and the witness events, surfaced through the
   :class:`~repro.obs.metrics.MetricsRegistry` as
   ``monitor.<name>.violations`` and through CLI exit codes
-  (``--check-invariants``).
+  (``--check-invariants``); :func:`finish_monitors` is the end-of-run
+  reader, empty when no registry is attached.
 
 Enable per run with ``RunSpec(check_invariants=True)`` or the
 ``--check-invariants`` CLI flag.
@@ -32,6 +34,7 @@ from repro.monitors.registry import (
     MonitorEvent,
     MonitorRegistry,
     Violation,
+    finish_monitors,
 )
 from repro.monitors.invariants import (
     CommitQuorumAccept,
@@ -53,4 +56,5 @@ __all__ = [
     "SlotReuseSafety",
     "SstMonotonic",
     "Violation",
+    "finish_monitors",
 ]

@@ -1,17 +1,18 @@
 """Monitor API: events, violations, the per-group registry.
 
-The registry attaches as ``engine.monitors`` (parallel to the span
-recorder's ``engine.obs``) and every emission site in the simulator is
-gated by ``engine.monitors is not None`` — a run without monitors
-executes no monitor code at all, which is what keeps the golden trace
-fingerprints bit-identical and the monitors-off overhead at zero.
+The registry subscribes to the engine's one observation attachment,
+``engine.probe``, next to the span recorder, and every emission site in
+the simulator is gated by ``engine.probe is not None`` — a run with
+nothing attached executes no monitor code at all, which is what keeps
+the golden trace fingerprints bit-identical and the monitors-off
+overhead at zero.
 
 Event flow::
 
-    protocol hook --. note(system, kind, ...) .--> MonitorRegistry
-    SpanRecorder --- on_span(finished span) ----->    | per-group demux
-                                                      v
-                                            Monitor.on_mark / on_span
+    hook site --> probe.note(system, kind, ...) --> MonitorRegistry
+                                                      | per-group,
+                                                      v per-kind demux
+                                                 Monitor.on_mark
 
 Normalized event vocabulary (the cross-protocol contract):
 
@@ -111,11 +112,10 @@ class Violation:
 class Monitor:
     """Base class for online safety monitors.
 
-    Subclasses implement any of :meth:`on_mark` (normalized protocol
-    events), :meth:`on_span` (finished message spans from the
-    ``repro.obs`` stream) and :meth:`on_finish` (end-of-run checks),
-    and call :meth:`report` when an invariant breaks.  One instance
-    exists per (monitor class, consensus group) pair.
+    Subclasses implement :meth:`on_mark` (normalized protocol events)
+    and/or :meth:`on_finish` (end-of-run checks), and call
+    :meth:`report` when an invariant breaks.  One instance exists per
+    (monitor class, consensus group) pair.
     """
 
     #: metrics/violation namespace; subclasses override.
@@ -141,10 +141,6 @@ class Monitor:
     def on_mark(self, ev: MonitorEvent) -> None:
         """One normalized protocol event for this monitor's group."""
 
-    def on_span(self, span: Any) -> None:
-        """One finished :class:`~repro.obs.spans.MessageSpan` for this
-        monitor's group."""
-
     def on_finish(self) -> None:
         """End of run (registry ``finish()``): check closing invariants."""
 
@@ -165,16 +161,12 @@ class _Group:
     """Per-consensus-group monitor instances, with per-kind dispatch
     lists (built lazily: the kind vocabulary is tiny and fixed)."""
 
-    __slots__ = ("ctx", "monitors", "handlers", "span_handlers")
+    __slots__ = ("ctx", "monitors", "handlers")
 
     def __init__(self, ctx: GroupContext, monitors: list[Monitor]):
         self.ctx = ctx
         self.monitors = monitors
         self.handlers: dict[str, list] = {}
-        # Only monitors that *override* on_span get span deliveries; the
-        # default set has none, so the per-span path short-circuits.
-        self.span_handlers = [m.on_span for m in monitors
-                              if type(m).on_span is not Monitor.on_span]
         for m in monitors:
             m.bind_group(monitors)
 
@@ -188,12 +180,12 @@ class _Group:
 class MonitorRegistry:
     """Owns the monitor instances and demultiplexes the event stream.
 
-    Attach with ``MonitorRegistry(engine)`` (sets ``engine.monitors``);
-    detach by setting ``engine.monitors = None``.  Each consensus group
-    registers itself at construction (``BroadcastSystem.__init__``) and
-    gets its own instance of every monitor class in ``factories`` —
-    sharded deployments therefore monitor each shard independently, for
-    free.
+    Attach with ``MonitorRegistry(engine)``, which subscribes it to
+    ``engine.probe``; ``engine.probe = None`` detaches every observer.
+    Each consensus group registers itself at construction
+    (``BroadcastSystem.__init__``) and gets its own instance of every
+    monitor class in ``factories`` — sharded deployments therefore
+    monitor each shard independently, for free.
     """
 
     def __init__(self, engine: Any = None,
@@ -204,12 +196,9 @@ class MonitorRegistry:
         self.groups: dict[Optional[int], _Group] = {}
         self.violations: list[Violation] = []
         self.events_seen = 0
-        #: True once any registered monitor overrides ``on_span``; while
-        #: False, :meth:`on_span` returns before parsing the label.
-        self.spans_wanted = False
         self._finished = False
         if engine is not None:
-            engine.monitors = self
+            engine.attach(registry=self)
 
     # ---------------------------------------------------------------- wiring
 
@@ -233,8 +222,6 @@ class MonitorRegistry:
             ctx = GroupContext(group=group, protocol=protocol, n=n)
             g = _Group(ctx, [make(self, ctx) for make in self.factories])
             self.groups[group] = g
-            if g.span_handlers:
-                self.spans_wanted = True
         return g
 
     # ------------------------------------------------------------- ingestion
@@ -288,25 +275,6 @@ class MonitorRegistry:
             h(ev)
         return ev
 
-    def on_span(self, span: Any) -> None:
-        """A finished message span (forwarded by
-        :meth:`~repro.obs.spans.SpanRecorder.finish`).  Routed to the
-        span's group by its ``shard.<g>.`` label prefix.  Free when no
-        registered monitor overrides ``on_span`` (the default set)."""
-        if not self.spans_wanted:
-            return
-        group: Optional[int] = None
-        label = span.label
-        if label.startswith("shard."):
-            head = label.split(".", 2)[1]
-            if head.isdigit():
-                group = int(head)
-        g = self.groups.get(group)
-        if g is None:
-            return
-        for h in g.span_handlers:
-            h(span)
-
     # ---------------------------------------------------------------- output
 
     def finish(self, metrics: Any = None) -> list[Violation]:
@@ -339,6 +307,13 @@ class MonitorRegistry:
             lines = "\n".join(str(v) for v in self.violations)
             raise AssertionError(
                 f"{len(self.violations)} safety violation(s):\n{lines}")
+
+
+def finish_monitors(engine: Any, metrics: Any = None) -> list[Violation]:
+    """The end-of-run reader: :meth:`MonitorRegistry.finish` of the
+    registry attached to ``engine``, or ``[]`` when none is."""
+    registry = engine.monitors
+    return registry.finish(metrics) if registry is not None else []
 
 
 # Imported late to avoid a cycle (invariants imports Monitor from here).

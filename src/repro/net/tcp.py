@@ -118,14 +118,14 @@ class TcpEndpoint(Endpoint):
         now = self.engine.now
         recv_cpu_ns = self._recv_cpu_ns
         inbox = self.inbox
-        obs = self.engine.obs
+        probe = self.engine.probe
         while inbox and (max_batch is None or len(out) < max_batch):
             src, payload, _size = inbox.popleft()
             out.append((src, payload))
             self.received += 1
             charge(recv_cpu_ns)
-            if obs is not None:
-                obs.mark(payload, "poll_notice", now)
+            if probe is not None:
+                probe.mark(payload, "poll_notice", now)
         return out
 
 
@@ -194,12 +194,12 @@ class TcpNetwork(Substrate):
         self._last_delivery[key] = deliver_at
         self.engine.schedule_at(deliver_at, self._deliver, dst, src, payload,
                                 size_bytes, self.engine.now)
-        obs = self.engine.obs
-        if obs is not None:
+        probe = self.engine.probe
+        if probe is not None:
             # Span milestones for traced carriers (dict miss otherwise).
-            obs.mark(payload, "nic_tx", tx_done)
-            obs.mark(payload, "wire", tx_done + p.propagation_ns)
-            obs.mark(payload, "deposit", deliver_at)
+            probe.mark(payload, "nic_tx", tx_done)
+            probe.mark(payload, "wire", tx_done + p.propagation_ns)
+            probe.mark(payload, "deposit", deliver_at)
 
     # The inherited loop over send(), bound in this class's namespace
     # because bench/hosttrace.py wraps ``broadcast`` here by name.

@@ -8,8 +8,8 @@ This package makes it so:
 - :mod:`repro.obs.spans` — :class:`SpanRecorder`, the per-message span
   tree recorded in sim-ns.  Instrumentation hooks throughout the stack
   (``sim.process``, ``rdma.nic``/``rdma.qp``, ``net.tcp``, every
-  protocol node) report milestones to ``engine.obs``; the recorder turns
-  them into contiguous phase segments whose durations sum *exactly* to
+  protocol node) report milestones through ``engine.probe``; the
+  recorder turns them into contiguous phase segments whose durations sum *exactly* to
   the message's delivery latency.
 - :mod:`repro.obs.metrics` — :class:`MetricsRegistry`, the one naming
   scheme for ``Tracer`` counters, sample summaries and
@@ -23,10 +23,11 @@ This package makes it so:
   :class:`~repro.harness.runspec.RunSpec`, run it with spans on, return
   spans + metrics ready for export.
 
-Zero-cost-when-off guarantee: every hook in the simulator is gated by
-``engine.obs is not None``.  With ``capture_spans=False`` no recorder is
-attached, no counter or sample is recorded, and no RNG stream is
-touched, so the golden per-protocol trace fingerprints
+One attachment, one gate: :class:`SpanRecorder` and the monitor
+registry subscribe to the engine's one observation slot,
+``engine.probe``, and every hook in the simulator loads it once and is
+gated by ``probe is not None``.  With nothing attached no counter or
+sample is recorded and no RNG stream is touched, so the golden per-protocol trace fingerprints
 (``tests/substrate/test_golden_fingerprints.py``) stay bit-identical.
 """
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional
 
+from repro.monitors import finish_monitors
 from repro.obs.export import chrome_trace, timeline
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import MessageSpan, SpanRecorder
@@ -118,8 +119,7 @@ def capture_run(spec: Any, *, min_completions: Optional[int] = None,
     metrics.ingest_engine(engine)
     if getattr(system, "substrate", None) is not None:
         metrics.ingest_substrate(system.substrate)
-    violations = (tuple(engine.monitors.finish(metrics))
-                  if engine.monitors is not None else ())
+    violations = tuple(finish_monitors(engine, metrics))
     return CaptureResult(spec=spec, recorder=engine.obs, metrics=metrics,
                          result=result, violations=violations)
 
@@ -147,7 +147,6 @@ def _capture_sharded(spec: Any) -> CaptureResult:
     metrics.ingest_tracer(engine.trace)
     metrics.ingest_engine(engine)
     dep.metrics(metrics)
-    violations = (tuple(engine.monitors.finish(metrics))
-                  if engine.monitors is not None else ())
+    violations = tuple(finish_monitors(engine, metrics))
     return CaptureResult(spec=spec, recorder=engine.obs, metrics=metrics,
                          result=None, violations=violations)

@@ -26,9 +26,10 @@ to the payload's record; marks against either object land on the same
 span.  Marks for unbound objects (SST rows, heartbeats, acks) are
 dropped in O(1) — a dict miss.
 
-The recorder attaches as ``engine.obs``; every hook in the simulator is
-gated by ``engine.obs is not None`` so that runs without a recorder are
-bit-identical to the pre-observability tree (see package docstring).
+The recorder subscribes to the engine's one observation attachment,
+``engine.probe``; every hook in the simulator is gated by ``engine.probe
+is not None``, so runs with nothing attached are bit-identical to the
+pre-observability tree (see package docstring).
 """
 
 from __future__ import annotations
@@ -116,9 +117,10 @@ class _OpenSpan:
 class SpanRecorder:
     """Collects message spans plus NIC/process side-tracks.
 
-    Attach with ``SpanRecorder(engine)`` (sets ``engine.obs``); detach
-    by setting ``engine.obs = None``.  All methods called from hot
-    simulator paths (:meth:`mark` above all) are dict operations only.
+    Attach with ``SpanRecorder(engine)``, which subscribes it to
+    ``engine.probe``; ``engine.probe = None`` detaches every observer.
+    All methods called from hot simulator paths (:meth:`mark` above
+    all) are dict operations only.
     """
 
     #: side-track event cap — a runaway capture degrades to dropping
@@ -126,7 +128,6 @@ class SpanRecorder:
     MAX_SIDE_EVENTS = 200_000
 
     def __init__(self, engine: Any = None, tracer: Any = None):
-        self.engine = engine
         self.tracer = tracer if tracer is not None else (
             engine.trace if engine is not None else None)
         self.messages: list[MessageSpan] = []
@@ -138,7 +139,7 @@ class SpanRecorder:
         self._open: dict[int, _OpenSpan] = {}
         self._next_id = 0
         if engine is not None:
-            engine.obs = self
+            engine.attach(recorder=self)
 
     # ------------------------------------------------------------ span API
 
@@ -218,12 +219,6 @@ class SpanRecorder:
         if self.tracer is not None:
             self.tracer.count("obs.messages_traced")
             self.tracer.sample("obs.delivery_latency_ns", end - t0)
-        if self.engine is not None:
-            monitors = self.engine.monitors
-            if monitors is not None:
-                # Online monitors subscribe to the finished-span stream
-                # (routed per shard by the span label).
-                monitors.on_span(span)
         return span
 
     def discard(self, payload: Any) -> None:

@@ -125,7 +125,7 @@ class ApusNode(Replica):
             start = len(self.log)
             size_total = 0
             entries = []
-            obs = self.engine.obs
+            probe = self.engine.probe
             for _ in range(take):
                 payload, size, cb = self.pending.pop(0)
                 if cb is not None:
@@ -134,20 +134,18 @@ class ApusNode(Replica):
                 entries.append((payload, size))
                 size_total += size
                 self.cpu.charge(self.cfg.paxos_cpu_ns)
-                if obs is not None:
-                    obs.mark(payload, "propose", self.engine.now)
+                if probe is not None:
+                    probe.mark(payload, "propose", self.engine.now)
             end = len(self.log)
             self.batch_in_flight = (start, end)
-            monitors = self.engine.monitors
-            if monitors is not None:
+            batch = tuple(entries)
+            if probe is not None:
                 # The leader's own log append counts toward the batch's
                 # quorum (the "acked = 1  # self" below).
-                monitors.note(self.cluster, "accept", self.node_id, slot=end)
-            batch = tuple(entries)
-            if obs is not None:
+                probe.note(self.cluster, "accept", self.node_id, slot=end)
                 # The batch tuple is the wire carrier; substrate marks
                 # (nic_tx/wire/deposit) attribute to its lead message.
-                obs.bind(batch, entries[0][0])
+                probe.bind(batch, entries[0][0])
             # One-sided write of the batch into each acceptor's log,
             # posted once the per-instance CPU work rings the doorbell.
             for p in c.node_ids:
@@ -170,30 +168,29 @@ class ApusNode(Replica):
         c = self.cluster
         inbox = c.log_inboxes[self.node_id]
         progressed = False
-        obs = self.engine.obs
+        probe = self.engine.probe
         while inbox:
             (term, start), entries = inbox.pop(0)
             if term < self.term:
                 continue
             if term > self.term:
                 self.term = term
-            monitors = self.engine.monitors
-            if monitors is not None and start < len(self.log):
+            if probe is not None and start < len(self.log):
                 # A new leader's first batch overwrites the stale tail.
-                monitors.note(self.cluster, "accept_trunc", self.node_id,
-                              slot=start)
+                probe.note(self.cluster, "accept_trunc", self.node_id,
+                           slot=start)
             # Exclusive leader access: writes land at the stated offset.
             del self.log[start:]
             for payload, size in entries:
                 self.log.append((payload, size))
                 self.cpu.charge(self.cfg.accept_cpu_ns)
-                if obs is not None:
-                    obs.mark(payload, "accept", self.engine.now)
-            if monitors is not None:
+                if probe is not None:
+                    probe.mark(payload, "accept", self.engine.now)
+            if probe is not None:
                 # Accept at the CPU drain: APUS leaders count periodic
                 # acks derived from this frontier, not NIC completions.
-                monitors.note(self.cluster, "accept", self.node_id,
-                              slot=len(self.log))
+                probe.note(self.cluster, "accept", self.node_id,
+                           slot=len(self.log))
             progressed = True
         row = c.commit_sst.read(self.node_id, c.leader)
         if row is not None:
@@ -215,15 +212,13 @@ class ApusNode(Replica):
 
     def _deliver(self) -> None:
         limit = self.commit_index if self.is_leader else self.seen_commit
-        obs = self.engine.obs
-        monitors = self.engine.monitors
+        probe = self.engine.probe
         while self.cluster.delivered.get(self.node_id, 0) < limit:
             i = self.cluster.delivered.get(self.node_id, 0)
             payload, _size = self.log[i]
-            if monitors is not None:
-                monitors.note(self.cluster, "commit", self.node_id, slot=i + 1)
-            if obs is not None:
-                obs.mark(payload, "commit", self.engine.now)
+            if probe is not None:
+                probe.note(self.cluster, "commit", self.node_id, slot=i + 1)
+                probe.mark(payload, "commit", self.engine.now)
             self.cluster.record_delivery(self.node_id, payload)
             self.cluster.delivered[self.node_id] = i + 1
             self.cpu.charge(self.cfg.deliver_cpu_ns)
@@ -271,10 +266,10 @@ class ApusCluster(BroadcastSystem):
         self._failover_scheduled = False
 
     def start(self) -> None:
-        monitors = self.engine.monitors
-        if monitors is not None:
-            monitors.note(self, "leader", self.leader,
-                          term=self.nodes[self.leader].term)
+        probe = self.engine.probe
+        if probe is not None:
+            probe.note(self, "leader", self.leader,
+                       term=self.nodes[self.leader].term)
         super().start()
         self.engine.schedule(self.cfg.heartbeat_timeout_ns, self._watchdog)
 
@@ -298,12 +293,12 @@ class ApusCluster(BroadcastSystem):
                 nd.commit_index = max(nd.commit_index, self.nodes[donor].seen_commit)
                 nd.cpu.charge(self.cfg.state_transfer_ns_per_entry * max(1, len(transfer)))
                 nd.is_leader = True
-                monitors = self.engine.monitors
-                if monitors is not None:
-                    monitors.note(self, "leader", new, term=nd.term)
+                probe = self.engine.probe
+                if probe is not None:
+                    probe.note(self, "leader", new, term=nd.term)
                     # The adopted donor log raises the new leader's
                     # accepted frontier before it serves.
-                    monitors.note(self, "accept", new, slot=len(nd.log))
+                    probe.note(self, "accept", new, slot=len(nd.log))
                 nd.pending.extend(old_node.pending)
                 old_node.pending = []
                 nd.batch_in_flight = None

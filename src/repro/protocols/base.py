@@ -139,11 +139,11 @@ class BroadcastSystem(abc.ABC):
         #: callbacks ``(node_id, payload)`` invoked on every app-level
         #: delivery — the hook state-machine replication builds on.
         self.delivery_listeners: list[Callable[[int, Any], None]] = []
-        monitors = engine.monitors
-        if monitors is not None:
+        probe = engine.probe
+        if probe is not None:
             # Online safety monitors: each consensus group gets its own
             # monitor instances (per-shard for free under engine.scoped).
-            monitors.register_group(self)
+            probe.register_group(self)
 
     # ------------------------------------------------------------- lifecycle
 
@@ -187,16 +187,14 @@ class BroadcastSystem(abc.ABC):
 
     def record_delivery(self, node_id: int, payload: Any) -> None:
         self.deliveries.record(node_id, payload)
-        obs = self.engine.obs
-        if obs is not None:
+        probe = self.engine.probe
+        if probe is not None:
             # First app-level delivery closes the payload's span (later
-            # replicas' deliveries find no open record and are no-ops).
-            obs.finish(payload, self.engine.now)
-        monitors = self.engine.monitors
-        if monitors is not None:
-            # Normalized deliver event: LogPrefixAgreement checks every
-            # backend's total order through this one hook.
-            monitors.note(self, "deliver", node_id, key=payload)
+            # replicas' deliveries find no open record and are no-ops),
+            # and the normalized deliver event lets LogPrefixAgreement
+            # check every backend's total order through this one hook.
+            probe.finish(payload, self.engine.now)
+            probe.note(self, "deliver", node_id, key=payload)
         for listener in self.delivery_listeners:
             listener(node_id, payload)
 
@@ -206,11 +204,11 @@ class BroadcastSystem(abc.ABC):
         """Open a span for a client payload at submit time (no-op without
         an attached recorder).  ``submit()`` calls this on the
         accepted-for-broadcast path."""
-        obs = self.engine.obs
-        if obs is not None:
+        probe = self.engine.probe
+        if probe is not None:
             # begin() records the submit timestamp itself; the first
             # segment therefore starts at submit time by construction.
-            obs.begin(payload, self.engine.now, label=self.span_label)
+            probe.begin(payload, self.engine.now, label=self.span_label)
 
     @property
     def span_label(self) -> str:

@@ -87,10 +87,10 @@ class BrachaNode(Replica):
                     self._cbs[s] = cb
                 self.cpu.charge(self.cfg.request_cpu_ns)
                 msg = ("SEND", s, payload, size)
-                obs = self.engine.obs
-                if obs is not None:
-                    obs.bind(msg, payload)
-                    obs.mark(payload, "propose", self.engine.now)
+                probe = self.engine.probe
+                if probe is not None:
+                    probe.bind(msg, payload)
+                    probe.mark(payload, "propose", self.engine.now)
                 self._bcast(msg, size)
                 self._on_send(s, payload, size)
                 self.engine.trace.count("bracha.send")
@@ -112,11 +112,11 @@ class BrachaNode(Replica):
             return
         self._echoed.add(s)
         self.cpu.charge(self.cfg.echo_cpu_ns)
-        monitors = self.engine.monitors
-        if monitors is not None:
+        probe = self.engine.probe
+        if probe is not None:
             # Echoing is this node's per-slot acceptance vote for v.
-            monitors.note(self.cluster, "accept_one", self.node_id,
-                          slot=s, key=v)
+            probe.note(self.cluster, "accept_one", self.node_id,
+                       slot=s, key=v)
         self._bcast(("ECHO", s, v, size), size)
         self._on_echo(self.node_id, s, v, size)
 
@@ -139,25 +139,25 @@ class BrachaNode(Replica):
     def _send_ready(self, s: int, v: Any, size: int) -> None:
         self._readied.add(s)
         self.cpu.charge(self.cfg.echo_cpu_ns)
-        monitors = self.engine.monitors
-        if monitors is not None:
+        probe = self.engine.probe
+        if probe is not None:
             # The ready vote re-asserts acceptance of v for slot s (the
             # per-node sets in the quorum monitor collapse the repeat).
-            monitors.note(self.cluster, "accept_one", self.node_id,
-                          slot=s, key=v)
+            probe.note(self.cluster, "accept_one", self.node_id,
+                       slot=s, key=v)
         self._bcast(("READY", s, v, size), size)
         self._on_ready(self.node_id, s, v, size)
 
     def _drain(self) -> None:
-        monitors = self.engine.monitors
+        probe = self.engine.probe
         sequencer = self.node_id == self.cluster.sequencer
         while self.next_deliver in self._buffer:
             s = self.next_deliver
             v = self._buffer.pop(s)
             self.next_deliver += 1
-            if monitors is not None:
-                monitors.note(self.cluster, "commit", self.node_id,
-                              slot=s, key=v)
+            if probe is not None:
+                probe.note(self.cluster, "commit", self.node_id,
+                           slot=s, key=v)
             self.cluster.record_delivery(self.node_id, v)
             if sequencer:
                 cb = self._cbs.pop(s, None)

@@ -140,9 +140,9 @@ class DareNode(Replica):
     def become_leader(self, term: int) -> None:
         self.is_leader = True
         self.term = term
-        monitors = self.engine.monitors
-        if monitors is not None:
-            monitors.note(self.cluster, "leader", self.node_id, term=term)
+        probe = self.engine.probe
+        if probe is not None:
+            probe.note(self.cluster, "leader", self.node_id, term=term)
         peers = [p for p in self.cluster.node_ids if p != self.node_id]
         self._chain_next = {p: min(self._acked.get(p, 0), len(self.log)) for p in peers}
         self._chain_phase = {}
@@ -150,8 +150,7 @@ class DareNode(Replica):
         self.engine.trace.count("dare.elected")
 
     def _advance_chains(self) -> None:
-        obs = self.engine.obs
-        monitors = self.engine.monitors
+        probe = self.engine.probe
         # Pull pending client payloads into the local log first.
         while self.pending:
             payload, size, cb = self.pending.pop(0)
@@ -159,13 +158,12 @@ class DareNode(Replica):
                 self._cbs[len(self.log)] = cb
             self.log.append((payload, size))
             self.cpu.charge(self.cfg.entry_cpu_ns)
-            if monitors is not None:
+            if probe is not None:
                 # The leader's local append counts toward the quorum
                 # (the len(self.log) term in _advance_commit).
-                monitors.note(self.cluster, "accept", self.node_id,
-                              slot=len(self.log))
-            if obs is not None:
-                obs.mark(payload, "propose", self.engine.now)
+                probe.note(self.cluster, "accept", self.node_id,
+                           slot=len(self.log))
+                probe.mark(payload, "propose", self.engine.now)
         # Per-follower chains: entry write -> completion -> valid write
         # -> completion -> next entry.  The fine-grained completion
         # discipline of §5, pipelined at most max_inflight deep.
@@ -180,9 +178,9 @@ class DareNode(Replica):
             region, rkey = self.cluster.log_regions[p]
             self._chain_phase[p] = ("entry", nxt)
             val = (payload, size)
-            if obs is not None:
+            if probe is not None:
                 # Each entry write is a wire carrier for its payload.
-                obs.bind(val, payload)
+                probe.bind(val, payload)
             self.cluster.fabric.write(
                 self.node_id, p, region, rkey, ("entry", self.term, nxt),
                 val, size, signaled=True,
@@ -227,7 +225,7 @@ class DareNode(Replica):
 
     def _acceptor_step(self) -> None:
         inbox = self.cluster.log_inboxes[self.node_id]
-        obs = self.engine.obs
+        probe = self.engine.probe
         while inbox:
             key, value = inbox.pop(0)
             kind, term, idx = key
@@ -236,8 +234,8 @@ class DareNode(Replica):
             self.term = max(self.term, term)
             if kind == "entry":
                 payload, size = value
-                if obs is not None:
-                    obs.mark(payload, "accept", self.engine.now)
+                if probe is not None:
+                    probe.mark(payload, "accept", self.engine.now)
                 while len(self.log) < idx:
                     self.log.append((None, 0))
                 if idx < len(self.log):
@@ -258,16 +256,15 @@ class DareNode(Replica):
     def _deliver(self) -> None:
         limit = self.commit_index if self.is_leader else self.seen_commit
         delivered = self.cluster.delivered.setdefault(self.node_id, 0)
-        obs = self.engine.obs
-        monitors = self.engine.monitors
+        probe = self.engine.probe
         while delivered < limit:
             payload, _size = self.log[delivered]
-            if monitors is not None:
-                monitors.note(self.cluster, "commit", self.node_id,
-                              slot=delivered + 1)
+            if probe is not None:
+                # A None (gap) payload has no span: its mark is a miss.
+                probe.note(self.cluster, "commit", self.node_id,
+                           slot=delivered + 1)
+                probe.mark(payload, "commit", self.engine.now)
             if payload is not None:
-                if obs is not None:
-                    obs.mark(payload, "commit", self.engine.now)
                 self.cluster.record_delivery(self.node_id, payload)
             cb = self._cbs.pop(delivered, None)
             if cb is not None:
@@ -320,12 +317,12 @@ class DareCluster(BroadcastSystem):
     def _log_deposit(self, i: int, key: Any, value: Any) -> None:
         self.log_inboxes[i].append((key, value))
         if key[0] == "valid":
-            monitors = self.engine.monitors
-            if monitors is not None:
+            probe = self.engine.probe
+            if probe is not None:
                 # The entry became durable-and-valid at node i; the
                 # leader's commit counts the completion of exactly this
                 # write, ahead of any follower CPU drain.
-                monitors.note(self, "accept", i, slot=key[2] + 1)
+                probe.note(self, "accept", i, slot=key[2] + 1)
 
     def start(self) -> None:
         self.nodes[0].become_leader(term=1)

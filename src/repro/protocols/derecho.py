@@ -242,14 +242,13 @@ class DerechoNode(Replica):
             return
         ring = self.cluster.rings[self.node_id]
         budget = self.cfg.max_broadcasts_per_poll
-        obs = self.engine.obs
-        monitors = self.engine.monitors
-        if (monitors is not None and self.cfg.mode == "leader"
+        probe = self.engine.probe
+        if (probe is not None and self.cfg.mode == "leader"
                 and self.view > self._mon_claimed_view):
             # Leader mode has exactly one sender per view; claiming the
             # view as a term lets SingleLeaderPerTerm catch split views.
             self._mon_claimed_view = self.view
-            monitors.note(self.cluster, "leader", self.node_id, term=self.view)
+            probe.note(self.cluster, "leader", self.node_id, term=self.view)
         k = len(self.senders)
         my_idx = self.senders.index(self.node_id)
         while self.pending and budget > 0:
@@ -260,8 +259,8 @@ class DerechoNode(Replica):
                 self.engine.trace.count("derecho.ring_full")
                 return
             self.cpu.charge(self.cfg.broadcast_cpu_ns)
-            if obs is not None:
-                obs.mark(payload, "propose", self.engine.now)
+            if probe is not None:
+                probe.mark(payload, "propose", self.engine.now)
             thr = self.cfg.rdmc_threshold_bytes
             if thr is not None and size >= thr and len(self.members) > 2:
                 # RDMC: tiny marker through the ring, payload over the
@@ -274,19 +273,19 @@ class DerechoNode(Replica):
                 self.engine.trace.count("derecho.rdmc_send")
             else:
                 msg = (self.view, self.sent_rounds, payload)
-                if obs is not None:
+                if probe is not None:
                     # The ring message tuple is the wire carrier.
-                    obs.bind(msg, payload)
+                    probe.bind(msg, payload)
                 seq = ring.try_send(msg, size,
                                     earliest_ns=self.cpu.busy_until)
             self.pending.pop(0)
             self._round_seq[self.sent_rounds] = seq
-            if monitors is not None:
+            if probe is not None:
                 # Global round-robin index; views restart it, so the
                 # monitor slot is the (view, index) pair.
-                monitors.note(self.cluster, "slot_bind", self.node_id,
-                              slot=(self.view, self.sent_rounds * k + my_idx),
-                              key=payload, seq=seq, extra=ring.capacity)
+                probe.note(self.cluster, "slot_bind", self.node_id,
+                           slot=(self.view, self.sent_rounds * k + my_idx),
+                           key=payload, seq=seq, extra=ring.capacity)
             if cb is not None:
                 self._cbs[self.sent_rounds] = cb
             self.sent_rounds += 1
@@ -300,10 +299,10 @@ class DerechoNode(Replica):
                 if seq is None:
                     return
                 self._round_seq[self.sent_rounds] = seq
-                if monitors is not None:
+                if probe is not None:
                     # Null filler: slot=None, no reuse-safety obligation.
-                    monitors.note(self.cluster, "slot_bind", self.node_id,
-                                  seq=seq, extra=ring.capacity)
+                    probe.note(self.cluster, "slot_bind", self.node_id,
+                               seq=seq, extra=ring.capacity)
                 self.sent_rounds += 1
                 self.engine.trace.count("derecho.null_send")
 
@@ -380,12 +379,10 @@ class DerechoNode(Replica):
             payload, _sz = entry
             self._store_put(sender, rnd, payload)
             self.cpu.charge(self.cfg.accept_cpu_ns)
-            obs = self.engine.obs
-            if obs is not None:
-                obs.mark(payload, "accept", self.engine.now)
-            monitors = self.engine.monitors
-            if monitors is not None:
-                monitors.note(
+            probe = self.engine.probe
+            if probe is not None:
+                probe.mark(payload, "accept", self.engine.now)
+                probe.note(
                     self.cluster, "accept_one", self.node_id,
                     slot=(view, rnd * len(self.senders) + self.senders.index(sender)),
                     key=payload)
@@ -395,8 +392,7 @@ class DerechoNode(Replica):
 
     def _drain_rings(self) -> bool:
         got = False
-        obs = self.engine.obs
-        monitors = self.engine.monitors
+        probe = self.engine.probe
         k = len(self.senders)
         for si, s in enumerate(self.senders):
             ring = self.cluster.rings.get(s)
@@ -418,12 +414,10 @@ class DerechoNode(Replica):
                     continue
                 self._store_put(s, rnd, payload)
                 self.cpu.charge(self.cfg.accept_cpu_ns)
-                if payload is not NULL:
-                    if obs is not None:
-                        obs.mark(payload, "accept", self.engine.now)
-                    if monitors is not None:
-                        monitors.note(self.cluster, "accept_one", self.node_id,
-                                      slot=(view, rnd * k + si), key=payload)
+                if payload is not NULL and probe is not None:
+                    probe.mark(payload, "accept", self.engine.now)
+                    probe.note(self.cluster, "accept_one", self.node_id,
+                               slot=(view, rnd * k + si), key=payload)
                 got = True
         if got:
             self._push_received()
@@ -474,8 +468,7 @@ class DerechoNode(Replica):
         mins = self._min_received()
         k = len(self.senders)
         progressed = False
-        obs = self.engine.obs
-        monitors = self.engine.monitors
+        probe = self.engine.probe
         while True:
             g = self.delivered_upto
             s = self.senders[g % k]
@@ -491,11 +484,10 @@ class DerechoNode(Replica):
             progressed = True
             self.cpu.charge(self.cfg.deliver_cpu_ns)
             if payload is not NULL and payload is not None:
-                if obs is not None:
-                    obs.mark(payload, "commit", self.engine.now)
-                if monitors is not None:
-                    monitors.note(self.cluster, "commit", self.node_id,
-                                  slot=(self.view, g), key=payload)
+                if probe is not None:
+                    probe.mark(payload, "commit", self.engine.now)
+                    probe.note(self.cluster, "commit", self.node_id,
+                               slot=(self.view, g), key=payload)
                 self.cluster.record_delivery(self.node_id, payload)
             if s == self.node_id:
                 cb = self._cbs.pop(rnd, None)
@@ -525,13 +517,13 @@ class DerechoNode(Replica):
                 ring = self.cluster.rings[self.node_id]
                 for m in self.members:
                     ring.mark_released(m, seq + 1)
-                monitors = self.engine.monitors
-                if monitors is not None:
+                probe = self.engine.probe
+                if probe is not None:
                     floor = ring.released_floor()
                     if floor > self._mon_floor:
                         self._mon_floor = floor
-                        monitors.note(self.cluster, "slot_release",
-                                      self.node_id, seq=floor)
+                        probe.note(self.cluster, "slot_release",
+                                   self.node_id, seq=floor)
 
     # ------------------------------------------------------------ view change
 

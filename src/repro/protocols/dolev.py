@@ -96,10 +96,10 @@ class DolevNode(Replica):
                     self._cbs[s] = cb
                 self.cpu.charge(self.cfg.request_cpu_ns)
                 msg = ("MSG", s, payload, size, ())
-                obs = self.engine.obs
-                if obs is not None:
-                    obs.bind(msg, payload)
-                    obs.mark(payload, "propose", self.engine.now)
+                probe = self.engine.probe
+                if probe is not None:
+                    probe.bind(msg, payload)
+                    probe.mark(payload, "propose", self.engine.now)
                 self._bcast(msg, self._msg_bytes(size, 0))
                 self._accept(s, payload)       # source trusts itself
                 self.engine.trace.count("dolev.send")

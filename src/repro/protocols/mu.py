@@ -116,29 +116,27 @@ class MuNode(Replica):
     def become_leader(self, term: int) -> None:
         self.is_leader = True
         self.term = term
-        monitors = self.engine.monitors
-        if monitors is not None:
-            monitors.note(self.cluster, "leader", self.node_id, term=term)
+        probe = self.engine.probe
+        if probe is not None:
+            probe.note(self.cluster, "leader", self.node_id, term=term)
         peers = [p for p in self.cluster.node_ids if p != self.node_id]
         self._next_write = {p: len(self.log) for p in peers}
         self._acks = {}
 
     def _replicate(self) -> None:
-        obs = self.engine.obs
-        monitors = self.engine.monitors
+        probe = self.engine.probe
         while self.pending:
             payload, size, cb = self.pending.pop(0)
             if cb is not None:
                 self._cbs[len(self.log)] = cb
             self.log.append((payload, size))
             self.cpu.charge(self.cfg.entry_cpu_ns)
-            if monitors is not None:
+            if probe is not None:
                 # The leader's local append is its own acceptance (the
                 # "+ 1" in the quorum count below).
-                monitors.note(self.cluster, "accept", self.node_id,
-                              slot=len(self.log))
-            if obs is not None:
-                obs.mark(payload, "propose", self.engine.now)
+                probe.note(self.cluster, "accept", self.node_id,
+                           slot=len(self.log))
+                probe.mark(payload, "propose", self.engine.now)
         for p, nxt in self._next_write.items():
             if self.cluster.nodes[p].crashed:
                 continue
@@ -146,8 +144,8 @@ class MuNode(Replica):
                 payload, size = self.log[nxt]
                 region, rkey = self.cluster.log_regions[p]
                 val = (payload, size)
-                if obs is not None:
-                    obs.bind(val, payload)
+                if probe is not None:
+                    probe.bind(val, payload)
                 # ONE signaled write; its completion IS the acceptance.
                 self.cluster.fabric.write(
                     self.node_id, p, region, rkey, (self.term, nxt),
@@ -179,15 +177,15 @@ class MuNode(Replica):
 
     def _acceptor_step(self) -> None:
         inbox = self.cluster.log_inboxes[self.node_id]
-        obs = self.engine.obs
+        probe = self.engine.probe
         while inbox:
             (term, idx), value = inbox.pop(0)
             if term < self.term:
                 continue
             self.term = max(self.term, term)
             payload, size = value
-            if obs is not None:
-                obs.mark(payload, "accept", self.engine.now)
+            if probe is not None:
+                probe.mark(payload, "accept", self.engine.now)
             while len(self.log) < idx:
                 self.log.append((None, 0))
             if idx < len(self.log):
@@ -206,16 +204,15 @@ class MuNode(Replica):
     def _deliver(self) -> None:
         limit = self.commit_index if self.is_leader else self.seen_commit
         delivered = self.cluster.delivered.setdefault(self.node_id, 0)
-        obs = self.engine.obs
-        monitors = self.engine.monitors
+        probe = self.engine.probe
         while delivered < limit:
             payload, _size = self.log[delivered]
-            if monitors is not None:
-                monitors.note(self.cluster, "commit", self.node_id,
-                              slot=delivered + 1)
+            if probe is not None:
+                # A None (gap) payload has no span: its mark is a miss.
+                probe.note(self.cluster, "commit", self.node_id,
+                           slot=delivered + 1)
+                probe.mark(payload, "commit", self.engine.now)
             if payload is not None:
-                if obs is not None:
-                    obs.mark(payload, "commit", self.engine.now)
                 self.cluster.record_delivery(self.node_id, payload)
             cb = self._cbs.pop(delivered, None)
             if cb is not None:
@@ -263,13 +260,13 @@ class MuCluster(BroadcastSystem):
 
     def _log_deposit(self, i: int, key: Any, value: Any) -> None:
         self.log_inboxes[i].append((key, value))
-        monitors = self.engine.monitors
-        if monitors is not None:
+        probe = self.engine.probe
+        if probe is not None:
             # Completion-as-acknowledgment: the leader treats the NIC
             # completion of this deposit as node i's acceptance, so the
             # accept event belongs here — the follower's CPU drain can
             # run after the leader has already committed.
-            monitors.note(self, "accept", i, slot=key[1] + 1)
+            probe.note(self, "accept", i, slot=key[1] + 1)
 
     def start(self) -> None:
         self.nodes[0].become_leader(term=1)

@@ -131,11 +131,11 @@ class PaxosNode(Replica):
             self.open_instances.add(iid)
             self.cpu.charge(self.cfg.propose_cpu_ns)
             accept_msg = ("ACCEPT", self.ballot, iid, payload, size)
-            obs = self.engine.obs
-            if obs is not None:
+            probe = self.engine.probe
+            if probe is not None:
                 # The ACCEPT tuple is the wire carrier for this payload.
-                obs.bind(accept_msg, payload)
-                obs.mark(payload, "propose", self.engine.now)
+                probe.bind(accept_msg, payload)
+                probe.mark(payload, "propose", self.engine.now)
             self._bcast(accept_msg, size, include_self=True)
             self.engine.trace.count("paxos.propose")
         now = self.engine.now
@@ -156,12 +156,12 @@ class PaxosNode(Replica):
         self.is_proposer = True
         self.preparing = True
         self.ballot += len(self.cluster.node_ids)
-        monitors = self.engine.monitors
-        if monitors is not None:
+        probe = self.engine.probe
+        if probe is not None:
             # Ballot spaces are disjoint per node by construction; the
             # claim event still feeds the single-leader monitor.
-            monitors.note(self.cluster, "leader", self.node_id,
-                          term=self.ballot)
+            probe.note(self.cluster, "leader", self.node_id,
+                       term=self.ballot)
         self.next_iid = self.next_deliver
         self._prepare_promises = {}
         self.cpu.charge(self.cfg.prepare_cpu_ns)
@@ -178,15 +178,13 @@ class PaxosNode(Replica):
                 self.promised[iid] = ballot
                 self.accepted[iid] = (ballot, payload, size)
                 self.cpu.charge(self.cfg.accept_cpu_ns)
-                monitors = self.engine.monitors
-                if monitors is not None:
+                probe = self.engine.probe
+                if probe is not None:
                     # Per-instance accept with value identity: only
                     # same-value accepts may justify the commit.
-                    monitors.note(self.cluster, "accept_one", self.node_id,
-                                  slot=iid, key=payload)
-                obs = self.engine.obs
-                if obs is not None:
-                    obs.mark(msg, "accept", self.engine.now)
+                    probe.note(self.cluster, "accept_one", self.node_id,
+                               slot=iid, key=payload)
+                    probe.mark(msg, "accept", self.engine.now)
                 # Acceptors broadcast ACCEPTED to every learner.
                 self._bcast(("ACCEPTED", ballot, iid, payload, size), 24,
                             include_self=True)
@@ -240,15 +238,13 @@ class PaxosNode(Replica):
     # ---------------------------------------------------------------- learner
 
     def _deliver_ready(self) -> None:
-        obs = self.engine.obs
-        monitors = self.engine.monitors
+        probe = self.engine.probe
         while self.next_deliver in self.chosen:
             payload, _size = self.chosen[self.next_deliver]
-            if monitors is not None:
-                monitors.note(self.cluster, "commit", self.node_id,
-                              slot=self.next_deliver, key=payload)
-            if obs is not None:
-                obs.mark(payload, "commit", self.engine.now)
+            if probe is not None:
+                probe.note(self.cluster, "commit", self.node_id,
+                           slot=self.next_deliver, key=payload)
+                probe.mark(payload, "commit", self.engine.now)
             self.cluster.record_delivery(self.node_id, payload)
             if self.is_proposer:
                 cb = self._cbs.pop(self.next_deliver, None)
@@ -275,10 +271,10 @@ class PaxosCluster(BroadcastSystem):
                                             for i in self.node_ids}
 
     def start(self) -> None:
-        monitors = self.engine.monitors
-        if monitors is not None:
+        probe = self.engine.probe
+        if probe is not None:
             # Node 0 is the initial distinguished proposer at ballot 1.
-            monitors.note(self, "leader", 0, term=self.nodes[0].ballot)
+            probe.note(self, "leader", 0, term=self.nodes[0].ballot)
         super().start()
 
     def leader_id(self) -> Optional[int]:

@@ -126,9 +126,9 @@ class RaftNode(Replica):
 
     def _become_leader(self) -> None:
         self.state = self.LEADER
-        monitors = self.engine.monitors
-        if monitors is not None:
-            monitors.note(self.cluster, "leader", self.node_id, term=self.term)
+        probe = self.engine.probe
+        if probe is not None:
+            probe.note(self.cluster, "leader", self.node_id, term=self.term)
         n = len(self.log)
         self.next_index = {p: n for p in self.cluster.node_ids if p != self.node_id}
         self.match_index = {p: 0 for p in self.cluster.node_ids if p != self.node_id}
@@ -143,12 +143,12 @@ class RaftNode(Replica):
 
     def _leader_step(self) -> None:
         appended = False
-        obs = self.engine.obs
+        probe = self.engine.probe
         while self.pending:
             payload, size, cb = self.pending.pop(0)
             self.cpu.charge(self.cfg.request_cpu_ns)
-            if obs is not None:
-                obs.mark(payload, "propose", self.engine.now)
+            if probe is not None:
+                probe.mark(payload, "propose", self.engine.now)
             self.log.append((self.term, payload, size))
             if cb is not None:
                 self._cbs[len(self.log) - 1] = cb
@@ -167,11 +167,11 @@ class RaftNode(Replica):
         prev = self.durable_len
         self.durable_len = max(prev, min(upto, len(self.log)))
         if self.durable_len > prev:
-            monitors = self.engine.monitors
-            if monitors is not None:
+            probe = self.engine.probe
+            if probe is not None:
                 # Durable frontier = cumulative accept (1-based count).
-                monitors.note(self.cluster, "accept", self.node_id,
-                              slot=self.durable_len)
+                probe.note(self.cluster, "accept", self.node_id,
+                           slot=self.durable_len)
         self._advance_commit()
 
     def _replicate(self, force: bool) -> None:
@@ -203,16 +203,15 @@ class RaftNode(Replica):
             self._apply()
 
     def _apply(self) -> None:
-        obs = self.engine.obs
-        monitors = self.engine.monitors
+        probe = self.engine.probe
         while self.applied < self.commit_index:
             term, payload, _sz = self.log[self.applied]
-            if monitors is not None:
-                monitors.note(self.cluster, "commit", self.node_id,
-                              slot=self.applied + 1)
+            if probe is not None:
+                # The term-start no-op (payload None) marks nothing.
+                probe.note(self.cluster, "commit", self.node_id,
+                           slot=self.applied + 1)
+                probe.mark(payload, "commit", self.engine.now)
             if payload is not None:
-                if obs is not None:
-                    obs.mark(payload, "commit", self.engine.now)
                 self.cluster.record_delivery(self.node_id, payload)
             cb = self._cbs.pop(self.applied, None)
             if cb is not None:
@@ -224,10 +223,10 @@ class RaftNode(Replica):
         prev = self.durable_len
         self.durable_len = max(prev, min(upto, len(self.log)))
         if self.durable_len > prev:
-            monitors = self.engine.monitors
-            if monitors is not None:
-                monitors.note(self.cluster, "accept", self.node_id,
-                              slot=self.durable_len)
+            probe = self.engine.probe
+            if probe is not None:
+                probe.note(self.cluster, "accept", self.node_id,
+                           slot=self.durable_len)
         self._send(leader, ("APPEND_REP", self.term, True, self.durable_len), 16)
 
     # -------------------------------------------------------------- messages
@@ -270,20 +269,19 @@ class RaftNode(Replica):
             if entries:
                 del self.log[ni:]
                 self.log.extend(entries)
+                probe = self.engine.probe
                 if self.durable_len > ni:
                     # Conflicting suffix replaced: the durable frontier
                     # falls back to the append point.
                     self.durable_len = ni
-                    monitors = self.engine.monitors
-                    if monitors is not None:
-                        monitors.note(self.cluster, "accept_trunc",
-                                      self.node_id, slot=ni)
+                    if probe is not None:
+                        probe.note(self.cluster, "accept_trunc",
+                                   self.node_id, slot=ni)
                 self.cpu.charge(self.cfg.append_cpu_ns * len(entries))
-                obs = self.engine.obs
-                if obs is not None:
+                if probe is not None:
                     now = self.engine.now
                     for _t, payload, _sz in entries:
-                        obs.mark(payload, "accept", now)
+                        probe.mark(payload, "accept", now)
                 # etcd followers fsync before acknowledging.
                 end = len(self.log)
                 self.disk.append(lambda end=end, src=src:

@@ -195,22 +195,22 @@ class ZabNode(Replica):
                 self._cbs[zxid] = cb
             self.acks[zxid] = set()
             prop = ("PROPOSE", zxid, payload, size)
-            obs = self.engine.obs
-            if obs is not None:
+            probe = self.engine.probe
+            if probe is not None:
                 # The PROPOSE tuple is the wire carrier for this payload:
                 # bind it so tcp send/drain milestones attribute to the span.
-                obs.bind(prop, payload)
-                obs.mark(payload, "propose", self.engine.now)
+                probe.bind(prop, payload)
+                probe.mark(payload, "propose", self.engine.now)
             self._bcast(prop, size)
             self.disk.append(lambda zxid=zxid: self._on_self_durable(zxid))
             self.engine.trace.count("zab.propose")
 
     def _on_self_durable(self, zxid: tuple) -> None:
-        monitors = self.engine.monitors
-        if monitors is not None:
+        probe = self.engine.probe
+        if probe is not None:
             # Durable zxid frontier = cumulative accept (FIFO disk, so
             # these arrive in zxid order).
-            monitors.note(self.cluster, "accept", self.node_id, slot=zxid)
+            probe.note(self.cluster, "accept", self.node_id, slot=zxid)
         self._note_ack(zxid, self.node_id)
 
     def _note_ack(self, zxid: tuple, voter: int) -> None:
@@ -237,23 +237,21 @@ class ZabNode(Replica):
             self._deliver_upto(zxid)
 
     def _follower_durable(self, zxid: tuple, leader: int) -> None:
-        monitors = self.engine.monitors
-        if monitors is not None:
-            monitors.note(self.cluster, "accept", self.node_id, slot=zxid)
+        probe = self.engine.probe
+        if probe is not None:
+            probe.note(self.cluster, "accept", self.node_id, slot=zxid)
         self._send(leader, ("ACK", zxid), 16)
 
     def _deliver_upto(self, zxid: tuple) -> None:
-        obs = self.engine.obs
-        monitors = self.engine.monitors
+        probe = self.engine.probe
         while self.delivered_upto < len(self.log):
             z, payload, _sz = self.log[self.delivered_upto]
             if z > zxid:
                 break
             self.delivered_upto += 1
-            if monitors is not None:
-                monitors.note(self.cluster, "commit", self.node_id, slot=z)
-            if obs is not None:
-                obs.mark(payload, "commit", self.engine.now)
+            if probe is not None:
+                probe.note(self.cluster, "commit", self.node_id, slot=z)
+                probe.mark(payload, "commit", self.engine.now)
             self.cluster.record_delivery(self.node_id, payload)
             cb = self._cbs.pop(z, None)
             if cb is not None:
@@ -275,6 +273,7 @@ class ZabNode(Replica):
 
     def _dispatch(self, src: int, msg: tuple) -> None:
         kind = msg[0]
+        probe = self.engine.probe
         if self.state == self.LEADING:
             self._follower_seen[src] = self.engine.now
         if kind == "PROPOSE" and self.state == self.FOLLOWING:
@@ -283,9 +282,8 @@ class ZabNode(Replica):
                 self.epoch = zxid[0]
                 self.log.append((zxid, payload, size))
                 self.cpu.charge(self.cfg.ack_cpu_ns)
-                obs = self.engine.obs
-                if obs is not None:
-                    obs.mark(msg, "accept", self.engine.now)
+                if probe is not None:
+                    probe.mark(msg, "accept", self.engine.now)
                 self.disk.append(lambda zxid=zxid, src=src:
                                  self._follower_durable(zxid, src))
         elif kind == "ACK":
@@ -327,16 +325,15 @@ class ZabNode(Replica):
                 prev_frontier = self.last_zxid()
                 self.log = list(log)
                 self.delivered_upto = min(self.delivered_upto, len(self.log))
-                monitors = self.engine.monitors
-                if monitors is not None:
+                if probe is not None:
                     # State transfer installs the leader's whole log:
                     # the accepted frontier jumps to its last zxid (a
                     # truncation when the old suffix was longer).
                     frontier = self.last_zxid()
                     kind = ("accept" if frontier >= prev_frontier
                             else "accept_trunc")
-                    monitors.note(self.cluster, kind, self.node_id,
-                                  slot=frontier)
+                    probe.note(self.cluster, kind, self.node_id,
+                               slot=frontier)
                 self.state = self.FOLLOWING
                 self._last_hb_seen = self.engine.now
                 self._send(leader, ("SYNC_ACK", epoch), 8)
@@ -350,12 +347,11 @@ class ZabNode(Replica):
                 # old-epoch suffix would block every new-epoch commit.
                 if self.log:
                     self.committed_zxid = self.last_zxid()
-                    monitors = self.engine.monitors
-                    if monitors is not None:
+                    if probe is not None:
                         # The leader's own copy of the synced log counts
                         # toward the quorum that stores the prefix.
-                        monitors.note(self.cluster, "accept", self.node_id,
-                                      slot=self.committed_zxid)
+                        probe.note(self.cluster, "accept", self.node_id,
+                                   slot=self.committed_zxid)
                     self._bcast(("COMMIT", self.committed_zxid), 16)
                     self._deliver_upto(self.committed_zxid)
                 self.engine.trace.count("zab.broadcast_open")
@@ -429,11 +425,11 @@ class ZabNode(Replica):
             return
         self.epoch = max(self.epoch, mine[0]) + 1
         self.counter = 0
-        monitors = self.engine.monitors
-        if monitors is not None:
+        probe = self.engine.probe
+        if probe is not None:
             # The verified winner exclusively owns the new epoch.
-            monitors.note(self.cluster, "leader", self.node_id,
-                          term=self.epoch)
+            probe.note(self.cluster, "leader", self.node_id,
+                       term=self.epoch)
         self._phase = "sync"
         self._sync_acks = set()
         # State transfer: ship the full uncommitted suffix (coarse DIFF).

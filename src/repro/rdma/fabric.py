@@ -67,14 +67,14 @@ class RdmaEndpoint(Endpoint):
         """Pop pending messages.  Zero receive-side CPU charge: the data
         is already in registered memory when the poll discovers it."""
         out: list[tuple[int, Any]] = []
-        obs = self.engine.obs
+        probe = self.engine.probe
         now = self.engine.now
         while self.inbox and (max_batch is None or len(out) < max_batch):
             src, payload, _size = self.inbox.popleft()
             out.append((src, payload))
             self.received += 1
-            if obs is not None:
-                obs.mark(payload, "poll_notice", now)
+            if probe is not None:
+                probe.mark(payload, "poll_notice", now)
         return out
 
 

@@ -103,9 +103,9 @@ class Nic:
         wire = self._wire_bytes(payload_bytes)
         self.tx_bytes += wire
         self.tx_msgs += 1
-        obs = self.engine.obs
-        if obs is not None:
-            obs.nic_tx(self.node_id, lane, start, done, wire)
+        probe = self.engine.probe
+        if probe is not None:
+            probe.nic_tx(self.node_id, lane, start, done, wire)
         return done
 
     def power_off(self) -> None:

@@ -91,13 +91,13 @@ class QueuePair:
         engine = self.engine
         now = engine.now
 
-        obs = engine.obs
-        if obs is not None:
+        probe = engine.probe
+        if probe is not None:
             # Milestones for span-traced carriers (bound payloads only;
             # unbound values — SST rows, counters — miss the dict in O(1)).
-            obs.mark(value, "nic_tx", tx_done)
-            obs.mark(value, "wire", tx_done + self.params.propagation_ns)
-            obs.mark(value, "deposit", deliver_at)
+            probe.mark(value, "nic_tx", tx_done)
+            probe.mark(value, "wire", tx_done + self.params.propagation_ns)
+            probe.mark(value, "deposit", deliver_at)
 
         engine.schedule_at(deliver_at, self._deliver, region, rkey, key, value,
                            size_bytes, now)

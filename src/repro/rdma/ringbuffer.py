@@ -79,15 +79,15 @@ class RingReceiver:
         """
         out: list[tuple[int, Any]] = []
         ready = self._ready
-        obs = self._engine.obs
+        probe = self._engine.probe
         now = self._engine.now
         while ready and (max_batch is None or len(out) < max_batch):
             seq, payload, _size = ready.popleft()
             out.append((seq, payload))
             self.next_read = seq + 1
             self.delivered_msgs += 1
-            if obs is not None:
-                obs.mark(payload, "poll_notice", now)
+            if probe is not None:
+                probe.mark(payload, "poll_notice", now)
         return out
 
     @property

@@ -56,6 +56,7 @@ import time as _time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Optional
 
+from repro.monitors import finish_monitors
 from repro.shard.arrivals import aggregate_client
 from repro.shard.deployment import ShardedDeployment, schedule_farm_partitions
 from repro.sim.engine import ms
@@ -216,8 +217,7 @@ def run_slice(spec: RunSpec, lo: int, hi: int,
     dep, client = prepare_farm(spec, lo, hi, group_config)
     engine = dep.engine
     sim_elapsed_ns = drive_farm(dep, client, spec.duration_ms)
-    violations = (engine.monitors.finish()
-                  if engine.monitors is not None else [])
+    violations = finish_monitors(engine)
     spans = list(engine.obs.messages) if engine.obs is not None else []
     return SliceResult(
         lo=lo, hi=hi,

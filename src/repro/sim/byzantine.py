@@ -4,9 +4,13 @@ The crash/deschedule/slow-node injector (:mod:`repro.sim.failure`)
 covers the paper's evaluated failure model; this module covers the
 *untested trust assumptions* — what happens when a node misbehaves
 instead of stopping.  A :class:`ByzantineInjector` attaches to the
-engine exactly like ``engine.obs`` / ``engine.monitors`` (is-None-gated
-at every interception site), so byz-off runs execute no injection code
-and stay bit-identical to the golden trace fingerprints.
+engine as ``engine.byz``, is-None-gated at every interception site, so
+byz-off runs execute no injection code and stay bit-identical to the
+golden trace fingerprints.  It keeps that slot of its own, apart from
+the observation probe, because it *rewrites* sends (tamper, duplicate,
+forge) rather than observing them (DESIGN.md §12).  What it does emit
+for the monitor oracle — forged ``leader`` claims and armed ``sst_row``
+overwrites — goes through ``engine.probe`` like every other hook.
 
 Attack modes (:data:`BYZ_MODES`):
 
@@ -149,7 +153,7 @@ class ByzantineInjector:
     attack *arms*, every interception hook returns on a dict miss, and
     with no injector attached at all the substrate pays one attribute
     load + None check per send — the same zero-cost-when-off contract
-    as ``engine.obs``.
+    as ``engine.probe``.
 
     ``system`` is the :class:`~repro.protocols.base.BroadcastSystem`
     under attack; the SST/ring modes reach through it to the cluster's
@@ -262,18 +266,18 @@ class ByzantineInjector:
                 if sst is not None]
 
     def _watch_sst(self, sst: Any) -> None:
-        """Feed row overwrites to the monitor oracle while armed (the
-        hook stays None — and the apply fast path untouched — on every
-        unmonitored or un-attacked run)."""
-        if self.engine.monitors is not None and sst._mon_hook is None:
+        """Feed row overwrites to the probe while armed (the hook stays
+        None — and the apply fast path untouched — on every unobserved
+        or un-attacked run)."""
+        if self.engine.probe is not None and sst._mon_hook is None:
             sst._mon_hook = self._sst_watch
 
     def _sst_watch(self, sst: Any, holder: int, row: int,
                    old: Any, new: Any) -> None:
-        mon = self.engine.monitors
-        if mon is not None:
-            mon.note(self.system, "sst_row", holder, slot=new,
-                     key=sst.name, seq=row, extra=old)
+        probe = self.engine.probe
+        if probe is not None:
+            probe.note(self.system, "sst_row", holder, slot=new,
+                       key=sst.name, seq=row, extra=old)
 
     # ----------------------------------------------------- leadership claims
 
@@ -299,10 +303,10 @@ class ByzantineInjector:
             self.blocked["equivocate"] += 1
             return
         self.landed["equivocate"] += 1
-        mon = self.engine.monitors
-        if mon is not None and term not in self._claimed_terms:
+        probe = self.engine.probe
+        if probe is not None and term not in self._claimed_terms:
             self._claimed_terms.add(term)
-            mon.note(self.system, "leader", attacker, term=term)
+            probe.note(self.system, "leader", attacker, term=term)
 
     def _current_term(self) -> Any:
         sys = self.system

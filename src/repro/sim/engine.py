@@ -9,6 +9,10 @@ broken deterministically and all randomness flows through named
 :meth:`Engine.rng` streams, a simulation is a pure function of its seed
 and configuration — re-running it produces byte-identical traces.  The
 determinism tests in ``tests/sim/test_determinism.py`` rely on this.
+
+Observers attach through one slot, :attr:`Engine.probe` (a
+:class:`Probe`, None while nothing observes): every hook site loads it
+once and tests it against None once, then calls a verb on it.
 """
 
 from __future__ import annotations
@@ -92,6 +96,31 @@ class Event:
         return f"<Event t={self.time} seq={self.seq} fn={getattr(self.fn, '__name__', self.fn)}{state}>"
 
 
+def _ignore(*args: Any, **kwargs: Any) -> None:
+    """The verb a :class:`Probe` binds where no subscriber listens."""
+
+
+class Probe:
+    """The one observation attachment, ``engine.probe``: the two
+    subscribers that exist, a :class:`~repro.obs.spans.SpanRecorder`
+    (the span verbs) and a :class:`~repro.monitors.MonitorRegistry`
+    (the monitor verbs).  Each verb is bound once, to the subscriber's
+    method or to :func:`_ignore`, so a hook's call adds no fan-out
+    frame.  A delivery calls ``finish`` and ``note`` both."""
+
+    SPAN_VERBS = ("begin", "bind", "mark", "finish", "nic_tx", "process_event")
+    MONITOR_VERBS = ("register_group", "note")
+    __slots__ = ("recorder", "registry") + SPAN_VERBS + MONITOR_VERBS
+
+    def __init__(self, recorder: Any = None, registry: Any = None):
+        self.recorder = recorder
+        self.registry = registry
+        for sub, verbs in ((recorder, self.SPAN_VERBS),
+                           (registry, self.MONITOR_VERBS)):
+            for verb in verbs:
+                setattr(self, verb, _ignore if sub is None else getattr(sub, verb))
+
+
 class Engine:
     """Deterministic discrete-event simulator.
 
@@ -142,25 +171,41 @@ class Engine:
         from repro.sim.trace import Tracer
 
         self.trace = Tracer()
-        #: observability attachment point: a
-        #: :class:`~repro.obs.spans.SpanRecorder` (or None).  Every
-        #: instrumentation hook in the stack is gated by
-        #: ``engine.obs is not None``, so a run without a recorder does
-        #: not execute a single extra tracer/RNG operation — the
+        #: the one observation attachment: a :class:`Probe`, or None
+        #: while nothing observes.  Every hook site in the stack is
+        #: gated by ``engine.probe is not None``, so an unobserved run
+        #: does not execute a single extra tracer/RNG operation — the
         #: zero-cost-when-off guarantee the golden fingerprints pin.
-        self.obs: Optional[Any] = None
-        #: runtime-invariant attachment point: a
-        #: :class:`~repro.monitors.MonitorRegistry` (or None).  Same
-        #: contract as :attr:`obs` — every protocol emission site is
-        #: gated by ``engine.monitors is not None``, so runs without
-        #: monitors execute no monitor code at all.
-        self.monitors: Optional[Any] = None
+        self.probe: Optional[Probe] = None
         #: adversarial-fault attachment point: a
         #: :class:`~repro.sim.byzantine.ByzantineInjector` (or None).
-        #: Same contract again — every substrate/ring interception site
-        #: is gated by ``engine.byz is not None``, so byz-off runs stay
-        #: bit-identical to the golden fingerprints.
+        #: Same contract — every substrate/ring interception site is
+        #: gated by ``engine.byz is not None``, so byz-off runs stay
+        #: bit-identical to the golden fingerprints.  Its own slot
+        #: because the injector rewrites sends rather than observing.
         self.byz: Optional[Any] = None
+
+    # ---------------------------------------------------------------- probe
+
+    def attach(self, recorder: Any = None, registry: Any = None) -> None:
+        """Subscribe a span recorder and/or a monitor registry to
+        :attr:`probe`; a subscriber replaces the one of its kind and
+        keeps the other.  ``engine.probe = None`` detaches both."""
+        probe = self.probe
+        if probe is not None:
+            recorder = recorder if recorder is not None else probe.recorder
+            registry = registry if registry is not None else probe.registry
+        self.probe = Probe(recorder, registry)
+
+    @property
+    def obs(self) -> Optional[Any]:
+        """The attached span recorder or None (for end-of-run readers)."""
+        return self.probe and self.probe.recorder
+
+    @property
+    def monitors(self) -> Optional[Any]:
+        """The attached monitor registry or None (for end-of-run readers)."""
+        return self.probe and self.probe.registry
 
     # ---------------------------------------------------------------- scope
 

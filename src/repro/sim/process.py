@@ -178,9 +178,10 @@ class Process:
         self._parked = False
         self._quiet_log.clear()
         self.engine.trace.count("process.crashes")
-        obs = self.engine.obs
-        if obs is not None:
-            obs.process_event("crash", self.name, self.engine.now, self.engine.now)
+        probe = self.engine.probe
+        if probe is not None:
+            probe.process_event("crash", self.name, self.engine.now,
+                                self.engine.now)
 
     # --------------------------------------------------------------- poll loop
 
@@ -440,10 +441,10 @@ class Process:
         self.request_poll()
         self.cpu.stall(duration_ns)
         self.engine.trace.count("process.deschedules")
-        obs = self.engine.obs
-        if obs is not None:
-            obs.process_event("deschedule", self.name, self.engine.now,
-                              self.engine.now + int(duration_ns))
+        probe = self.engine.probe
+        if probe is not None:
+            probe.process_event("deschedule", self.name, self.engine.now,
+                                self.engine.now + int(duration_ns))
 
     # ---------------------------------------------------------------- identity
 

@@ -338,39 +338,6 @@ def test_violation_str_names_shard_and_monitor():
     assert "acuerdo" in s and "@ 10 ns" in s
 
 
-def test_default_monitors_want_no_spans_and_on_span_short_circuits():
-    r = _registry()
-    r.ingest(None, "acuerdo", 3, "commit", 0, t=1, slot=1)
-    assert not r.spans_wanted
-    # A span-shaped object with no usable label must not even be parsed.
-    r.on_span(object())
-    assert r.finish(None) is r.violations
-
-
-def test_span_routing_reaches_overriding_monitors_by_shard_label():
-    got: list[tuple] = []
-
-    class SpanTap(Monitor):
-        name = "span_tap"
-        KINDS = frozenset()
-
-        def on_span(self, span):
-            got.append((self.ctx.group, span.label))
-
-    class _Span:
-        def __init__(self, label):
-            self.label = label
-
-    r = _registry(factories=[SpanTap])
-    r.ingest(None, "acuerdo", 3, "commit", 0, t=1, slot=1)   # group None
-    r.ingest(2, "acuerdo", 3, "commit", 0, t=1, slot=1)      # group 2
-    assert r.spans_wanted
-    r.on_span(_Span("m17"))                 # unsharded label -> group None
-    r.on_span(_Span("shard.2.m4"))          # sharded label -> group 2
-    r.on_span(_Span("shard.9.m1"))          # unknown group: dropped
-    assert got == [(None, "m17"), (2, "shard.2.m4")]
-
-
 def test_default_monitor_set_is_the_shipped_invariants():
     assert DEFAULT_MONITORS == (SingleLeaderPerTerm, LogPrefixAgreement,
                                 CommitQuorumAccept, SlotReuseSafety,

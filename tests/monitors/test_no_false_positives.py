@@ -50,8 +50,8 @@ def test_follower_crash_run_stays_clean():
 
 def test_election_churn_stays_clean():
     # Repeated leader kills exercise the leader/term events hardest;
-    # elections() calls engine.monitors.check() itself, so a false
-    # positive raises here.
+    # elections() raises on any violation itself, so a false positive
+    # fails here.
     from repro.harness.table1 import election_spec, elections
 
     spec = election_spec(3, kills=2, kill_period_ms=2.0)
@@ -147,3 +147,56 @@ def test_no_event_from_a_node_after_its_crash(name):
             if ev.node == victim.node_id and ev.t > crashed_at] == []
     assert engine.monitors.finish() == []
     assert victim.disk.queue_depth == 0
+
+
+#: The event kinds each system emits in the follower-crash run below.
+CRASH_RUN_KINDS = {
+    "acuerdo": {"leader", "accept", "commit", "deliver", "slot_bind",
+                "slot_release"},
+    "derecho-leader": {"leader", "accept_one", "commit", "deliver",
+                       "slot_bind", "slot_release"},
+    "derecho-all": {"accept_one", "commit", "deliver", "slot_bind",
+                    "slot_release"},
+    "apus": {"leader", "accept", "commit", "deliver"},
+    "libpaxos": {"leader", "accept_one", "commit", "deliver"},
+    "zookeeper": {"leader", "accept", "commit", "deliver"},
+    "etcd": {"leader", "accept", "commit"},
+    "dare": {"leader", "accept", "commit", "deliver"},
+    "mu": {"leader", "accept", "commit", "deliver"},
+    "dolev": {"deliver"},
+    "bracha": {"accept_one", "commit", "deliver"},
+}
+
+
+@pytest.mark.parametrize("name", ALL_SYSTEMS)
+def test_crashed_follower_is_silent_and_vocabulary_is_pinned(name):
+    # A follower crashed through system.crash emits no event after the
+    # crash instant, on every system; and each system keeps emitting
+    # exactly its part of the normalized vocabulary.
+    from repro.harness.factory import build_from_spec, settle
+    from repro.monitors import (DEFAULT_MONITORS, Monitor, MonitorRegistry,
+                                finish_monitors)
+    from repro.sim.engine import ms
+    from repro.workloads.closedloop import ClosedLoopClient
+
+    seen = []
+
+    class Recorder(Monitor):
+        def on_mark(self, ev):
+            seen.append(ev)
+
+    spec = RunSpec(system=name, n=3, payload_bytes=64, window=8)
+    engine = spec.make_engine()
+    MonitorRegistry(engine, factories=[*DEFAULT_MONITORS, Recorder])
+    system = build_from_spec(spec, engine)
+    settle(system)
+    ClosedLoopClient(system, window=8, message_size=64).start()
+    engine.run(until=engine.now + ms(1))
+    victim = next(i for i in system.node_ids if i != system.leader_id())
+    system.crash(victim)
+    crashed_at = engine.now
+    engine.run(until=crashed_at + ms(3))
+    assert [ev for ev in seen
+            if ev.node == victim and ev.t > crashed_at] == []
+    assert {ev.kind for ev in seen} == CRASH_RUN_KINDS[name]
+    assert finish_monitors(engine) == []

@@ -9,7 +9,8 @@ the §2.2 properties over the delivered sequences:
 - Total Order: all per-node sequences are prefix-related.
 
 Liveness is NOT asserted under arbitrary schedules (a majority crash
-legitimately halts progress); safety must hold regardless.
+legitimately halts progress); safety must hold regardless.  Every run
+also carries the online safety monitors, which must stay silent.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -17,15 +18,16 @@ from hypothesis import given, settings, strategies as st
 from repro.core import AcuerdoCluster
 from repro.harness.factory import build_from_spec
 from repro.harness.runspec import RunSpec
-from repro.sim import Engine, ms, us
+from repro.monitors import finish_monitors
+from repro.sim import ms, us
 
 
 def _run_schedule(system_name: str, n: int, seed: int, crashes: list[int],
                   deschedules: list[tuple[int, int]], msgs: int,
                   horizon_ms: int) -> object:
-    engine = Engine(seed=seed)
-    system = build_from_spec(RunSpec(system=system_name, n=n), engine,
-                             record_deliveries=True)
+    spec = RunSpec(system=system_name, n=n, seed=seed, check_invariants=True)
+    engine = spec.make_engine()
+    system = build_from_spec(spec, engine, record_deliveries=True)
     if isinstance(system, AcuerdoCluster):
         system.preseed_leader(0)
     system.start()
@@ -55,6 +57,7 @@ def _assert_safety(system, msgs: int) -> None:
     system.deliveries.check_total_order()
     system.deliveries.check_no_duplication()
     system.deliveries.check_integrity({("p", i) for i in range(msgs)})
+    assert finish_monitors(system.engine) == []
 
 
 schedule = st.tuples(
@@ -130,3 +133,4 @@ def test_acuerdo_liveness_with_quorum(seed, crashes):
     assert len(live) >= 3
     delivered = max(system.deliveries.delivered_count(i) for i in live)
     assert delivered >= 35  # open-loop drops during elections tolerated
+    assert finish_monitors(system.engine) == []

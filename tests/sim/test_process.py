@@ -122,7 +122,7 @@ def test_crash_stops_polling():
 def test_deschedule_after_crash_is_inert():
     """A crashed process emits nothing: no stall, no count, no obs span."""
     e = Engine(seed=1)
-    e.obs = SpanRecorder()
+    SpanRecorder(e)
     p = Recorder(e)
     p.start()
     inj = FailureInjector(e, [p])
