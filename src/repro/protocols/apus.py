@@ -13,17 +13,20 @@ only process one complete batch at a time, so the leader cannot form
 batch ``k+1`` until batch ``k`` is committed.  A delay on any message of
 a batch therefore stalls the whole system, in contrast to
 Acuerdo/Derecho, which exploit FIFO delivery to process partial batches.
+
+The log store, delivery and wiring are the shared remote-log skeleton
+(:mod:`repro.protocols.remotelog`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Optional
 
-from repro.protocols.base import BroadcastSystem, CommitCallback, Replica
-from repro.substrate import RdmaParams, SharedStateTable, build_substrate
-from repro.sim.engine import Engine, us
+from repro.protocols.remotelog import LogCluster, LogReplica
+from repro.sim.engine import us
 from repro.sim.process import ProcessConfig
+from repro.substrate import SharedStateTable
 
 
 @dataclass
@@ -52,43 +55,22 @@ class _AckRow:
     hb: int
 
 
-class ApusNode(Replica):
-    """One APUS replica (leader or acceptor)."""
+class ApusNode(LogReplica):
+    """One APUS replica (leader or acceptor).
+
+    The leader's commit callbacks fire when its batch commits, so none
+    are left for the shared delivery loop to run."""
 
     def __init__(self, cluster: "ApusCluster", node_id: int, cfg: ApusConfig):
-        super().__init__(cluster, node_id, cfg, name=f"apus{node_id}")
-        self.term = 0
-        self.is_leader = node_id == 0
-        self.log: list[tuple[Any, int]] = []     # (payload, size)
-        self.commit_index = 0                    # entries delivered up to
-        self.seen_commit = 0                     # commit index learnt from leader
+        super().__init__(cluster, node_id, cfg)
         self.batch_in_flight: Optional[tuple[int, int]] = None  # (start, end)
-        self._cbs: dict[int, CommitCallback] = {}
         self._hb = 0
         self._last_ack_push = 0
-        self._leader_seen_at = 0
-        self._stalled_polls = 0
 
-    # ----------------------------------------------------------------- poll
-
-    def on_poll(self) -> None:
-        if self.is_leader:
-            self._leader_step()
-        else:
-            self._acceptor_step()
-        self._deliver()
-
-    # --------------------------------------------------------- poll elision
-
-    def park_ready(self) -> bool:
+    def _leader_idle(self) -> bool:
         """The APUS leader pushes its commit row + heartbeat on *every*
-        poll, so its loop is never idle and never parks.  Acceptors are
-        idle between periodic acks whenever nothing has landed."""
-        if self.is_leader:
-            return False
-        if self.cluster.log_inboxes[self.node_id]:
-            return False
-        return self.cluster.delivered.get(self.node_id, 0) >= self.seen_commit
+        poll, so its loop is never idle and never parks."""
+        return False
 
     def park_deadline(self) -> Optional[int]:
         # Next periodic acknowledgment push (>= comparison).
@@ -96,7 +78,7 @@ class ApusNode(Replica):
 
     # ---------------------------------------------------------------- leader
 
-    def _leader_step(self) -> None:
+    def _lead(self) -> None:
         c = self.cluster
         # Try to finish the in-flight batch first.
         if self.batch_in_flight is not None:
@@ -141,7 +123,7 @@ class ApusNode(Replica):
             batch = tuple(entries)
             if probe is not None:
                 # The leader's own log append counts toward the batch's
-                # quorum (the "acked = 1  # self" below).
+                # quorum (the "acked = 1  # self" above).
                 probe.note(self.cluster, "accept", self.node_id, slot=end)
                 # The batch tuple is the wire carrier; substrate marks
                 # (nic_tx/wire/deposit) attribute to its lead message.
@@ -164,10 +146,9 @@ class ApusNode(Replica):
 
     # -------------------------------------------------------------- acceptor
 
-    def _acceptor_step(self) -> None:
+    def _follow(self) -> None:
         c = self.cluster
         inbox = c.log_inboxes[self.node_id]
-        progressed = False
         probe = self.engine.probe
         while inbox:
             (term, start), entries = inbox.pop(0)
@@ -191,7 +172,6 @@ class ApusNode(Replica):
                 # acks derived from this frontier, not NIC completions.
                 probe.note(self.cluster, "accept", self.node_id,
                            slot=len(self.log))
-            progressed = True
         row = c.commit_sst.read(self.node_id, c.leader)
         if row is not None:
             term, cidx, _hb = row
@@ -208,23 +188,8 @@ class ApusNode(Replica):
                                    targets=[c.leader],
                                    earliest_ns=self.cpu.busy_until)
 
-    # ---------------------------------------------------------------- common
 
-    def _deliver(self) -> None:
-        limit = self.commit_index if self.is_leader else self.seen_commit
-        probe = self.engine.probe
-        while self.cluster.delivered.get(self.node_id, 0) < limit:
-            i = self.cluster.delivered.get(self.node_id, 0)
-            payload, _size = self.log[i]
-            if probe is not None:
-                probe.note(self.cluster, "commit", self.node_id, slot=i + 1)
-                probe.mark(payload, "commit", self.engine.now)
-            self.cluster.record_delivery(self.node_id, payload)
-            self.cluster.delivered[self.node_id] = i + 1
-            self.cpu.charge(self.cfg.deliver_cpu_ns)
-
-
-class ApusCluster(BroadcastSystem):
+class ApusCluster(LogCluster):
     """An APUS deployment with a fixed initial leader (node 0).
 
     Fail-over uses a Raft-style term bump with explicit state transfer:
@@ -232,44 +197,17 @@ class ApusCluster(BroadcastSystem):
     the round trip Acuerdo's up-to-date election avoids (§3.3)."""
 
     name = "apus"
-    client_hop_ns = 1_100   # RDMA client transport
+    node_class = ApusNode
+    config_class = ApusConfig
+    commit_row_bytes = 20
 
-    def __init__(self, engine: Engine, n: int, config: Optional[ApusConfig] = None,
-                 rdma_params: Optional[RdmaParams] = None, record_deliveries: bool = True):
-        super().__init__(engine, n, record_deliveries)
-        self.cfg = config or ApusConfig()
-        self.fabric = self.substrate = build_substrate(
-            "rdma", engine, node_ids=self.node_ids, params=rdma_params)
-        self.quorum = n // 2 + 1
-        self.leader = 0
-        self.delivered: dict[int, int] = {}
-        # Remote log regions: the leader writes batches straight into
-        # acceptor memory; inboxes model the written-but-not-scanned area.
-        self.log_inboxes: dict[int, list] = {i: [] for i in self.node_ids}
-        self.log_regions: dict[int, tuple] = {}
-        for i in self.node_ids:
-            region = self.fabric.register(
-                i, f"apus.log.{i}", 1 << 22,
-                on_write=lambda key, value, size, i=i: self.log_inboxes[i].append((key, value)))
-            self.log_regions[i] = (region, region.grant())
+    def _build_ssts(self) -> None:
         self.ack_sst = SharedStateTable(self.fabric, "apus.ack", self.node_ids,
                                         row_size_bytes=20, initial=None)
-        self.commit_sst = SharedStateTable(self.fabric, "apus.commit", self.node_ids,
-                                           row_size_bytes=20, initial=None)
-        self.nodes: dict[int, ApusNode] = {i: ApusNode(self, i, self.cfg)
-                                           for i in self.node_ids}
-        # Poll-elision doorbells: batch writes, ack rows and commit rows
-        # all arrive as one-sided writes and wake a parked acceptor.
-        for i, nd in self.nodes.items():
-            self.fabric.nic(i).waker = nd
-        self.nodes[0].is_leader = True
-        self._failover_scheduled = False
+        super()._build_ssts()
 
     def start(self) -> None:
-        probe = self.engine.probe
-        if probe is not None:
-            probe.note(self, "leader", self.leader,
-                       term=self.nodes[self.leader].term)
+        self.nodes[self.leader].become_leader(term=0)
         super().start()
         self.engine.schedule(self.cfg.heartbeat_timeout_ns, self._watchdog)
 
@@ -280,34 +218,25 @@ class ApusCluster(BroadcastSystem):
         if self.nodes[self.leader].crashed:
             live = [i for i in self.node_ids if not self.nodes[i].crashed]
             if len(live) >= self.quorum:
-                new = min(live)
-                old_node = self.nodes[self.leader]
-                nd = self.nodes[new]
+                nd = self.nodes[min(live)]
                 # State transfer: adopt the longest log among live nodes
                 # (charged per entry — the cost Acuerdo's election avoids).
                 donor = max(live, key=lambda i: len(self.nodes[i].log))
                 transfer = self.nodes[donor].log[len(nd.log):]
                 nd.log.extend(transfer)
-                nd.term = max(self.nodes[i].term for i in live) + 1
-                nd.commit_index = max(self.nodes[i].seen_commit for i in live + [donor])
-                nd.commit_index = max(nd.commit_index, self.nodes[donor].seen_commit)
+                term = max(self.nodes[i].term for i in live) + 1
+                nd.commit_index = max(self.nodes[i].seen_commit for i in live)
                 nd.cpu.charge(self.cfg.state_transfer_ns_per_entry * max(1, len(transfer)))
-                nd.is_leader = True
+                nd.become_leader(term)
                 probe = self.engine.probe
                 if probe is not None:
-                    probe.note(self, "leader", new, term=nd.term)
                     # The adopted donor log raises the new leader's
                     # accepted frontier before it serves.
-                    probe.note(self, "accept", new, slot=len(nd.log))
-                nd.pending.extend(old_node.pending)
-                old_node.pending = []
+                    probe.note(self, "accept", nd.node_id, slot=len(nd.log))
                 nd.batch_in_flight = None
-                self.leader = new
+                self._hand_off(self.nodes[self.leader], nd)
                 self.engine.trace.count("apus.failover")
                 # Promotion happened outside nd's poll loop; wake it so
                 # the (never-parking) leader cadence starts at its next tick.
                 nd.request_poll()
         self.engine.schedule(self.cfg.heartbeat_timeout_ns, self._watchdog)
-
-    def leader_id(self) -> Optional[int]:
-        return None if self.nodes[self.leader].crashed else self.leader

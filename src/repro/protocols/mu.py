@@ -20,6 +20,9 @@ extension benchmark puts it on the same axis as Acuerdo:
   RDMA connections (re-registering memory), which makes fail-over
   dramatically more expensive than Acuerdo's — the trade-off the
   extension benchmark measures.
+
+The log store, delivery, commit-row push and wiring are the shared
+remote-log skeleton (:mod:`repro.protocols.remotelog`).
 """
 
 from __future__ import annotations
@@ -27,9 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from repro.protocols.base import BroadcastSystem, CommitCallback, Replica
-from repro.substrate import RdmaParams, SharedStateTable, build_substrate
-from repro.sim.engine import Engine, ms, us
+from repro.protocols.remotelog import LogCluster, LogReplica
+from repro.sim.engine import ms, us
 from repro.sim.process import ProcessConfig
 
 
@@ -49,58 +51,20 @@ class MuConfig:
     process: ProcessConfig = field(default_factory=ProcessConfig)
 
 
-class MuNode(Replica):
+class MuNode(LogReplica):
     """One Mu replica."""
 
     def __init__(self, cluster: "MuCluster", node_id: int, cfg: MuConfig):
-        super().__init__(cluster, node_id, cfg, name=f"mu{node_id}")
-        self.term = 0
-        self.is_leader = False
-        self.log: list[tuple[Any, int]] = []
-        self.commit_index = 0
-        self.seen_commit = 0
-        self._cbs: dict[int, CommitCallback] = {}
+        super().__init__(cluster, node_id, cfg)
         self._acks: dict[int, set[int]] = {}     # entry idx -> followers acked
         self._next_write: dict[int, int] = {}    # follower -> next entry to write
-        self._last_commit_push = 0
         self._last_leader_sign = 0
 
-    # ------------------------------------------------------------------ poll
-
-    def on_poll(self) -> None:
-        if self.is_leader:
-            self._drain_completions()
-            self._replicate()
-            self._push_commit_row()
-        else:
-            self._acceptor_step()
-            if self.engine.now - self._last_leader_sign > self.cfg.heartbeat_timeout_ns:
-                self.cluster.request_failover(self.node_id)
-                self._last_leader_sign = self.engine.now  # rate-limit requests
-        self._deliver()
-
-    # --------------------------------------------------------- poll elision
-
-    def park_ready(self) -> bool:
-        """Idle iff nothing to replicate, drain or deliver.  New input
-        rings the doorbell: log writes and commit-row pushes arrive over
-        QPs, completions ring the poster, and client_broadcast /
-        fail-over hand-offs call request_poll."""
-        if self.is_leader:
-            if self.pending or len(self.cluster.fabric.nic(self.node_id).cq):
-                return False
-            log_len = len(self.log)
-            nodes = self.cluster.nodes
-            for p, nxt in self._next_write.items():
-                if (nxt < log_len and not nodes[p].crashed
-                        and nxt - self.commit_index < self.cfg.max_inflight):
-                    return False
-        elif self.cluster.log_inboxes[self.node_id]:
-            return False
-        limit = self.commit_index if self.is_leader else self.seen_commit
-        if self.cluster.delivered.get(self.node_id, 0) < limit:
-            return False
-        return True
+    def _leader_idle(self) -> bool:
+        nodes = self.cluster.nodes
+        return not any(nxt < len(self.log) and not nodes[p].crashed
+                       and nxt - self.commit_index < self.cfg.max_inflight
+                       for p, nxt in self._next_write.items())
 
     def park_deadline(self) -> Optional[int]:
         if self.is_leader:
@@ -114,29 +78,19 @@ class MuNode(Replica):
     # ---------------------------------------------------------------- leader
 
     def become_leader(self, term: int) -> None:
-        self.is_leader = True
-        self.term = term
-        probe = self.engine.probe
-        if probe is not None:
-            probe.note(self.cluster, "leader", self.node_id, term=term)
+        super().become_leader(term)
         peers = [p for p in self.cluster.node_ids if p != self.node_id]
         self._next_write = {p: len(self.log) for p in peers}
         self._acks = {}
 
+    def _lead(self) -> None:
+        self._drain_completions()
+        self._replicate()
+        self._push_commit_row()
+
     def _replicate(self) -> None:
+        self._append_pending(self.cfg.entry_cpu_ns)
         probe = self.engine.probe
-        while self.pending:
-            payload, size, cb = self.pending.pop(0)
-            if cb is not None:
-                self._cbs[len(self.log)] = cb
-            self.log.append((payload, size))
-            self.cpu.charge(self.cfg.entry_cpu_ns)
-            if probe is not None:
-                # The leader's local append is its own acceptance (the
-                # "+ 1" in the quorum count below).
-                probe.note(self.cluster, "accept", self.node_id,
-                           slot=len(self.log))
-                probe.mark(payload, "propose", self.engine.now)
         for p, nxt in self._next_write.items():
             if self.cluster.nodes[p].crashed:
                 continue
@@ -165,101 +119,41 @@ class MuNode(Replica):
             if len(acks) + 1 >= self.cluster.quorum and idx >= self.commit_index:
                 self.commit_index = max(self.commit_index, idx + 1)
 
-    def _push_commit_row(self) -> None:
-        now = self.engine.now
-        if now - self._last_commit_push >= self.cfg.commit_push_period_ns:
-            self._last_commit_push = now
-            self.cluster.commit_sst.set_and_push(
-                self.node_id, (self.term, self.commit_index, now),
-                earliest_ns=self.cpu.busy_until)
-
     # -------------------------------------------------------------- acceptor
 
-    def _acceptor_step(self) -> None:
-        inbox = self.cluster.log_inboxes[self.node_id]
-        probe = self.engine.probe
+    def _follow(self) -> None:
+        c = self.cluster
+        inbox = c.log_inboxes[self.node_id]
         while inbox:
-            (term, idx), value = inbox.pop(0)
+            (term, idx), (payload, size) = inbox.pop(0)
             if term < self.term:
                 continue
             self.term = max(self.term, term)
-            payload, size = value
-            if probe is not None:
-                probe.mark(payload, "accept", self.engine.now)
-            while len(self.log) < idx:
-                self.log.append((None, 0))
-            if idx < len(self.log):
-                self.log[idx] = (payload, size)
-            else:
-                self.log.append((payload, size))
-        row = self.cluster.commit_sst.read(self.node_id, self.cluster.leader)
+            self._store(idx, payload, size)
+        row = c.commit_sst.read(self.node_id, c.leader)
         if row is not None:
             term, cidx, ts = row
             if term >= self.term and cidx > self.seen_commit:
                 self.seen_commit = min(cidx, len(self.log))
             self._last_leader_sign = max(self._last_leader_sign, ts)
-
-    # ---------------------------------------------------------------- common
-
-    def _deliver(self) -> None:
-        limit = self.commit_index if self.is_leader else self.seen_commit
-        delivered = self.cluster.delivered.setdefault(self.node_id, 0)
-        probe = self.engine.probe
-        while delivered < limit:
-            payload, _size = self.log[delivered]
-            if probe is not None:
-                # A None (gap) payload has no span: its mark is a miss.
-                probe.note(self.cluster, "commit", self.node_id,
-                           slot=delivered + 1)
-                probe.mark(payload, "commit", self.engine.now)
-            if payload is not None:
-                self.cluster.record_delivery(self.node_id, payload)
-            cb = self._cbs.pop(delivered, None)
-            if cb is not None:
-                self.engine.schedule_at(max(self.engine.now, self.cpu.busy_until),
-                                        cb, delivered)
-            delivered += 1
-            self.cpu.charge(self.cfg.deliver_cpu_ns)
-        self.cluster.delivered[self.node_id] = delivered
+        if self.engine.now - self._last_leader_sign > self.cfg.heartbeat_timeout_ns:
+            c.request_failover(self.node_id)
+            self._last_leader_sign = self.engine.now  # rate-limit requests
 
 
-class MuCluster(BroadcastSystem):
+class MuCluster(LogCluster):
     """A Mu deployment: fastest normal path, slowest fail-over."""
 
     name = "mu"
-    client_hop_ns = 1_100
+    node_class = MuNode
+    config_class = MuConfig
 
-    def __init__(self, engine: Engine, n: int, config: Optional[MuConfig] = None,
-                 rdma_params: Optional[RdmaParams] = None, record_deliveries: bool = True):
-        super().__init__(engine, n, record_deliveries)
-        self.cfg = config or MuConfig()
-        self.fabric = self.substrate = build_substrate(
-            "rdma", engine, node_ids=self.node_ids, params=rdma_params)
-        self.quorum = n // 2 + 1
-        self.leader = 0
-        self.delivered: dict[int, int] = {}
-        self.log_inboxes: dict[int, list] = {i: [] for i in self.node_ids}
-        self.log_regions: dict[int, tuple] = {}
-        for i in self.node_ids:
-            self._register_log(i)
-        self.commit_sst = SharedStateTable(self.fabric, "mu.commit", self.node_ids,
-                                           row_size_bytes=24, initial=None)
-        self.nodes: dict[int, MuNode] = {i: MuNode(self, i, self.cfg)
-                                         for i in self.node_ids}
-        # Poll-elision doorbells: log-region and commit-SST deposits (and
-        # CQ completions) wake a parked replica.
-        for i, nd in self.nodes.items():
-            self.fabric.nic(i).waker = nd
+    def __init__(self, *args: Any, **kwargs: Any):
+        super().__init__(*args, **kwargs)
         self._failover_in_progress = False
 
-    def _register_log(self, i: int) -> None:
-        region = self.fabric.register(
-            i, f"mu.log.{i}", 1 << 22,
-            on_write=lambda key, value, size, i=i: self._log_deposit(i, key, value))
-        self.log_regions[i] = (region, region.grant())
-
     def _log_deposit(self, i: int, key: Any, value: Any) -> None:
-        self.log_inboxes[i].append((key, value))
+        super()._log_deposit(i, key, value)
         probe = self.engine.probe
         if probe is not None:
             # Completion-as-acknowledgment: the leader treats the NIC
@@ -301,12 +195,9 @@ class MuCluster(BroadcastSystem):
             if not self.nodes[i].crashed:
                 self._register_log(i)
         nd = self.nodes[new]
-        old = self.nodes[self.leader]
-        nd.pending.extend(old.pending)
-        old.pending = []
+        self._hand_off(self.nodes[self.leader], nd)
         nd.seen_commit = max(nd.seen_commit, nd.commit_index)
         nd.commit_index = max(nd.commit_index, nd.seen_commit, len(nd.log))
-        self.leader = new
         nd.become_leader(term=self._next_term())
         self._failover_in_progress = False
         self.engine.trace.count("mu.failover_done")
@@ -319,7 +210,4 @@ class MuCluster(BroadcastSystem):
     # ------------------------------------------------------------- interface
 
     def leader_id(self) -> Optional[int]:
-        nd = self.nodes[self.leader]
-        if nd.crashed or not nd.is_leader or self._failover_in_progress:
-            return None
-        return self.leader
+        return None if self._failover_in_progress else super().leader_id()

@@ -57,6 +57,16 @@ def test_dare_completions_drive_replication_without_acceptor_cpu():
     assert done == [0]
 
 
+def test_dare_idle_leader_keeps_its_term():
+    """With no traffic the commit index stands still, but the leader
+    still pushes its commit row every period: acceptors must read each
+    fresh row as a leader sign and never time out."""
+    e, c = _dare(seed=7)
+    e.run(until=ms(30))
+    assert e.trace.get("dare.election_rounds") == 0
+    assert c.leader_id() == 0
+
+
 def test_dare_failover():
     e, c = _dare(seed=3)
     lats = drive(c, e, 20, gap_us=20)

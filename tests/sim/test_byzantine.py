@@ -201,7 +201,7 @@ def test_unarmed_injector_is_bit_invisible(name):
     engine.run(until=engine.now + ms(30))
     observed = (engine.trace.fingerprint(),
                 tuple(sorted(system.deliveries.counts.items())),
-                system.leader_id())
+                system.leader_id(), system.substrate_counters())
     assert observed == GOLDEN_FINGERPRINTS[name]
 
 
