@@ -12,6 +12,11 @@ Each entry is (tracer fingerprint, per-node delivery counts, final
 leader, substrate counters).  The substrate counters pin what a
 protocol sends, so a change to its traffic cannot pass unseen behind
 unchanged counter names.
+
+``CRASH_GOLDENS`` pins the failover paths under the same workload with
+the settled leader (the fixed sequencer, for Dolev and Bracha) crashed
+200 µs into it: Zab's FLE and SYNC, Raft's re-election, libpaxos's
+takeover, the remote-log hand-offs and a sequencer crash.
 """
 
 from __future__ import annotations
@@ -69,12 +74,62 @@ GOLDEN_FINGERPRINTS = {
          {'substrate.tcp.partition_drop': 0, 'substrate.tcp.retransmits': 0, 'substrate.tcp.rx_msgs': 1369, 'substrate.tcp.tx_bytes': 170810, 'substrate.tcp.tx_msgs': 1369}),
 }
 
+CRASH_GOLDENS = {
+    'acuerdo':
+        (((('acuerdo.accept', 60), ('acuerdo.broadcast', 25), ('acuerdo.commit', 60), ('acuerdo.diff_accept', 2), ('acuerdo.elections_started', 2), ('acuerdo.elections_won', 1), ('acuerdo.gc_trimmed', 18), ('acuerdo.receiver_evicted', 1), ('acuerdo.vote_join', 1), ('acuerdo.vote_self', 2), ('process.crashes', 1)), (('acuerdo.election_duration_ns', 1, 3007),), 0),
+         ((0, 10), (1, 24), (2, 24)), 2,
+         {'substrate.rdma.partition_drop': 0, 'substrate.rdma.retransmits': 0, 'substrate.rdma.rx_msgs': 28693, 'substrate.rdma.tx_bytes': 4542808, 'substrate.rdma.tx_msgs': 56772}),
+    'apus':
+        (((('apus.batch_commit', 16), ('apus.batch_send', 17), ('apus.failover', 1), ('process.crashes', 1)), (), 0),
+         ((0, 8), (1, 24), (2, 24)), 1,
+         {'substrate.rdma.partition_drop': 0, 'substrate.rdma.retransmits': 0, 'substrate.rdma.rx_msgs': 118865, 'substrate.rdma.tx_bytes': 18939464, 'substrate.rdma.tx_msgs': 236714}),
+    'bracha':
+        (((('bracha.deliver', 26), ('bracha.send', 10), ('process.crashes', 1)), (), 0),
+         ((0, 6), (1, 10), (2, 10)), None,
+         {'substrate.tcp.partition_drop': 0, 'substrate.tcp.retransmits': 0, 'substrate.tcp.rx_msgs': 116, 'substrate.tcp.tx_bytes': 20400, 'substrate.tcp.tx_msgs': 120}),
+    'dare':
+        (((('dare.elected', 2), ('dare.election_rounds', 1), ('process.crashes', 1)), (), 0),
+         ((0, 10), (1, 24), (2, 24)), 2,
+         {'substrate.rdma.partition_drop': 0, 'substrate.rdma.retransmits': 0, 'substrate.rdma.rx_msgs': 7234, 'substrate.rdma.tx_bytes': 1143600, 'substrate.rdma.tx_msgs': 14284}),
+    'derecho-all':
+        (((('derecho.broadcast', 24), ('derecho.deliver', 90), ('derecho.null_send', 34), ('derecho.view_install', 2), ('derecho.wedge', 2), ('process.crashes', 1)), (), 0),
+         ((0, 10), (1, 10), (2, 10)), 1,
+         {'substrate.rdma.partition_drop': 0, 'substrate.rdma.retransmits': 0, 'substrate.rdma.rx_msgs': 6517, 'substrate.rdma.tx_bytes': 1149832, 'substrate.rdma.tx_msgs': 12518}),
+    'derecho-leader':
+        (((('derecho.broadcast', 24), ('derecho.deliver', 58), ('derecho.view_install', 2), ('derecho.wedge', 2), ('process.crashes', 1)), (), 0),
+         ((0, 10), (1, 24), (2, 24)), 1,
+         {'substrate.rdma.partition_drop': 0, 'substrate.rdma.retransmits': 0, 'substrate.rdma.rx_msgs': 6248, 'substrate.rdma.tx_bytes': 1121712, 'substrate.rdma.tx_msgs': 12194}),
+    'dolev':
+        (((('dolev.deliver', 30), ('dolev.relay', 20), ('dolev.send', 10), ('process.crashes', 1)), (), 0),
+         ((0, 10), (1, 10), (2, 10)), None,
+         {'substrate.tcp.partition_drop': 0, 'substrate.tcp.retransmits': 0, 'substrate.tcp.rx_msgs': 40, 'substrate.tcp.tx_bytes': 6880, 'substrate.tcp.tx_msgs': 40}),
+    'etcd':
+        (((('process.crashes', 1), ('raft.apply', 38), ('raft.elected', 4), ('raft.elections_started', 6)), (), 0),
+         ((0, 15), (2, 15)), 2,
+         {'substrate.tcp.partition_drop': 0, 'substrate.tcp.retransmits': 0, 'substrate.tcp.rx_msgs': 394, 'substrate.tcp.tx_bytes': 62669, 'substrate.tcp.tx_msgs': 405}),
+    'libpaxos':
+        (((('paxos.deliver', 55), ('paxos.prepare', 1), ('paxos.propose', 24), ('paxos.takeover_done', 1), ('process.crashes', 1)), (), 0),
+         ((0, 7), (1, 24), (2, 24)), 1,
+         {'substrate.tcp.partition_drop': 0, 'substrate.tcp.retransmits': 0, 'substrate.tcp.rx_msgs': 313, 'substrate.tcp.tx_bytes': 67748, 'substrate.tcp.tx_msgs': 554}),
+    'mu':
+        (((('mu.failover_done', 1), ('mu.failover_started', 1), ('process.crashes', 1)), (), 0),
+         ((0, 10), (1, 24), (2, 24)), 1,
+         {'substrate.rdma.partition_drop': 0, 'substrate.rdma.retransmits': 0, 'substrate.rdma.rx_msgs': 6722, 'substrate.rdma.tx_bytes': 1065800, 'substrate.rdma.tx_msgs': 13314}),
+    'zookeeper':
+        (((('process.crashes', 1), ('zab.broadcast_open', 2), ('zab.deliver', 42), ('zab.elected', 2), ('zab.elections_started', 2), ('zab.propose', 21), ('zab.sync', 3), ('zab.sync_sent', 2)), (), 0),
+         ((0, 21), (1, 21)), 1,
+         {'substrate.tcp.partition_drop': 0, 'substrate.tcp.retransmits': 0, 'substrate.tcp.rx_msgs': 591, 'substrate.tcp.tx_bytes': 76554, 'substrate.tcp.tx_msgs': 605}),
+}
 
-def run_protocol(name, n=3, seed=7, messages=24):
-    """The exact workload the goldens were captured under."""
+
+def run_protocol(name, n=3, seed=7, messages=24, crash_leader_at_us=None):
+    """The exact workload the goldens were captured under; with
+    ``crash_leader_at_us``, the settled leader crashes that far in."""
     engine = Engine(seed=seed)
     system = build_from_spec(RunSpec(system=name, n=n), engine)
     settle(system)
+    if crash_leader_at_us is not None:
+        engine.schedule(us(crash_leader_at_us), system.crash, system.leader_id())
     state = {"submitted": 0}
 
     def pump():
@@ -92,8 +147,14 @@ def run_protocol(name, n=3, seed=7, messages=24):
 
 def test_goldens_cover_every_system():
     assert set(GOLDEN_FINGERPRINTS) == set(SYSTEMS) | set(EXTENSION_SYSTEMS)
+    assert set(CRASH_GOLDENS) == set(GOLDEN_FINGERPRINTS)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_FINGERPRINTS))
 def test_trace_matches_pre_refactor_golden(name):
     assert run_protocol(name) == GOLDEN_FINGERPRINTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(CRASH_GOLDENS))
+def test_leader_crash_matches_golden(name):
+    assert run_protocol(name, crash_leader_at_us=200) == CRASH_GOLDENS[name]
