@@ -24,10 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from repro.protocols.base import BroadcastSystem, CommitCallback, Replica
-from repro.substrate import TcpParams, build_substrate
+from repro.protocols.tcpreplica import SequencedCluster, SequencedReplica
 from repro.sim.engine import Engine
 from repro.sim.process import ProcessConfig
+from repro.substrate import TcpParams
 
 
 @dataclass
@@ -43,57 +43,25 @@ class BrachaConfig:
                                               poll_jitter_ns=500))
 
 
-class BrachaNode(Replica):
+class BrachaNode(SequencedReplica):
     """One replica of the double-echo broadcast."""
+
+    # A delivery is certified by 2f+1 READYs.
+    quorum_certified = True
 
     def __init__(self, cluster: "BrachaCluster", node_id: int,
                  cfg: BrachaConfig):
         super().__init__(cluster, node_id, cfg, name=f"bracha{node_id}")
-        self.ep = cluster.net.attach(self)
         self._echoed: set[int] = set()            # slots this node echoed
         self._readied: set[int] = set()           # slots this node readied
         self._echoes: dict[tuple, set[int]] = {}  # (slot, value) -> echoers
         self._readies: dict[tuple, set[int]] = {}
-        self._delivered: set[int] = set()
-        self._buffer: dict[int, Any] = {}         # slot -> deliverable value
-        self.next_deliver = 0
-        # sequencer-only state
-        self.next_slot = 0
-        self._cbs: dict[int, CommitCallback] = {}
 
-    # ------------------------------------------------------------------ util
+    def _slot_msg(self, s: int, payload: Any, size: int) -> tuple:
+        return ("SEND", s, payload, size)
 
-    def _bcast(self, msg: tuple, size: int) -> None:
-        nodes = self.cluster.nodes
-        dsts = [p for p in self.cluster.node_ids
-                if p != self.node_id and not nodes[p].crashed]
-        self.cluster.net.broadcast(self.node_id, dsts, msg,
-                                   size + self.cfg.msg_overhead_bytes)
-
-    # ------------------------------------------------------------------ poll
-
-    def on_poll(self) -> None:
-        if self.ep.inbox:
-            for src, msg in self.ep.drain():
-                self._dispatch(src, msg)
-        if self.node_id == self.cluster.sequencer:
-            taken = 0
-            while self.pending and taken < self.cfg.max_requests_per_poll:
-                taken += 1
-                payload, size, cb = self.pending.pop(0)
-                s = self.next_slot
-                self.next_slot += 1
-                if cb is not None:
-                    self._cbs[s] = cb
-                self.cpu.charge(self.cfg.request_cpu_ns)
-                msg = ("SEND", s, payload, size)
-                probe = self.engine.probe
-                if probe is not None:
-                    probe.bind(msg, payload)
-                    probe.mark(payload, "propose", self.engine.now)
-                self._bcast(msg, size)
-                self._on_send(s, payload, size)
-                self.engine.trace.count("bracha.send")
+    def _receive_own(self, s: int, payload: Any, size: int) -> None:
+        self._on_send(s, payload, size)
 
     # -------------------------------------------------------------- messages
 
@@ -117,7 +85,7 @@ class BrachaNode(Replica):
             # Echoing is this node's per-slot acceptance vote for v.
             probe.note(self.cluster, "accept_one", self.node_id,
                        slot=s, key=v)
-        self._bcast(("ECHO", s, v, size), size)
+        self._bcast(self._live_peers(), ("ECHO", s, v, size), size)
         self._on_echo(self.node_id, s, v, size)
 
     def _on_echo(self, src: int, s: int, v: Any, size: int) -> None:
@@ -131,10 +99,8 @@ class BrachaNode(Replica):
         nodes.add(src)
         if len(nodes) >= self.cluster.f + 1 and s not in self._readied:
             self._send_ready(s, v, size)   # READY amplification
-        if len(nodes) >= 2 * self.cluster.f + 1 and s not in self._delivered:
-            self._delivered.add(s)
-            self._buffer[s] = v
-            self._drain()
+        if len(nodes) >= 2 * self.cluster.f + 1:
+            self._deliver_slot(s, v)
 
     def _send_ready(self, s: int, v: Any, size: int) -> None:
         self._readied.add(s)
@@ -145,49 +111,20 @@ class BrachaNode(Replica):
             # per-node sets in the quorum monitor collapse the repeat).
             probe.note(self.cluster, "accept_one", self.node_id,
                        slot=s, key=v)
-        self._bcast(("READY", s, v, size), size)
+        self._bcast(self._live_peers(), ("READY", s, v, size), size)
         self._on_ready(self.node_id, s, v, size)
 
-    def _drain(self) -> None:
-        probe = self.engine.probe
-        sequencer = self.node_id == self.cluster.sequencer
-        while self.next_deliver in self._buffer:
-            s = self.next_deliver
-            v = self._buffer.pop(s)
-            self.next_deliver += 1
-            if probe is not None:
-                probe.note(self.cluster, "commit", self.node_id,
-                           slot=s, key=v)
-            self.cluster.record_delivery(self.node_id, v)
-            if sequencer:
-                cb = self._cbs.pop(s, None)
-                if cb is not None:
-                    cb(s)
-            self.engine.trace.count("bracha.deliver")
 
-
-class BrachaCluster(BroadcastSystem):
+class BrachaCluster(SequencedCluster):
     """A Bracha reliable-broadcast deployment with a fixed sequencer."""
 
     name = "bracha"
+    node_class = BrachaNode
+    config_class = BrachaConfig
 
     def __init__(self, engine: Engine, n: int,
                  config: Optional[BrachaConfig] = None,
                  tcp_params: Optional[TcpParams] = None,
                  record_deliveries: bool = True):
-        super().__init__(engine, n, record_deliveries)
-        self.cfg = config or BrachaConfig()
-        self.net = self.substrate = build_substrate("tcp", engine,
-                                                    params=tcp_params)
-        #: Byzantine resilience and its two quorums.
-        self.f = (n - 1) // 3
+        super().__init__(engine, n, config, tcp_params, record_deliveries)
         self.echo_quorum = (n + self.f) // 2 + 1   # ⌈(n+f+1)/2⌉
-        self.sequencer = 0
-        self.nodes: dict[int, BrachaNode] = {
-            i: BrachaNode(self, i, self.cfg) for i in self.node_ids}
-
-    def leader_id(self) -> Optional[int]:
-        """The fixed sequencer plays the serving-node role (there is no
-        elected leader and no term — Bracha emits no ``leader`` events)."""
-        nd = self.nodes[self.sequencer]
-        return None if nd.crashed else self.sequencer

@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from repro.protocols.base import BroadcastSystem, CommitCallback, Replica
-from repro.substrate import TcpParams, build_substrate
-from repro.sim.engine import Engine, us
+from repro.protocols.base import CommitCallback
+from repro.protocols.tcpreplica import TcpCluster, TcpReplica
+from repro.sim.engine import us
 from repro.sim.process import ProcessConfig
 
 
@@ -36,12 +36,14 @@ class PaxosConfig:
         default_factory=lambda: ProcessConfig(poll_interval_ns=2_000, poll_jitter_ns=500))
 
 
-class PaxosNode(Replica):
+class PaxosNode(TcpReplica):
     """One libpaxos replica (proposer + acceptor + learner)."""
+
+    # The takeover stagger reads peers' crashed flags.
+    crash_wakes_survivors = True
 
     def __init__(self, cluster: "PaxosCluster", node_id: int, cfg: PaxosConfig):
         super().__init__(cluster, node_id, cfg, name=f"paxos{node_id}")
-        self.ep = cluster.net.attach(self)
         # Acceptor state, per instance id.
         self.promised: dict[int, int] = {}
         self.accepted: dict[int, tuple[int, Any, int]] = {}   # iid -> (ballot, value, size)
@@ -63,29 +65,15 @@ class PaxosNode(Replica):
 
     # ------------------------------------------------------------------ util
 
-    def crash(self) -> None:
-        super().crash()
-        # The takeover stagger reads peers' crashed flags; wake parked
-        # survivors so their park deadlines re-derive from the new
-        # liveness picture.
-        for nd in self.cluster.nodes.values():
-            if not nd.crashed:
-                nd.request_poll()
-
-    def _send(self, dst: int, msg: tuple, size: int) -> None:
-        self.cluster.net.send(self.node_id, dst, msg, size + self.cfg.msg_overhead_bytes)
-
-    def _bcast(self, msg: tuple, size: int, include_self: bool = False) -> None:
-        self.cluster.net.broadcast(self.node_id, self.cluster.node_ids, msg,
-                                   size + self.cfg.msg_overhead_bytes)
-        if include_self:
-            self._dispatch(self.node_id, msg)
+    def _bcast_include_self(self, msg: tuple, size: int) -> None:
+        """Send to every node id, crashed peers included, then handle
+        this node's own copy in place (its acceptor and learner)."""
+        self._bcast(self.cluster.node_ids, msg, size)
+        self._dispatch(self.node_id, msg)
 
     # ------------------------------------------------------------------ poll
 
-    def on_poll(self) -> None:
-        for src, msg in self.ep.drain():
-            self._dispatch(src, msg)
+    def _step(self) -> None:
         if self.is_proposer and not self.preparing:
             self._propose_step()
         elif not self.is_proposer:
@@ -110,7 +98,7 @@ class PaxosNode(Replica):
             return self._last_hb_sent + self.cfg.heartbeat_period_ns
         # Takeover: needs now - seen > timeout AND, when a lower-ranked
         # live node exists, now - seen >= timeout * (1 + rank).  Crashes
-        # re-wake everyone (PaxosNode.crash), so the stagger term can
+        # re-wake everyone (crash_wakes_survivors), so the stagger term can
         # be trusted between wakes.
         seen = self._last_hb_seen
         live_lower = any(p < self.node_id and not self.cluster.nodes[p].crashed
@@ -136,12 +124,12 @@ class PaxosNode(Replica):
                 # The ACCEPT tuple is the wire carrier for this payload.
                 probe.bind(accept_msg, payload)
                 probe.mark(payload, "propose", self.engine.now)
-            self._bcast(accept_msg, size, include_self=True)
+            self._bcast_include_self(accept_msg, size)
             self.engine.trace.count("paxos.propose")
         now = self.engine.now
         if now - self._last_hb_sent >= self.cfg.heartbeat_period_ns:
             self._last_hb_sent = now
-            self._bcast(("HB", self.ballot), 8)
+            self._bcast(self.cluster.node_ids, ("HB", self.ballot), 8)
 
     def _maybe_take_over(self) -> None:
         """Proposer timeout: run phase 1 with a higher ballot."""
@@ -165,7 +153,7 @@ class PaxosNode(Replica):
         self.next_iid = self.next_deliver
         self._prepare_promises = {}
         self.cpu.charge(self.cfg.prepare_cpu_ns)
-        self._bcast(("PREPARE", self.ballot, self.next_deliver), 16, include_self=True)
+        self._bcast_include_self(("PREPARE", self.ballot, self.next_deliver), 16)
         self.engine.trace.count("paxos.prepare")
 
     # -------------------------------------------------------------- messages
@@ -186,8 +174,7 @@ class PaxosNode(Replica):
                                slot=iid, key=payload)
                     probe.mark(msg, "accept", self.engine.now)
                 # Acceptors broadcast ACCEPTED to every learner.
-                self._bcast(("ACCEPTED", ballot, iid, payload, size), 24,
-                            include_self=True)
+                self._bcast_include_self(("ACCEPTED", ballot, iid, payload, size), 24)
         elif kind == "ACCEPTED":
             _, ballot, iid, payload, size = msg
             votes = self.learn_votes.setdefault(iid, {})
@@ -199,8 +186,6 @@ class PaxosNode(Replica):
                 self._deliver_ready()
         elif kind == "HB":
             self._last_hb_seen = self.engine.now
-            if msg[1] > self.ballot and self.is_proposer and self.node_id != 0:
-                pass  # higher proposer exists; benign in this model
         elif kind == "PREPARE":
             _, ballot, from_iid = msg
             if ballot > self.min_promised:
@@ -231,8 +216,7 @@ class PaxosNode(Replica):
             _b, payload, size = merged[iid]
             self.open_instances.add(iid)
             self.next_iid = max(self.next_iid, iid + 1)
-            self._bcast(("ACCEPT", self.ballot, iid, payload, size), size,
-                        include_self=True)
+            self._bcast_include_self(("ACCEPT", self.ballot, iid, payload, size), size)
         self.engine.trace.count("paxos.takeover_done")
 
     # ---------------------------------------------------------------- learner
@@ -255,20 +239,13 @@ class PaxosNode(Replica):
             self.engine.trace.count("paxos.deliver")
 
 
-class PaxosCluster(BroadcastSystem):
+class PaxosCluster(TcpCluster):
     """A libpaxos deployment (all nodes are acceptor+learner, node 0 the
     initial distinguished proposer)."""
 
     name = "libpaxos"
-
-    def __init__(self, engine: Engine, n: int, config: Optional[PaxosConfig] = None,
-                 tcp_params: Optional[TcpParams] = None, record_deliveries: bool = True):
-        super().__init__(engine, n, record_deliveries)
-        self.cfg = config or PaxosConfig()
-        self.net = self.substrate = build_substrate("tcp", engine, params=tcp_params)
-        self.quorum = n // 2 + 1
-        self.nodes: dict[int, PaxosNode] = {i: PaxosNode(self, i, self.cfg)
-                                            for i in self.node_ids}
+    node_class = PaxosNode
+    config_class = PaxosConfig
 
     def start(self) -> None:
         probe = self.engine.probe

@@ -16,10 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from repro.protocols.base import BroadcastSystem, CommitCallback, Replica
-from repro.substrate import TcpParams, build_substrate
+from repro.protocols.base import CommitCallback
+from repro.protocols.tcpreplica import TcpCluster, TcpReplica
 from repro.sim.disk import Disk
-from repro.sim.engine import Engine, us
+from repro.sim.engine import us
 from repro.sim.process import ProcessConfig
 
 
@@ -43,14 +43,13 @@ class RaftConfig:
         default_factory=lambda: ProcessConfig(poll_interval_ns=2_000, poll_jitter_ns=500))
 
 
-class RaftNode(Replica):
+class RaftNode(TcpReplica):
     """One etcd/Raft server."""
 
     FOLLOWER, CANDIDATE, LEADER = "follower", "candidate", "leader"
 
     def __init__(self, cluster: "RaftCluster", node_id: int, cfg: RaftConfig):
         super().__init__(cluster, node_id, cfg, name=f"etcd{node_id}")
-        self.ep = cluster.net.attach(self)
         self.disk = Disk(cluster.engine, cfg.fsync_ns, name=f"etcd{node_id}.wal",
                          owner=self)
         self.state = self.FOLLOWER
@@ -71,13 +70,6 @@ class RaftNode(Replica):
 
     # ------------------------------------------------------------------ util
 
-    def _send(self, dst: int, msg: tuple, size: int) -> None:
-        self.cluster.net.send(self.node_id, dst, msg, size + self.cfg.msg_overhead_bytes)
-
-    def _bcast(self, msg: tuple, size: int) -> None:
-        self.cluster.net.broadcast(self.node_id, self.cluster.node_ids, msg,
-                                   size + self.cfg.msg_overhead_bytes)
-
     def _reset_election_timer(self) -> None:
         span = self.cfg.election_timeout_max_ns - self.cfg.election_timeout_min_ns
         self._election_deadline = (self.engine.now + self.cfg.election_timeout_min_ns
@@ -89,13 +81,10 @@ class RaftNode(Replica):
 
     # ------------------------------------------------------------------ poll
 
-    def on_poll(self) -> None:
-        for src, msg in self.ep.drain():
-            self._dispatch(src, msg)
-        now = self.engine.now
+    def _step(self) -> None:
         if self.state == self.LEADER:
             self._leader_step()
-        elif now >= self._election_deadline:
+        elif self.engine.now >= self._election_deadline:
             self._start_election()
 
     # --------------------------------------------------------- poll elision
@@ -121,7 +110,8 @@ class RaftNode(Replica):
         self._votes = {self.node_id}
         self._reset_election_timer()
         lt, li = self.last_log()
-        self._bcast(("VOTE_REQ", self.term, lt, li), 24)
+        # Raft sends to every node id, crashed peers included.
+        self._bcast(self.cluster.node_ids, ("VOTE_REQ", self.term, lt, li), 24)
         self.engine.trace.count("raft.elections_started")
 
     def _become_leader(self) -> None:
@@ -237,8 +227,7 @@ class RaftNode(Replica):
         if term > self.term:
             self.term = term
             self.voted_for = None
-            if self.state != self.FOLLOWER:
-                self.state = self.FOLLOWER
+            self.state = self.FOLLOWER
         if kind == "VOTE_REQ":
             _, cterm, clt, cli = msg
             grant = False
@@ -303,19 +292,12 @@ class RaftNode(Replica):
                 self.next_index[src] = max(0, min(match, self.next_index.get(src, 1) - 1))
 
 
-class RaftCluster(BroadcastSystem):
+class RaftCluster(TcpCluster):
     """An etcd cluster."""
 
     name = "etcd"
-
-    def __init__(self, engine: Engine, n: int, config: Optional[RaftConfig] = None,
-                 tcp_params: Optional[TcpParams] = None, record_deliveries: bool = True):
-        super().__init__(engine, n, record_deliveries)
-        self.cfg = config or RaftConfig()
-        self.net = self.substrate = build_substrate("tcp", engine, params=tcp_params)
-        self.quorum = n // 2 + 1
-        self.nodes: dict[int, RaftNode] = {i: RaftNode(self, i, self.cfg)
-                                           for i in self.node_ids}
+    node_class = RaftNode
+    config_class = RaftConfig
 
     def leader_id(self) -> Optional[int]:
         best = None
