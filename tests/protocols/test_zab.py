@@ -109,3 +109,32 @@ def test_no_quorum_no_leader():
     c.crash(survivors[1])
     e.run(until=ms(80))
     assert c.leader_id() is None
+
+
+def test_resync_of_a_looking_peer_charges_the_verify_diff():
+    """A follower that falls back to LOOKING is re-synced with the same
+    SYNC the post-election verify round sends: charged as the coarse
+    DIFF from the last delivered entry on, not as the whole log."""
+    e = Engine(seed=7)
+    c = ZabCluster(e, 3)
+    c.start()
+    e.run(until=ms(5))
+    ldr = c.leader_id()
+    drive(c, e, 40, gap_us=100, size=100)
+    e.run(until=ms(30))
+    assert [c.deliveries.delivered_count(i) for i in range(3)] == [40] * 3
+    syncs = []
+    send = c.net.send
+
+    def spy(src, dst, msg, size):
+        if msg[0] == "SYNC":
+            syncs.append(size)
+        send(src, dst, msg, size)
+
+    c.net.send = spy
+    follower = next(i for i in range(3) if i != ldr)
+    c.nodes[follower]._enter_election()
+    e.run(until=ms(40))
+    assert c.leader_id() == ldr
+    # Only the last delivered entry (100 B) is in the DIFF, plus framing.
+    assert syncs and syncs == [100 + c.cfg.msg_overhead_bytes] * len(syncs)
