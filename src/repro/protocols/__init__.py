@@ -27,7 +27,9 @@ The extension systems, which the paper discusses but does not benchmark:
   suite's baselines.
 
 APUS, DARE and Mu share the remote-log skeleton of
-:mod:`repro.protocols.remotelog`.  Acuerdo itself lives in
+:mod:`repro.protocols.remotelog`; Zab, Raft, libpaxos, Dolev and Bracha
+share the TCP replica skeleton of :mod:`repro.protocols.tcpreplica`.
+Acuerdo itself lives in
 :mod:`repro.core` and exposes the same interface through
 :class:`repro.core.cluster.AcuerdoCluster`.
 """
