@@ -64,6 +64,22 @@ def test_run_attack_no_protection_resolves_the_ablation_row():
     assert out.outcome == "detected"
 
 
+@pytest.mark.parametrize("mode, expect", [
+    ("corrupt_ring", ("detected", 90, 90, 0, 210,
+                      {"commit_quorum_accept": 120,
+                       "log_prefix_agreement": 90}, 80)),
+    ("dup_ring", ("detected", 30, 30, 0, 51,
+                  {"commit_quorum_accept": 7,
+                   "log_prefix_agreement": 44}, 80)),
+])
+def test_derecho_attacked_two_write_ring_is_pinned(mode, expect):
+    # Derecho's ring is the only one posting a data write and a counter
+    # write per message; the attacked fan-out must keep both per receiver.
+    out = run_attack("derecho-leader", mode)
+    assert (out.outcome, out.attempts, out.landed, out.blocked,
+            out.violations, dict(out.by_monitor), out.completed) == expect
+
+
 def test_outcome_to_dict_is_json_serialisable():
     out = run_attack("zookeeper", "equivocate", n=4, seed=7)
     d = out.to_dict()
