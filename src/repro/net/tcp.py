@@ -160,19 +160,9 @@ class TcpNetwork(Substrate):
         (the caller is executing on the sender's CPU) and schedules
         delivery into the destination inbox."""
         byz = self.engine.byz
-        if byz is not None:
-            repl = byz.on_net_send(self, src, dst, payload)
-            if repl is not None:
-                # Re-issue each transformed payload through the normal
-                # path so forged/duplicated traffic pays full substrate
-                # costs; the injector's guard keeps us from recursing.
-                byz._in_send = True
-                try:
-                    for pl in repl:
-                        self.send(src, dst, pl, size_bytes)
-                finally:
-                    byz._in_send = False
-                return
+        if byz is not None and byz.on_net_send(self, src, dst, payload,
+                                               size_bytes):
+            return
         p = self.params
         src_ep = self.endpoints[src]
         if src_ep.process.crashed:

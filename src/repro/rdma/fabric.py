@@ -191,8 +191,8 @@ class RdmaFabric(Substrate):
             self._drop_partitioned()
             return
         qp = self.qps[(src, dst)] if lane != "bulk" else self.bulk_qp(src, dst)
-        qp.post_write(region, rkey, key, value, size_bytes,
-                      signaled=signaled, wr_id=wr_id, earliest_ns=earliest_ns)
+        qp.post_write(region, rkey, key, value, size_bytes, signaled, wr_id,
+                      earliest_ns)
 
     def send(self, src: int, dst: int, payload: Any, size_bytes: int) -> None:
         """Message-channel send: one one-sided write into the destination
@@ -200,16 +200,9 @@ class RdmaFabric(Substrate):
         only send-side CPU RDMA involves); both endpoints must have been
         created with :meth:`attach`."""
         byz = self.engine.byz
-        if byz is not None:
-            repl = byz.on_net_send(self, src, dst, payload)
-            if repl is not None:
-                byz._in_send = True
-                try:
-                    for pl in repl:
-                        self.send(src, dst, pl, size_bytes)
-                finally:
-                    byz._in_send = False
-                return
+        if byz is not None and byz.on_net_send(self, src, dst, payload,
+                                               size_bytes):
+            return
         src_ep = self.endpoints[src]
         dst_ep = self.endpoints[dst]
         if src_ep.process.crashed or not self.nics[src].powered:

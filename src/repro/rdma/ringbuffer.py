@@ -156,10 +156,6 @@ class RingBuffer:
         # territory, not the §4.1 release rule.
         self._admin_baseline: set[int] = set()
         self._since_signal: dict[int, int] = {}
-        # Hot-path cache: (region, rkey, qp) per remote receiver so
-        # try_send posts straight to the QP when no partition is active
-        # (fabric.write adds nothing else on the control lane).
-        self._wires: dict[int, tuple[Any, int, Any]] = {}
         for r in receivers:
             self._attach(r)
 
@@ -172,11 +168,7 @@ class RingBuffer:
             region = self.fabric.register(
                 receiver, f"{self.name}.in{receiver}", size_bytes=self.capacity * 1024,
                 on_write=lambda key, value, size, rr=rr: self._apply(rr, key, value, size))
-            rkey = region.grant()
-            self._regions[receiver] = (region, rkey)
-            qp = self.fabric.qps.get((self.sender, receiver))
-            if qp is not None:
-                self._wires[receiver] = (region, rkey, qp)
+            self._regions[receiver] = (region, region.grant())
 
     @staticmethod
     def _apply(rr: RingReceiver, key: Any, value: Any, size: int) -> None:
@@ -233,100 +225,40 @@ class RingBuffer:
         dests = targets if targets is not None else self._receivers
         sender = self.sender
         two_writes = self.writes_per_message == 2
-        fabric = self.fabric
-        write = fabric.write
-        since = self._since_signal
-        wires = self._wires
-        interval = self.signal_interval
-        direct = fabric._partition is None
-        byz = fabric.engine.byz
-        if byz is not None and self.sender in byz._ring_modes:
-            return self._try_send_byz(byz, seq, dests, payload, size_bytes,
-                                      earliest_ns)
-        for r in dests:
-            if r == sender:
-                # Local mirror: plain store, visible at the next poll.
-                rr = self._receivers[r]
-                rr._on_data(seq, payload, size_bytes)
-                if two_writes:
-                    rr._on_counter(seq)
-                continue
-            count = since[r] + 1
-            signaled = count >= interval
-            since[r] = 0 if signaled else count
-            wire = wires.get(r) if direct else None
-            if wire is not None:
-                region, rkey, qp = wire
-                qp.post_write(region, rkey, ("data", seq), payload,
-                              size_bytes, signaled, ("ring", seq), earliest_ns)
-                if two_writes:
-                    # Separate 8-byte counter update (still >= 80 wire
-                    # bytes).
-                    qp.post_write(region, rkey, ("counter", seq), None,
-                                  8, False, None, earliest_ns)
-                continue
-            region, rkey = self._regions[r]
-            write(sender, r, region, rkey, ("data", seq), payload,
-                  size_bytes, signaled=signaled, wr_id=("ring", seq),
-                  earliest_ns=earliest_ns)
-            if two_writes:
-                write(sender, r, region, rkey, ("counter", seq), None,
-                      8, signaled=False, earliest_ns=earliest_ns)
-        return seq
-
-    def _try_send_byz(self, byz: Any, seq: int, dests: Iterable[int],
-                      payload: Any, size_bytes: int, earliest_ns: int) -> int:
-        """The attacked twin of :meth:`try_send`'s fan-out loop, taken
-        only while a ring attack is armed on this sender.
-
-        Per remote receiver the injector may substitute the slot's
-        payload(s) — a different forgery per receiver (corrupt_ring) or
-        a forged twin write into the same slot (dup_ring).  The sender's
-        *local* mirror keeps the honest payload: a lying node still
-        knows the truth, which is exactly what makes the receivers'
-        divergence monitor-visible.  Costs are identical per write to
-        the honest path, and extra writes pay full wire costs.
-        """
-        sender = self.sender
-        two_writes = self.writes_per_message == 2
         write = self.fabric.write
+        regions = self._regions
         since = self._since_signal
-        wires = self._wires
         interval = self.signal_interval
-        direct = self.fabric._partition is None
+        # An armed ring attack on this sender may substitute the slot's
+        # payload(s) per remote receiver: a different forgery each
+        # (corrupt_ring) or a forged twin write into the same slot
+        # (dup_ring).  Extra writes pay full wire costs.
+        byz = self.fabric.engine.byz
+        if byz is not None and sender not in byz._ring_modes:
+            byz = None
         for r in dests:
             if r == sender:
+                # Local mirror: plain store, visible at the next poll.  A
+                # lying sender still keeps the honest payload, which is
+                # what makes the receivers' divergence monitor-visible.
                 rr = self._receivers[r]
                 rr._on_data(seq, payload, size_bytes)
                 if two_writes:
                     rr._on_counter(seq)
                 continue
-            repl = byz.on_ring_write(self, seq, r, payload)
-            pls = repl if repl is not None else (payload,)
+            repl = (None if byz is None
+                    else byz.on_ring_write(self, seq, r, payload))
             count = since[r] + 1
             signaled = count >= interval
             since[r] = 0 if signaled else count
-            wire = wires.get(r) if direct else None
-            for pl in pls:
-                if wire is not None:
-                    region, rkey, qp = wire
-                    qp.post_write(region, rkey, ("data", seq), pl,
-                                  size_bytes, signaled, ("ring", seq),
-                                  earliest_ns)
-                else:
-                    region, rkey = self._regions[r]
-                    write(sender, r, region, rkey, ("data", seq), pl,
-                          size_bytes, signaled=signaled,
-                          wr_id=("ring", seq), earliest_ns=earliest_ns)
+            region, rkey = regions[r]
+            for pl in (payload,) if repl is None else repl:
+                write(sender, r, region, rkey, ("data", seq), pl, size_bytes,
+                      signaled, ("ring", seq), earliest_ns)
             if two_writes:
-                if wire is not None:
-                    region, rkey, qp = wire
-                    qp.post_write(region, rkey, ("counter", seq), None,
-                                  8, False, None, earliest_ns)
-                else:
-                    region, rkey = self._regions[r]
-                    write(sender, r, region, rkey, ("counter", seq), None,
-                          8, signaled=False, earliest_ns=earliest_ns)
+                # Separate 8-byte counter update (still >= 80 wire bytes).
+                write(sender, r, region, rkey, ("counter", seq), None, 8,
+                      False, None, earliest_ns)
         return seq
 
     # -------------------------------------------------------------- release
@@ -377,4 +309,3 @@ class RingBuffer:
         self._since_signal.pop(receiver, None)
         self._receivers.pop(receiver, None)
         self._regions.pop(receiver, None)
-        self._wires.pop(receiver, None)

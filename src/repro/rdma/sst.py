@@ -71,16 +71,6 @@ class SharedStateTable:
                 m, f"sst.{name}.{m}", size_bytes=row_size_bytes * len(self.members),
                 on_write=lambda row, value, _size, m=m: self._apply(m, row, value))
             self._regions[m] = (region, region.grant())
-        # Hot-path cache: (region, rkey, qp) per ordered pair, so push can
-        # post straight to the QP — skipping the fabric.write indirection —
-        # whenever no partition is active (the only behaviour fabric.write
-        # adds on this lane).
-        self._wires: dict[tuple[int, int], tuple[Any, int, Any]] = {}
-        for m in self.members:
-            region, rkey = self._regions[m]
-            for src in self.members:
-                if src != m and (src, m) in fabric.qps:
-                    self._wires[(src, m)] = (region, rkey, fabric.qps[(src, m)])
 
     def _apply(self, holder: int, row: int, value: Any) -> bool:
         copy = self.copies[holder]
@@ -134,11 +124,6 @@ class SharedStateTable:
         ``repro.sim.process``)."""
         return self._versions[holder]
 
-    def changed_since(self, holder: int, seen_version: int) -> bool:
-        """True iff ``holder``'s copy changed after ``seen_version`` —
-        the idle test park-ready predicates use."""
-        return self._versions[holder] != seen_version
-
     # ------------------------------------------------------------------ API
 
     def read(self, reader: int, row: int) -> Any:
@@ -158,16 +143,14 @@ class SharedStateTable:
              earliest_ns: int = 0) -> None:
         """Mirror ``node``'s own row to ``targets`` (default: all peers)
         with one one-sided write each (``push_mine`` / ``push_mine_to``)."""
-        fabric = self.fabric
         value = self.copies[node][node]
         dests = targets if targets is not None else self.members
         since = self._since_signal
-        wires = self._wires
+        regions = self._regions
+        write = self._write
         row_bytes = self.row_size_bytes
         interval = self.signal_interval
         wr_id = self._wr_id
-        # fabric.write only adds the partition drop on this lane
-        direct = fabric._partition is None
         for t in dests:
             if t == node:
                 continue
@@ -175,16 +158,9 @@ class SharedStateTable:
             count = since[k] + 1
             signaled = count >= interval
             since[k] = 0 if signaled else count
-            wire = wires.get(k) if direct else None
-            if wire is not None:
-                region, rkey, qp = wire
-                qp.post_write(region, rkey, node, value, row_bytes,
-                              signaled, wr_id, earliest_ns)
-            else:
-                region, rkey = self._regions[t]
-                self._write(node, t, region, rkey, node, value, row_bytes,
-                            signaled=signaled, wr_id=wr_id,
-                            earliest_ns=earliest_ns)
+            region, rkey = regions[t]
+            write(node, t, region, rkey, node, value, row_bytes, signaled,
+                  wr_id, earliest_ns)
             self.pushes += 1
 
     def set_and_push(self, node: int, value: Any,

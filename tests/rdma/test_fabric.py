@@ -1,5 +1,6 @@
 """Unit tests for cluster-wide RDMA wiring."""
 
+import pytest
 
 from repro.rdma import RdmaFabric, RdmaParams
 from repro.sim import Engine
@@ -52,3 +53,31 @@ def test_params_shared_across_fabric():
     fab = RdmaFabric(e, [0, 1], p)
     assert fab.qp(0, 1).params.propagation_ns == 123
     assert fab.nic(0).params is p
+
+
+@pytest.mark.parametrize("name", ["acuerdo", "derecho-leader", "derecho-all",
+                                  "mu", "dare", "apus"])
+def test_every_one_sided_write_is_posted_by_fabric_write(name, monkeypatch):
+    """``RdmaFabric.write`` is the only poster of one-sided writes: no
+    structure or protocol reaches ``QueuePair.post_write`` around it, so
+    the partition drop and the lane choice live in one place."""
+    from repro.harness.factory import _build_named, settle
+    from repro.sim.engine import ms
+
+    calls = [0]
+    write = RdmaFabric.write
+
+    def counted(self, *args, **kwargs):
+        calls[0] += 1
+        return write(self, *args, **kwargs)
+
+    monkeypatch.setattr(RdmaFabric, "write", counted)
+    e = Engine(seed=7)
+    system = _build_named(name, e, 3)
+    settle(system, preseed=False)
+    for i in range(50):
+        system.submit(("cl", i), 64)
+    e.run(until=e.now + ms(2))
+    posted = sum(qp.posted for qp in system.substrate._all_qps())
+    assert posted > 0
+    assert calls[0] == posted
