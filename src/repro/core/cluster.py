@@ -133,8 +133,5 @@ class AcuerdoCluster(BroadcastSystem):
 
     # ------------------------------------------------------------ inspection
 
-    def committed_headers(self, node_id: int) -> MsgHdr:
-        return self.nodes[node_id].Committed
-
     def roles(self) -> dict[int, Role]:
         return {i: n.role for i, n in self.nodes.items()}

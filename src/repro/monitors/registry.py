@@ -55,7 +55,7 @@ never compare slots across protocols.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple, Optional
 
 _tuple_new = tuple.__new__
@@ -295,10 +295,6 @@ class MonitorRegistry:
             metrics.record("monitor.violations", len(self.violations))
             metrics.record("monitor.events", self.events_seen)
         return self.violations
-
-    @property
-    def violation_count(self) -> int:
-        return len(self.violations)
 
     def check(self) -> None:
         """Raise ``AssertionError`` on any recorded violation."""
