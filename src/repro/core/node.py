@@ -96,6 +96,7 @@ class AcuerdoNode(Replica):
 
         # --- broadcast plumbing ---
         self._epoch_msg_seq: dict[int, int] = {}   # cnt -> own-ring seq (current epoch)
+        self._epoch_seq_floor = 0                  # cnts below it are dropped
         self._diff_seq: dict[int, int] = {}        # follower -> seq of its diff
         self._pending_diffs: list[tuple[int, Message]] = []
         self._on_commit_cb: dict[MsgHdr, Callable[[MsgHdr], None]] = {}
@@ -591,15 +592,28 @@ class AcuerdoNode(Replica):
         ring = self._ring
         accept_copy = self._accept_sst.copies[self.node_id]
         e_cur = self.E_cur
+        epoch_seq = self._epoch_msg_seq
+        lowest = self.Count   # least cnt every accounted peer has accepted
         for k in self.peers:
             if k in self._evicted:
                 continue
             h = accept_copy[k]
             if h is None or h.e != e_cur:
+                lowest = 0
                 continue
-            seq = self._diff_seq.get(k) if h.cnt == 0 else self._epoch_msg_seq.get(h.cnt)
+            cnt = h.cnt
+            if cnt < lowest:
+                lowest = cnt
+            seq = self._diff_seq.get(k) if cnt == 0 else epoch_seq.get(cnt)
             if seq is not None:
                 ring.mark_released(k, seq + 1)
+        # A lookup below ``lowest`` could only repeat a release already
+        # made (a re-admitted peer restarts above every dropped seq).
+        floor = self._epoch_seq_floor
+        if lowest > floor:
+            for cnt in range(floor, lowest):
+                epoch_seq.pop(cnt, None)
+            self._epoch_seq_floor = lowest
         probe = self.engine.probe
         if probe is not None:
             self._mon_note_floor(probe)
@@ -707,6 +721,7 @@ class AcuerdoNode(Replica):
         self.role = Role.LEADER
         self.Count = 0
         self._epoch_msg_seq = {}
+        self._epoch_seq_floor = 0
         self._diff_seq = {}
         # A new epoch starts with a clean slate: every peer gets a diff
         # (even previously evicted ones — the diff is their way back in)

@@ -24,7 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from repro.protocols.tcpreplica import SequencedCluster, SequencedReplica
+from repro.protocols.tcpreplica import (SequencedCluster, SequencedReplica,
+                                        SlotSet)
 from repro.sim.engine import Engine
 from repro.sim.process import ProcessConfig
 from repro.substrate import TcpParams
@@ -52,10 +53,13 @@ class BrachaNode(SequencedReplica):
     def __init__(self, cluster: "BrachaCluster", node_id: int,
                  cfg: BrachaConfig):
         super().__init__(cluster, node_id, cfg, name=f"bracha{node_id}")
-        self._echoed: set[int] = set()            # slots this node echoed
-        self._readied: set[int] = set()           # slots this node readied
-        self._echoes: dict[tuple, set[int]] = {}  # (slot, value) -> echoers
-        self._readies: dict[tuple, set[int]] = {}
+        self._echoed = SlotSet()                  # slots this node echoed
+        self._readied = SlotSet()                 # slots this node readied
+        # Untrusted slot -> value -> echoers / readiers.  A trusted slot
+        # has been readied, so later votes for it change nothing and
+        # its tallies are dropped.
+        self._echoes: dict[int, dict[Any, set[int]]] = {}
+        self._readies: dict[int, dict[Any, set[int]]] = {}
 
     def _slot_msg(self, s: int, payload: Any, size: int) -> tuple:
         return ("SEND", s, payload, size)
@@ -89,18 +93,24 @@ class BrachaNode(SequencedReplica):
         self._on_echo(self.node_id, s, v, size)
 
     def _on_echo(self, src: int, s: int, v: Any, size: int) -> None:
-        nodes = self._echoes.setdefault((s, v), set())
+        if self._trusted(s):
+            return
+        nodes = self._echoes.setdefault(s, {}).setdefault(v, set())
         nodes.add(src)     # a set: duplicated echoes collapse
         if len(nodes) >= self.cluster.echo_quorum and s not in self._readied:
             self._send_ready(s, v, size)
 
     def _on_ready(self, src: int, s: int, v: Any, size: int) -> None:
-        nodes = self._readies.setdefault((s, v), set())
+        if self._trusted(s):
+            return
+        nodes = self._readies.setdefault(s, {}).setdefault(v, set())
         nodes.add(src)
         if len(nodes) >= self.cluster.f + 1 and s not in self._readied:
             self._send_ready(s, v, size)   # READY amplification
         if len(nodes) >= 2 * self.cluster.f + 1:
             self._deliver_slot(s, v)
+            self._echoes.pop(s, None)
+            self._readies.pop(s, None)
 
     def _send_ready(self, s: int, v: Any, size: int) -> None:
         self._readied.add(s)

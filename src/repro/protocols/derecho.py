@@ -137,6 +137,7 @@ class DerechoNode(Replica):
         self.delivered_upto = 0          # next global RR index to deliver
         self.sent_rounds = 0             # my rounds sent (if I am a sender)
         self._round_seq: dict[int, int] = {}   # my round -> my ring seq
+        self._round_floor = 0                  # rounds below it are dropped
         self._cbs: dict[int, CommitCallback] = {}  # my round -> ack
         self._hb = 0
         self._last_push = 0
@@ -512,7 +513,12 @@ class DerechoNode(Replica):
         # Rounds of mine fully delivered everywhere:
         full_rounds = min_delivered // k + (1 if min_delivered % k > my_idx else 0)
         if full_rounds > 0:
-            seq = self._round_seq.get(full_rounds - 1)
+            # Earlier rounds can only repeat releases already made.
+            last = full_rounds - 1
+            for rnd in range(self._round_floor, last):
+                self._round_seq.pop(rnd, None)
+            self._round_floor = max(self._round_floor, last)
+            seq = self._round_seq.get(last)
             if seq is not None:
                 ring = self.cluster.rings[self.node_id]
                 for m in self.members:
@@ -630,6 +636,7 @@ class DerechoNode(Replica):
         self.delivered_upto = 0
         self.sent_rounds = 0
         self._round_seq = {}
+        self._round_floor = 0
         # Unacked messages are abandoned; real clients re-send on timeout.
         self._cbs = {}
         self.wedged = False

@@ -55,8 +55,10 @@ class DolevNode(SequencedReplica):
     def __init__(self, cluster: "DolevCluster", node_id: int,
                  cfg: DolevConfig):
         super().__init__(cluster, node_id, cfg, name=f"dolev{node_id}")
-        #: (slot, value) -> effective paths observed so far
-        self._paths: dict[tuple, list[frozenset]] = {}
+        #: untrusted slot -> value -> effective paths observed so far
+        self._paths: dict[int, dict[Any, list[frozenset]]] = {}
+        #: (slot, value) pairs relayed.  Kept past delivery: a late copy
+        #: of a delivered pair must still not be relayed a second time.
         self._relayed: set[tuple] = set()
         self._max_slot = -1
 
@@ -85,15 +87,14 @@ class DolevNode(SequencedReplica):
         # fold the transport-level sender in (the source itself is never
         # path material — path entries are relayers only).
         eff = frozenset(path) | ({src} if src != source else frozenset())
-        if s not in self._delivered:
-            if direct:
-                self._deliver_slot(s, v)
-            else:
-                paths = self._paths.setdefault((s, v), [])
+        if not self._trusted(s):
+            if not direct:
+                paths = self._paths.setdefault(s, {}).setdefault(v, [])
                 if eff not in paths:
                     paths.append(eff)
-                if self._disjoint_count(paths) >= self.cluster.f + 1:
-                    self._deliver_slot(s, v)
+            if direct or self._disjoint_count(paths) >= self.cluster.f + 1:
+                self._deliver_slot(s, v)
+                self._paths.pop(s, None)
         # Relay the first receipt of each (slot, value), while the route
         # is still short enough for the disjointness budget to care.
         if (s, v) not in self._relayed and len(eff) <= self.cluster.f:

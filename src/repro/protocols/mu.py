@@ -56,7 +56,7 @@ class MuNode(LogReplica):
 
     def __init__(self, cluster: "MuCluster", node_id: int, cfg: MuConfig):
         super().__init__(cluster, node_id, cfg)
-        self._acks: dict[int, set[int]] = {}     # entry idx -> followers acked
+        self._acks: dict[int, set[int]] = {}     # uncommitted idx -> followers acked
         self._next_write: dict[int, int] = {}    # follower -> next entry to write
         self._last_leader_sign = 0
 
@@ -113,11 +113,15 @@ class MuNode(LogReplica):
             if not (isinstance(comp.wr_id, tuple) and comp.wr_id[0] == "mu"):
                 continue
             _, p, idx = comp.wr_id
+            if idx < self.commit_index:
+                continue   # late completion: the entry's tally went at commit
             acks = self._acks.setdefault(idx, set())
             acks.add(p)
             # Quorum = leader (has it locally) + enough completions.
-            if len(acks) + 1 >= self.cluster.quorum and idx >= self.commit_index:
-                self.commit_index = max(self.commit_index, idx + 1)
+            if len(acks) + 1 >= self.cluster.quorum:
+                for i in range(self.commit_index, idx + 1):
+                    self._acks.pop(i, None)
+                self.commit_index = idx + 1
 
     # -------------------------------------------------------------- acceptor
 

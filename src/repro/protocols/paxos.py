@@ -48,7 +48,8 @@ class PaxosNode(TcpReplica):
         self.promised: dict[int, int] = {}
         self.accepted: dict[int, tuple[int, Any, int]] = {}   # iid -> (ballot, value, size)
         self.min_promised = 0            # ballot floor from PREPAREs
-        # Learner state.
+        # Learner state: undelivered instances only, every iid below
+        # next_deliver is learnt.
         self.learn_votes: dict[int, dict[int, int]] = {}      # iid -> {acceptor: ballot}
         self.chosen: dict[int, tuple[Any, int]] = {}
         self.next_deliver = 0
@@ -177,6 +178,8 @@ class PaxosNode(TcpReplica):
                 self._bcast_include_self(("ACCEPTED", ballot, iid, payload, size), 24)
         elif kind == "ACCEPTED":
             _, ballot, iid, payload, size = msg
+            if iid < self.next_deliver:
+                return   # already delivered: its tally went at delivery
             votes = self.learn_votes.setdefault(iid, {})
             votes[src] = ballot
             same = sum(1 for b in votes.values() if b == ballot)
@@ -224,7 +227,8 @@ class PaxosNode(TcpReplica):
     def _deliver_ready(self) -> None:
         probe = self.engine.probe
         while self.next_deliver in self.chosen:
-            payload, _size = self.chosen[self.next_deliver]
+            payload, _size = self.chosen.pop(self.next_deliver)
+            self.learn_votes.pop(self.next_deliver, None)
             if probe is not None:
                 probe.note(self.cluster, "commit", self.node_id,
                            slot=self.next_deliver, key=payload)

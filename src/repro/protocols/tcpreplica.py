@@ -90,6 +90,33 @@ class TcpCluster(BroadcastSystem):
         self.nodes = {i: self.node_class(self, i, self.cfg) for i in self.node_ids}
 
 
+class SlotSet:
+    """A set of slot numbers stored as a watermark plus sparse members:
+    every slot in ``[0, floor)`` is a member and ``above`` holds the
+    rest, so slots added in near-increasing order cost memory for the
+    gaps only, not for every slot ever added."""
+
+    __slots__ = ("floor", "above")
+
+    def __init__(self) -> None:
+        self.floor = 0
+        self.above: set[int] = set()
+
+    def __contains__(self, s: int) -> bool:
+        return 0 <= s < self.floor or s in self.above
+
+    def add(self, s: int) -> None:
+        if s == self.floor:
+            s += 1
+            above = self.above
+            while s in above:
+                above.remove(s)
+                s += 1
+            self.floor = s
+        elif not 0 <= s < self.floor:
+            self.above.add(s)
+
+
 class SequencedReplica(TcpReplica):
     """A replica of a broadcast whose total order rides the slot numbers
     of a fixed sequencer.
@@ -107,7 +134,8 @@ class SequencedReplica(TcpReplica):
 
     def __init__(self, cluster: "SequencedCluster", node_id: int, cfg: Any, name: str):
         super().__init__(cluster, node_id, cfg, name=name)
-        self._delivered: set[int] = set()
+        # Trusted slots are every slot below next_deliver plus the keys
+        # of _buffer (trusted, waiting for a gap below to fill).
         self._buffer: dict[int, Any] = {}         # slot -> deliverable value
         self.next_deliver = 0
         # sequencer-only state
@@ -141,12 +169,15 @@ class SequencedReplica(TcpReplica):
             self._receive_own(s, payload, size)
             self.engine.trace.count(f"{self.cluster.name}.send")
 
+    def _trusted(self, s: int) -> bool:
+        """True once a value for slot ``s`` has been trusted."""
+        return 0 <= s < self.next_deliver or s in self._buffer
+
     def _deliver_slot(self, s: int, v: Any) -> None:
         """Trust value ``v`` for slot ``s`` (once) and deliver every
         slot now contiguous from ``next_deliver``."""
-        if s in self._delivered:
+        if self._trusted(s):
             return
-        self._delivered.add(s)
         self._buffer[s] = v
         probe = self.engine.probe
         certified = self.quorum_certified

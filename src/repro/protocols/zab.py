@@ -72,7 +72,7 @@ class ZabNode(TcpReplica):
         self.counter = 0
         self.delivered_upto = 0                          # index into log
         self._cbs: dict[tuple, CommitCallback] = {}
-        self.acks: dict[tuple, set[int]] = {}
+        self.acks: dict[tuple, set[int]] = {}           # uncommitted zxid -> ackers
         self.committed_zxid: tuple = (0, 0)
         self._durable_upto = 0
         self._last_hb_seen = 0
@@ -193,11 +193,14 @@ class ZabNode(TcpReplica):
         self._note_ack(zxid, self.node_id)
 
     def _note_ack(self, zxid: tuple, voter: int) -> None:
-        if self.state != self.LEADING or zxid[0] != self.epoch:
+        # An ACK at or below the commit frontier is late (its tally was
+        # dropped at delivery): nothing reads it again.
+        if self.state != self.LEADING or zxid[0] != self.epoch \
+                or zxid <= self.committed_zxid:
             return
         s = self.acks.setdefault(zxid, set())
         s.add(voter)
-        if len(s) >= self.cluster.quorum and zxid > self.committed_zxid:
+        if len(s) >= self.cluster.quorum:
             # Commit everything up to zxid in order.  The log is
             # append-only in zxid order and every entry below
             # delivered_upto is already committed, so the quorum check
@@ -228,6 +231,7 @@ class ZabNode(TcpReplica):
             if z > zxid:
                 break
             self.delivered_upto += 1
+            self.acks.pop(z, None)   # the leader's tally of a committed zxid
             if probe is not None:
                 probe.note(self.cluster, "commit", self.node_id, slot=z)
                 probe.mark(payload, "commit", self.engine.now)
@@ -401,6 +405,9 @@ class ZabNode(TcpReplica):
             return
         self.epoch = max(self.epoch, mine[0]) + 1
         self.counter = 0
+        # Tallies of an earlier reign's uncommitted proposals: the
+        # epoch check in _note_ack keeps them from being read again.
+        self.acks = {}
         probe = self.engine.probe
         if probe is not None:
             # The verified winner exclusively owns the new epoch.
