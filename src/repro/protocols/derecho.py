@@ -586,7 +586,12 @@ class DerechoNode(Replica):
             if row and row.proposal and row.proposal[0] == self.view + 1:
                 proposal = row.proposal
                 break
-        if proposal is None and min(live) == self.node_id and (everyone_ready or timed_out):
+        # Only a majority of the current view may lead a view change: a
+        # member cut off from the rest would otherwise install a view of
+        # itself alone.  Following a majority's proposal is unaffected.
+        if proposal is None and min(live) == self.node_id \
+                and 2 * len(live) > len(self.members) \
+                and (everyone_ready or timed_out):
             # I lead the view change.  The ragged-edge trim must cover
             # everything ANY member might already have delivered.  A
             # departing member's delivery frontier is bounded by its

@@ -85,6 +85,15 @@ def test_derecho_safety_under_failures(sched):
     _assert_safety(system, 30)
 
 
+def test_derecho_cut_off_member_leads_no_view_change():
+    """A descheduled member that sees nobody live must not install a
+    view of itself alone: that was a second leader for the next view
+    (``single_leader_per_term``)."""
+    system = _run_schedule("derecho-leader", 3, 0, [1], [(0, 0), (0, 347)],
+                           msgs=30, horizon_ms=15)
+    _assert_safety(system, 30)
+
+
 @settings(max_examples=10, deadline=None)
 @given(schedule)
 def test_apus_safety_under_failures(sched):
