@@ -49,7 +49,7 @@ Normalized event vocabulary (the cross-protocol contract):
     SST attack is armed — honest runs carry no ``sst_row`` traffic.
 
 Slots only need to be *comparable and hashable within one protocol*
-(Acuerdo ``MsgHdr``, integer log frontiers, Zab zxid pairs); monitors
+(Acuerdo ``MsgHdr``, integer log frontiers, Zab packed zxids); monitors
 never compare slots across protocols.
 """
 

@@ -112,7 +112,7 @@ class ApusNode(LogReplica):
                 payload, size, cb = self.pending.pop(0)
                 if cb is not None:
                     self._cbs[len(self.log)] = cb
-                self.log.append((payload, size))
+                self.log.append(0, payload, size)
                 entries.append((payload, size))
                 size_total += size
                 self.cpu.charge(self.cfg.paxos_cpu_ns)
@@ -161,9 +161,9 @@ class ApusNode(LogReplica):
                 probe.note(self.cluster, "accept_trunc", self.node_id,
                            slot=start)
             # Exclusive leader access: writes land at the stated offset.
-            del self.log[start:]
+            self.log.truncate(start)
             for payload, size in entries:
-                self.log.append((payload, size))
+                self.log.append(0, payload, size)
                 self.cpu.charge(self.cfg.accept_cpu_ns)
                 if probe is not None:
                     probe.mark(payload, "accept", self.engine.now)

@@ -127,7 +127,7 @@ class DareNode(LogReplica):
                 continue
             if nxt >= len(self.log) or nxt - self._acked.get(p, 0) >= self.cfg.max_inflight:
                 continue
-            payload, size = self.log[nxt]
+            payload, size = self.log.payload(nxt), self.log.size(nxt)
             region, rkey = self.cluster.log_regions[p]
             self._chain_phase[p] = ("entry", nxt)
             val = (payload, size)

@@ -95,7 +95,7 @@ class MuNode(LogReplica):
             if self.cluster.nodes[p].crashed:
                 continue
             while nxt < len(self.log) and nxt - self.commit_index < self.cfg.max_inflight:
-                payload, size = self.log[nxt]
+                payload, size = self.log.payload(nxt), self.log.size(nxt)
                 region, rkey = self.cluster.log_regions[p]
                 val = (payload, size)
                 if probe is not None:

@@ -14,9 +14,10 @@ the throughput ranking in Fig. 9, as measured in the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Optional
 
 from repro.protocols.base import CommitCallback
+from repro.protocols.entrylog import EntryLog
 from repro.protocols.tcpreplica import TcpCluster, TcpReplica
 from repro.sim.disk import Disk
 from repro.sim.engine import us
@@ -55,7 +56,7 @@ class RaftNode(TcpReplica):
         self.state = self.FOLLOWER
         self.term = 0
         self.voted_for: Optional[int] = None
-        self.log: list[tuple[int, Any, int]] = []  # (term, payload, size)
+        self.log = EntryLog()                      # keyed by term
         self.durable_len = 0
         self.commit_index = 0
         self.applied = 0
@@ -77,7 +78,7 @@ class RaftNode(TcpReplica):
 
     def last_log(self) -> tuple[int, int]:
         """(last log term, last log index) for vote comparisons."""
-        return (self.log[-1][0] if self.log else 0, len(self.log))
+        return (self.log.key(-1) if self.log else 0, len(self.log))
 
     # ------------------------------------------------------------------ poll
 
@@ -123,7 +124,7 @@ class RaftNode(TcpReplica):
         self.next_index = {p: n for p in self.cluster.node_ids if p != self.node_id}
         self.match_index = {p: 0 for p in self.cluster.node_ids if p != self.node_id}
         # Raft commits a no-op at term start to learn the commit frontier.
-        self.log.append((self.term, None, 1))
+        self.log.append(self.term, None, 1)
         n = len(self.log)
         self.disk.append(lambda n=n: self._on_durable(n))
         self._replicate(force=True)
@@ -139,7 +140,7 @@ class RaftNode(TcpReplica):
             self.cpu.charge(self.cfg.request_cpu_ns)
             if probe is not None:
                 probe.mark(payload, "propose", self.engine.now)
-            self.log.append((self.term, payload, size))
+            self.log.append(self.term, payload, size)
             if cb is not None:
                 self._cbs[len(self.log) - 1] = cb
             appended = True
@@ -172,8 +173,8 @@ class RaftNode(TcpReplica):
             entries = self.log[ni:ni + self.cfg.max_batch]
             if not entries and not force:
                 continue
-            prev_term = self.log[ni - 1][0] if ni > 0 else 0
-            size = sum(sz for _t, _p, sz in entries)
+            prev_term = self.log.key(ni - 1) if ni > 0 else 0
+            size = sum(entries.sizes)
             self._send(p, ("APPEND", self.term, ni, prev_term,
                            tuple(entries), self.commit_index), max(16, size))
             if entries:
@@ -186,7 +187,7 @@ class RaftNode(TcpReplica):
         n = matches[self.cluster.quorum - 1]
         # Only entries of the current term commit by counting replicas
         # (Raft §5.4.2); earlier-term entries commit transitively.
-        while n > self.commit_index and self.log[n - 1][0] != self.term:
+        while n > self.commit_index and self.log.key(n - 1) != self.term:
             n -= 1
         if n > self.commit_index:
             self.commit_index = n
@@ -195,7 +196,7 @@ class RaftNode(TcpReplica):
     def _apply(self) -> None:
         probe = self.engine.probe
         while self.applied < self.commit_index:
-            term, payload, _sz = self.log[self.applied]
+            payload = self.log.payload(self.applied)
             if probe is not None:
                 # The term-start no-op (payload None) marks nothing.
                 probe.note(self.cluster, "commit", self.node_id,
@@ -251,12 +252,12 @@ class RaftNode(TcpReplica):
                 return
             self.state = self.FOLLOWER
             self._reset_election_timer()
-            ok = ni == 0 or (len(self.log) >= ni and self.log[ni - 1][0] == prev_term)
+            ok = ni == 0 or (len(self.log) >= ni and self.log.key(ni - 1) == prev_term)
             if not ok:
                 self._send(src, ("APPEND_REP", self.term, False, min(len(self.log), ni)), 16)
                 return
             if entries:
-                del self.log[ni:]
+                self.log.truncate(ni)
                 self.log.extend(entries)
                 probe = self.engine.probe
                 if self.durable_len > ni:

@@ -15,6 +15,7 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from repro.protocols.base import BroadcastSystem, CommitCallback, Replica
+from repro.protocols.entrylog import EntryLog
 from repro.sim.engine import Engine
 from repro.substrate import RdmaParams, SharedStateTable, build_substrate
 
@@ -22,7 +23,8 @@ from repro.substrate import RdmaParams, SharedStateTable, build_substrate
 class LogReplica(Replica):
     """One replica of a remote-log protocol.
 
-    ``log`` holds ``(payload, size)`` entries; ``commit_index`` is the
+    ``log`` is an :class:`EntryLog` whose keys stay 0 (the index alone
+    orders a remote log); ``commit_index`` is the
     leader's commit frontier and ``seen_commit`` the one an acceptor
     learnt from the leader's Commit-SST row.  A subclass supplies one
     poll in each role (``_lead`` / ``_follow``) and ``_leader_idle``.
@@ -32,7 +34,7 @@ class LogReplica(Replica):
         super().__init__(cluster, node_id, cfg, name=f"{cluster.name}{node_id}")
         self.term = 0
         self.is_leader = False
-        self.log: list[tuple[Any, int]] = []
+        self.log = EntryLog()
         self.commit_index = 0
         self.seen_commit = 0
         self._cbs: dict[int, CommitCallback] = {}
@@ -91,7 +93,7 @@ class LogReplica(Replica):
             payload, size, cb = self.pending.pop(0)
             if cb is not None:
                 self._cbs[len(self.log)] = cb
-            self.log.append((payload, size))
+            self.log.append(0, payload, size)
             self.cpu.charge(cpu_ns)
             if probe is not None:
                 probe.note(self.cluster, "accept", self.node_id,
@@ -112,16 +114,17 @@ class LogReplica(Replica):
 
     def _store(self, idx: int, payload: Any, size: int) -> None:
         """Accept an entry written at ``idx``, padding any gap below it
-        with ``(None, 0)`` until the missing writes land."""
+        with ``None`` payloads until the missing writes land."""
         probe = self.engine.probe
         if probe is not None:
             probe.mark(payload, "accept", self.engine.now)
-        while len(self.log) < idx:
-            self.log.append((None, 0))
-        if idx < len(self.log):
-            self.log[idx] = (payload, size)
+        log = self.log
+        while len(log) < idx:
+            log.append(0, None, 0)
+        if idx < len(log):
+            log.put(idx, 0, payload, size)
         else:
-            self.log.append((payload, size))
+            log.append(0, payload, size)
 
     # ---------------------------------------------------------------- common
 
@@ -129,8 +132,9 @@ class LogReplica(Replica):
         limit = self.commit_index if self.is_leader else self.seen_commit
         delivered = self.cluster.delivered.setdefault(self.node_id, 0)
         probe = self.engine.probe
+        payloads = self.log.payloads
         while delivered < limit:
-            payload, _size = self.log[delivered]
+            payload = payloads[delivered]
             if probe is not None:
                 # A None (gap) payload has no span: its mark is a miss.
                 probe.note(self.cluster, "commit", self.node_id,

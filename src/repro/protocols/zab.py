@@ -16,19 +16,33 @@ contrasts are precise:
 
 The deployment model matches the paper's: ZooKeeper 3.4 with its
 transaction log on disk (group-committed fsyncs) and the request
-pipeline's per-op CPU cost.
+pipeline's per-op CPU cost.  A zxid is ZooKeeper's 64-bit integer: the
+epoch in the high 32 bits, the counter in the low 32, so integer order
+is (epoch, counter) order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Optional
 
 from repro.protocols.base import BroadcastSystem, CommitCallback
+from repro.protocols.entrylog import EntryLog
 from repro.protocols.tcpreplica import TcpCluster, TcpReplica
 from repro.sim.disk import Disk
 from repro.sim.engine import us
 from repro.sim.process import ProcessConfig
+
+
+EPOCH_SHIFT = 32
+
+
+def pack_zxid(epoch: int, counter: int) -> int:
+    return epoch << EPOCH_SHIFT | counter
+
+
+def zxid_epoch(zxid: int) -> int:
+    return zxid >> EPOCH_SHIFT
 
 
 @dataclass
@@ -68,12 +82,12 @@ class ZabNode(TcpReplica):
         self.state = self.LOOKING
         self.epoch = 0
         self.leader: Optional[int] = None
-        self.log: list[tuple[tuple, Any, int]] = []     # (zxid, payload, size)
+        self.log = EntryLog()                            # keyed by zxid
         self.counter = 0
         self.delivered_upto = 0                          # index into log
-        self._cbs: dict[tuple, CommitCallback] = {}
-        self.acks: dict[tuple, set[int]] = {}           # uncommitted zxid -> ackers
-        self.committed_zxid: tuple = (0, 0)
+        self._cbs: dict[int, CommitCallback] = {}
+        self.acks: dict[int, set[int]] = {}             # uncommitted zxid -> ackers
+        self.committed_zxid = 0
         self._durable_upto = 0
         self._last_hb_seen = 0
         self._last_hb_sent = 0
@@ -82,15 +96,15 @@ class ZabNode(TcpReplica):
         self._fle_received: dict[int, tuple] = {}
         self._fle_round_started = 0
         self._sync_acks: set[int] = set()
-        self._verify_replies: dict[int, tuple] = {}
+        self._verify_replies: dict[int, int] = {}
         self._phase = None                               # None|verify|sync
         self._follower_seen: dict[int, int] = {}
         self._became_leader_at = 0
 
     # ------------------------------------------------------------------ util
 
-    def last_zxid(self) -> tuple:
-        return self.log[-1][0] if self.log else (0, 0)
+    def last_zxid(self) -> int:
+        return self.log.key(-1) if self.log else 0
 
     # ------------------------------------------------------------------ poll
 
@@ -167,9 +181,9 @@ class ZabNode(TcpReplica):
             taken += 1
             payload, size, cb = self.pending.pop(0)
             self.counter += 1
-            zxid = (self.epoch, self.counter)
+            zxid = pack_zxid(self.epoch, self.counter)
             self.cpu.charge(self.cfg.request_cpu_ns)
-            self.log.append((zxid, payload, size))
+            self.log.append(zxid, payload, size)
             if cb is not None:
                 self._cbs[zxid] = cb
             self.acks[zxid] = set()
@@ -184,7 +198,7 @@ class ZabNode(TcpReplica):
             self.disk.append(lambda zxid=zxid: self._on_self_durable(zxid))
             self.engine.trace.count("zab.propose")
 
-    def _on_self_durable(self, zxid: tuple) -> None:
+    def _on_self_durable(self, zxid: int) -> None:
         probe = self.engine.probe
         if probe is not None:
             # Durable zxid frontier = cumulative accept (FIFO disk, so
@@ -192,10 +206,10 @@ class ZabNode(TcpReplica):
             probe.note(self.cluster, "accept", self.node_id, slot=zxid)
         self._note_ack(zxid, self.node_id)
 
-    def _note_ack(self, zxid: tuple, voter: int) -> None:
+    def _note_ack(self, zxid: int, voter: int) -> None:
         # An ACK at or below the commit frontier is late (its tally was
         # dropped at delivery): nothing reads it again.
-        if self.state != self.LEADING or zxid[0] != self.epoch \
+        if self.state != self.LEADING or zxid_epoch(zxid) != self.epoch \
                 or zxid <= self.committed_zxid:
             return
         s = self.acks.setdefault(zxid, set())
@@ -206,9 +220,9 @@ class ZabNode(TcpReplica):
             # delivered_upto is already committed, so the quorum check
             # only needs the (committed_zxid, zxid] window — scanning
             # from the front again would be quadratic under load.
-            log, acks, quorum = self.log, self.acks, self.cluster.quorum
-            for i in range(self.delivered_upto, len(log)):
-                z = log[i][0]
+            keys, acks, quorum = self.log.keys, self.acks, self.cluster.quorum
+            for i in range(self.delivered_upto, len(keys)):
+                z = keys[i]
                 if z > zxid:
                     break
                 if self.committed_zxid < z:
@@ -218,18 +232,20 @@ class ZabNode(TcpReplica):
             self._bcast(self._live_peers(), ("COMMIT", zxid), 16)
             self._deliver_upto(zxid)
 
-    def _follower_durable(self, zxid: tuple, leader: int) -> None:
+    def _follower_durable(self, zxid: int, leader: int) -> None:
         probe = self.engine.probe
         if probe is not None:
             probe.note(self.cluster, "accept", self.node_id, slot=zxid)
         self._send(leader, ("ACK", zxid), 16)
 
-    def _deliver_upto(self, zxid: tuple) -> None:
+    def _deliver_upto(self, zxid: int) -> None:
         probe = self.engine.probe
-        while self.delivered_upto < len(self.log):
-            z, payload, _sz = self.log[self.delivered_upto]
+        keys, payloads = self.log.keys, self.log.payloads
+        while self.delivered_upto < len(keys):
+            z = keys[self.delivered_upto]
             if z > zxid:
                 break
+            payload = payloads[self.delivered_upto]
             self.delivered_upto += 1
             self.acks.pop(z, None)   # the leader's tally of a committed zxid
             if probe is not None:
@@ -261,9 +277,9 @@ class ZabNode(TcpReplica):
             self._follower_seen[src] = self.engine.now
         if kind == "PROPOSE" and self.state == self.FOLLOWING:
             _, zxid, payload, size = msg
-            if zxid[0] >= self.epoch:
-                self.epoch = zxid[0]
-                self.log.append((zxid, payload, size))
+            if zxid_epoch(zxid) >= self.epoch:
+                self.epoch = zxid_epoch(zxid)
+                self.log.append(zxid, payload, size)
                 self.cpu.charge(self.cfg.ack_cpu_ns)
                 if probe is not None:
                     probe.mark(msg, "accept", self.engine.now)
@@ -302,7 +318,7 @@ class ZabNode(TcpReplica):
                 self.epoch = epoch
                 self.leader = leader
                 prev_frontier = self.last_zxid()
-                self.log = list(log)
+                self.log = EntryLog(log)
                 self.delivered_upto = min(self.delivered_upto, len(self.log))
                 if probe is not None:
                     # State transfer installs the leader's whole log:
@@ -403,7 +419,7 @@ class ZabNode(TcpReplica):
             self._enter_election()
             self.request_poll()
             return
-        self.epoch = max(self.epoch, mine[0]) + 1
+        self.epoch = max(self.epoch, zxid_epoch(mine)) + 1
         self.counter = 0
         # Tallies of an earlier reign's uncommitted proposals: the
         # epoch check in _note_ack keeps them from being read again.
@@ -426,7 +442,7 @@ class ZabNode(TcpReplica):
         """State transfer to ``p``: the message carries the whole log,
         the wire is charged for the uncommitted suffix from the last
         delivered entry on (a coarse DIFF)."""
-        log_size = sum(sz for _z, _p, sz in self.log[max(0, self.delivered_upto - 1):])
+        log_size = sum(self.log.sizes[max(0, self.delivered_upto - 1):])
         self._send(p, ("SYNC", self.epoch, self.node_id, tuple(self.log)),
                    max(64, log_size))
 
