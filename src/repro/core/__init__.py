@@ -4,7 +4,6 @@ Public surface:
 
 - :mod:`repro.core.types` — epochs, message headers, votes and messages
   (Fig. 1), ordered exactly by the paper's left-to-right tuple rule;
-- :mod:`repro.core.log` — the ordered message log;
 - :mod:`repro.core.election` — the pure vote rules of Fig. 7, separated
   from the node so they can be unit- and property-tested directly;
 - :mod:`repro.core.node` — the node state machine: broadcasting
@@ -25,7 +24,6 @@ from repro.core.types import (
     HDR_ZERO,
     VOTE_ZERO,
 )
-from repro.core.log import MessageLog
 from repro.core.election import max_vote, new_bigger_epoch, decide_vote, VoteDecision
 from repro.core.config import AcuerdoConfig
 from repro.core.node import AcuerdoNode, Role
@@ -40,7 +38,6 @@ __all__ = [
     "EPOCH_ZERO",
     "HDR_ZERO",
     "VOTE_ZERO",
-    "MessageLog",
     "max_vote",
     "new_bigger_epoch",
     "decide_vote",

@@ -12,7 +12,7 @@ from typing import Optional
 
 from repro.core.config import AcuerdoConfig
 from repro.core.node import AcuerdoNode, Role
-from repro.core.types import CommitRow, Epoch, Message, MsgHdr, Vote, HDR_ZERO, VOTE_BYTES, \
+from repro.core.types import CommitRow, Epoch, MsgHdr, Vote, HDR_ZERO, VOTE_BYTES, \
     COMMIT_ROW_BYTES, HDR_BYTES
 from repro.protocols.base import BroadcastSystem
 from repro.sim.engine import Engine
@@ -116,9 +116,6 @@ class AcuerdoCluster(BroadcastSystem):
         return best.node_id if best is not None else None
 
     # ------------------------------------------------------------- callbacks
-
-    def record_delivery(self, node_id: int, msg: Message) -> None:
-        super().record_delivery(node_id, msg.payload)
 
     def note_new_leader(self, node_id: int) -> None:
         old = self._leader_hint

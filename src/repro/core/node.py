@@ -41,8 +41,8 @@ from typing import Any, Callable, Optional, TYPE_CHECKING
 
 from repro.core.config import AcuerdoConfig
 from repro.core.election import decide_vote, max_vote, won_election, VoteDecision
-from repro.core.log import MessageLog
 from repro.core.types import (
+    CNT_LIMIT,
     CommitRow,
     Epoch,
     HDR_ZERO,
@@ -51,8 +51,11 @@ from repro.core.types import (
     VOTE_ZERO,
     Vote,
     diff_payload_size,
+    pack_hdr,
+    unpack_hdr,
 )
 from repro.protocols.base import Replica
+from repro.protocols.entrylog import EntryLog
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.cluster import AcuerdoCluster
@@ -92,7 +95,14 @@ class AcuerdoNode(Replica):
         self.Next: MsgHdr = HDR_ZERO
         self.Count: int = 0
         self.role: Role = Role.ELECTING
-        self.log = MessageLog()
+        # Fig. 1's ``map<msghdr, message*>``: payloads keyed by packed
+        # header.  ``_ekey`` is ``pack_hdr((E_cur, 0))``, so a header of
+        # the current epoch (Next's included) packs to ``_ekey + cnt``;
+        # ``_next_at`` is the log index Next's entry is expected at (a
+        # hint: commit checks it and bisects only when it misses).
+        self.log = EntryLog()
+        self._ekey = 0
+        self._next_at = 0
 
         # --- broadcast plumbing ---
         self._epoch_msg_seq: dict[int, int] = {}   # cnt -> own-ring seq (current epoch)
@@ -315,6 +325,9 @@ class AcuerdoNode(Replica):
         while self.pending and budget > 0:
             budget -= 1
             payload, size, on_commit = self.pending[0]
+            if self.Count + 1 >= CNT_LIMIT:
+                raise ValueError(f"epoch {self.E_new} ran out of message "
+                                 f"counts (cnt < 2**32 in a packed header)")
             hdr = MsgHdr(self.E_new, self.Count + 1)
             msg = Message(hdr, payload, size)
             if self._ring.free_slots() <= 0:
@@ -396,7 +409,7 @@ class AcuerdoNode(Replica):
             # delivery, storing only the newest header in the Accept SST
             # implicitly acknowledges everything before it.
             self.cpu.charge(self.cfg.accept_cpu_ns)
-            self.log.insert(msg)
+            self.log.insert(self._ekey + msg.hdr.cnt, msg.payload, msg.size)
             self.Accepted = msg.hdr
             self._accept_sst.write_local(self.node_id, msg.hdr)
             self.engine.trace.count("acuerdo.accept")
@@ -433,18 +446,20 @@ class AcuerdoNode(Replica):
             self.deposed_epochs += 1
         self.E_new = e
         self.E_cur = e
+        self._ekey = pack_hdr(MsgHdr(e, 0))
         if e.leader != self.node_id:
             self.role = Role.FOLLOWER
-        entries: list[Message] = list(msg.payload)
+        entries: EntryLog = msg.payload
         if entries:
-            # Replace the uncommitted tail with the leader's view.
-            self.log.truncate_from(entries[0].hdr)
-            for m in entries:
-                self.log.insert(m)
+            # Replace the uncommitted tail with the leader's view: a
+            # slice of the leader's keyed log, so its keys increase and
+            # all lie above what the truncation leaves.
+            self.log.truncate_from(entries.keys[0])
+            self.log.extend(entries)
         else:
             # Leader knows of nothing we are missing: drop any
             # uncommitted leftovers from deposed epochs.
-            self.log.truncate_from(self.Committed.next())
+            self.log.truncate_from(pack_hdr(self.Committed) + 1)
         self.cpu.charge(self.cfg.accept_cpu_ns * (1 + len(entries)))
         self.Accepted = msg.hdr
         self._accept_sst.write_local(self.node_id, msg.hdr)
@@ -506,31 +521,39 @@ class AcuerdoNode(Replica):
             if not self._commit_ready():
                 return
             self.cpu.charge(self.cfg.commit_cpu_ns)
-            if self.Next.cnt != 0:
-                m = self.log.get(self.Next)
-                if m is None:
-                    # Cannot happen on a single FIFO channel per pair
-                    # (the commit row was written after the message);
-                    # trace defensively rather than skipping a message.
-                    self.engine.trace.count("acuerdo.commit_gap_anomaly")
-                    return
-                self._deliver(m)
-                self.Committed = self.Next
+            nxt, log = self.Next, self.log
+            key = self._ekey + nxt.cnt
+            if nxt.cnt != 0:
+                i = self._next_at
+                keys = log.keys
+                if i >= len(keys) or keys[i] != key:
+                    i = log.find(key)
+                    if i < 0:
+                        # Cannot happen on a single FIFO channel per pair
+                        # (the commit row was written after the message);
+                        # trace defensively rather than skipping a message.
+                        self.engine.trace.count("acuerdo.commit_gap_anomaly")
+                        return
+                self._next_at = i + 1
+                self._deliver(nxt, log.payloads[i])
+                self.Committed = nxt
             else:
                 # Diff commit (Fig. 6 lines 83-89): deliver everything in
                 # the diff that we have not delivered before.
-                for m in list(self.log.range(self.Committed, self.Next,
-                                             inclusive_hi=False)):
-                    self._deliver(m)
-                    self.Committed = m.hdr
-            self.Next = self.Next.next()
+                for k, payload, _size in log.span(pack_hdr(self.Committed) + 1, key):
+                    hdr = unpack_hdr(k)
+                    self._deliver(hdr, payload)
+                    self.Committed = hdr
+            self.Next = nxt.next()
 
-    def _deliver(self, m: Message) -> None:
+    def _deliver(self, hdr: MsgHdr, payload: Any) -> None:
         self.engine.trace.count("acuerdo.commit")
         probe = self.engine.probe
         if probe is not None:
-            if m.payload is not NOOP:
-                probe.mark(m, "commit", self.engine.now)
+            if payload is not NOOP:
+                # The payload's span is the one its wire Message was
+                # bound to at propose, so marking either is the same.
+                probe.mark(payload, "commit", self.engine.now)
             # Every commit (no-ops included) must be quorum-covered.
             # Headers are totally ordered and each node commits them in
             # order, so only the group-wide *first* commit of a slot
@@ -540,18 +563,18 @@ class AcuerdoNode(Replica):
             # monitored hot path cheap.
             cluster = self.cluster
             hwm = cluster._mon_commit_hwm
-            if hwm is None or m.hdr > hwm:
-                cluster._mon_commit_hwm = m.hdr
-                probe.note(cluster, "commit", self.node_id, slot=m.hdr)
-        cb = self._on_commit_cb.pop(m.hdr, None)
+            if hwm is None or hdr > hwm:
+                cluster._mon_commit_hwm = hdr
+                probe.note(cluster, "commit", self.node_id, slot=hdr)
+        cb = self._on_commit_cb.pop(hdr, None)
         if cb is not None:
             # The client-visible acknowledgment leaves once the commit
             # handler's CPU work is done.
             self.engine.schedule_at(max(self.engine.now, self.cpu.busy_until),
-                                    cb, m.hdr)
-        if m.payload is NOOP:
+                                    cb, hdr)
+        if payload is NOOP:
             return
-        self.cluster.record_delivery(self.node_id, m)
+        self.cluster.record_delivery(self.node_id, payload)
 
     def _push_commit_row(self) -> None:
         self._last_commit_push = self.engine.now
@@ -580,8 +603,9 @@ class AcuerdoNode(Replica):
                 return
             if row.committed < frontier:
                 frontier = row.committed
-        trimmed = self.log.trim_below(frontier)
+        trimmed = self.log.drop_below(pack_hdr(frontier))
         if trimmed:
+            self._next_at = max(0, self._next_at - trimmed)
             self.engine.trace.count("acuerdo.gc_trimmed", trimmed)
 
     # --------------------------------------------- slot release & liveness
@@ -740,12 +764,13 @@ class AcuerdoNode(Replica):
                        term=self.E_new)
         comm_cpy = self._commit_sst.snapshot(self.node_id)
         hdr = MsgHdr(self.E_new, 0)
+        hi = pack_hdr(self.Accepted) + 1
         for j in self.peers:
             row = comm_cpy.get(j)
             lo = row.committed if row is not None else HDR_ZERO
-            entries = list(self.log.range(lo, self.Accepted,
-                                          inclusive_lo=True, inclusive_hi=True))
-            dmsg = Message(hdr, tuple(entries), diff_payload_size(entries))
+            # What j lacks: its committed entry through our accepted one.
+            entries = self.log.span(pack_hdr(lo), hi)
+            dmsg = Message(hdr, entries, diff_payload_size(entries))
             seq = self._ring.try_send(dmsg, dmsg.size, targets=[j])
             if seq is not None:
                 self._diff_seq[j] = seq
@@ -772,6 +797,7 @@ class AcuerdoNode(Replica):
         """Install post-election state directly (benchmark fast-path so
         steady-state measurements skip the cold-start election)."""
         self.E_cur = epoch
+        self._ekey = pack_hdr(MsgHdr(epoch, 0))
         self.E_new = epoch
         self.role = role
         self.Accepted = MsgHdr(epoch, 0)

@@ -14,7 +14,10 @@ paper's rule:
 
 from __future__ import annotations
 
-from typing import Any, NamedTuple
+from typing import Any, NamedTuple, TYPE_CHECKING
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.protocols.entrylog import EntryLog
 
 
 class Epoch(NamedTuple):
@@ -88,6 +91,28 @@ VOTE_BYTES = 20
 COMMIT_ROW_BYTES = HDR_BYTES + 8
 
 
-def diff_payload_size(entries: list[Message]) -> int:
+#: Packed-header layout ``round << 40 | leader << 32 | cnt``: integer
+#: order is header order while every field fits its bits, and the key
+#: fits a signed 64-bit column.
+_ROUND_LIMIT, _LEADER_LIMIT, CNT_LIMIT = 1 << 23, 1 << 8, 1 << 32
+
+
+def pack_hdr(h: MsgHdr) -> int:
+    """The log key of header ``h``: one order-preserving integer.
+    Raises ``ValueError`` for a field outside the layout."""
+    (rnd, leader), cnt = h
+    if not (0 <= cnt < CNT_LIMIT and 0 <= leader < _LEADER_LIMIT
+            and 0 <= rnd < _ROUND_LIMIT):
+        raise ValueError(f"header {h!r} does not fit the packed layout "
+                         f"(round < 2**23, leader < 2**8, cnt < 2**32)")
+    return rnd << 40 | leader << 32 | cnt
+
+
+def unpack_hdr(key: int) -> MsgHdr:
+    """Inverse of :func:`pack_hdr`."""
+    return MsgHdr(Epoch(key >> 40, key >> 32 & 0xFF), key & 0xFFFFFFFF)
+
+
+def diff_payload_size(entries: "EntryLog") -> int:
     """Wire size of a diff: the included messages plus a header each."""
-    return sum(m.size + HDR_BYTES for m in entries) + HDR_BYTES
+    return sum(entries.sizes) + HDR_BYTES * (len(entries) + 1)

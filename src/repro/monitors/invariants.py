@@ -7,6 +7,7 @@ protocol backends; per-event work is a handful of dict operations.
 
 from __future__ import annotations
 
+from array import array
 from typing import Any, Optional
 
 from repro.monitors.registry import Monitor, MonitorEvent
@@ -60,6 +61,13 @@ class LogPrefixAgreement(Monitor):
     is a divergent log.  Rides the central ``deliver`` events emitted
     by ``BroadcastSystem.record_delivery``, so every backend is covered
     with no per-protocol code.
+
+    The canonical order grows with every delivered position, so it is
+    kept as columns -- first-delivery time and node in ``array('q')``,
+    the payload reference in a list (pinning the object keeps its id()
+    stable for the run) -- and a divergence rebuilds the first
+    delivery's event field for field.  A first delivery carrying more
+    than those three fields (only a forged one can) is kept whole.
     """
 
     name = "log_prefix_agreement"
@@ -67,26 +75,48 @@ class LogPrefixAgreement(Monitor):
 
     def __init__(self, registry, ctx):
         super().__init__(registry, ctx)
-        #: canonical order: position -> first delivery event (pins the
-        #: payload object, keeping its id() stable for the run).
-        self._canon: list[MonitorEvent] = []
+        self._t = array("q")
+        self._node = array("q")
+        self._key: list[Any] = []
+        self._whole: dict[int, MonitorEvent] = {}   # position -> odd event
         self._pos: dict[int, int] = {}
 
     def on_mark(self, ev: MonitorEvent) -> None:
         i = self._pos.get(ev.node, 0)
-        if i < len(self._canon):
-            first = self._canon[i]
+        keys = self._key
+        if i < len(keys):
+            first = keys[i]
             # Identity check inlined: payloads travel un-serialized, so
             # matching deliveries are almost always the same object.
-            if first.key is not ev.key and not _same_value(first.key, ev.key):
+            if first is not ev.key and not _same_value(first, ev.key):
+                canon = self._first_delivery(i)
                 self.report(
                     f"divergent delivery at position {i}: node {ev.node} "
-                    f"delivered {ev.key!r} where node {first.node} "
-                    f"delivered {first.key!r}",
-                    witness=(first, ev), t=ev.t)
+                    f"delivered {ev.key!r} where node {canon.node} "
+                    f"delivered {first!r}",
+                    witness=(canon, ev), t=ev.t)
         else:
-            self._canon.append(ev)
+            # Kind and group are this monitor's by dispatch.
+            if (ev.term is ev.slot is ev.seq is ev.extra is None
+                    and type(ev.t) is int and type(ev.node) is int
+                    and ev.protocol == self.ctx.protocol):
+                self._t.append(ev.t)
+                self._node.append(ev.node)
+            else:
+                self._whole[i] = ev
+                self._t.append(0)
+                self._node.append(0)
+            keys.append(ev.key)
         self._pos[ev.node] = i + 1
+
+    def _first_delivery(self, i: int) -> MonitorEvent:
+        """The event that fixed position ``i`` of the canonical order."""
+        ev = self._whole.get(i)
+        if ev is not None:
+            return ev
+        ctx = self.ctx
+        return MonitorEvent(self._t[i], ctx.group, ctx.protocol, "deliver",
+                            self._node[i], key=self._key[i])
 
 
 class CommitQuorumAccept(Monitor):

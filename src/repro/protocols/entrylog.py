@@ -1,17 +1,25 @@
-"""The columnar replicated log of the log-shipping baselines.
+"""The columnar replicated log.
 
-Zab, Raft and the remote-log skeleton (Mu, DARE, APUS) keep every entry
-they accept after it commits: a new leader's state transfer (Zab SYNC,
-Raft AppendEntries, the remote-log hand-off) reads committed entries.
+Acuerdo, Zab, Raft and the remote-log skeleton (Mu, DARE, APUS) keep
+every entry they accept after it commits: a new leader's state transfer
+(Acuerdo's diff, Zab SYNC, Raft AppendEntries, the remote-log hand-off)
+reads committed entries.
 So the log is the state that grows with operations, and
-:class:`EntryLog` stores it in three columns instead of one tuple per
+:class:`EntryLog` stores it in three columns instead of one object per
 entry: the payload references in a list, and each entry's key and wire
 size in ``array('q')`` columns of unboxed 64-bit integers.  An entry
 costs 24 B; as a ``(key, payload, size)`` tuple in a list it cost 72 B
 (a 64 B tuple and an 8 B slot), plus any key object of its own.
 
-The key is what the protocol orders entries by: Zab's packed zxid,
+The key is what the protocol orders entries by: Acuerdo's packed
+message header (:func:`repro.core.types.pack_hdr`), Zab's packed zxid,
 Raft's term, and 0 for the remote logs, which order by index alone.
+Acuerdo's log is *keyed*: :meth:`EntryLog.insert` keeps the keys
+strictly increasing (an equal key overwrites, a smaller one lands in
+order), so the keyed reads -- :meth:`~EntryLog.find`,
+:meth:`~EntryLog.span`, :meth:`~EntryLog.truncate_from` and the prefix
+drop :meth:`~EntryLog.drop_below` -- bisect the key column.  The other
+logs append by index and never call them.
 
 Indexing builds a ``(key, payload, size)`` tuple, and iterating yields
 them, for the callers that need one: a wire message or a test.  A slice
@@ -22,6 +30,7 @@ is another :class:`EntryLog`.  Hot scans may read the ``keys``,
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from typing import Any, Iterable, Iterator, Union
 
 
@@ -85,3 +94,43 @@ class EntryLog:
             return
         for key, payload, size in entries:
             self.append(key, payload, size)
+
+    # ------------------------------------------------------ keyed access
+
+    def insert(self, key: int, payload: Any, size: int) -> None:
+        """Keyed insert: append past the last key, overwrite an equal
+        key, or insert a smaller one in key order."""
+        keys = self.keys
+        if not keys or key > keys[-1]:
+            keys.append(key)
+            self.payloads.append(payload)
+            self.sizes.append(size)
+            return
+        i = bisect_left(keys, key)
+        if keys[i] == key:
+            self.put(i, key, payload, size)
+        else:
+            keys.insert(i, key)
+            self.payloads.insert(i, payload)
+            self.sizes.insert(i, size)
+
+    def find(self, key: int) -> int:
+        """Index of the entry keyed ``key``, or -1."""
+        i = bisect_left(self.keys, key)
+        return i if i < len(self.keys) and self.keys[i] == key else -1
+
+    def span(self, lo: int, hi: int) -> "EntryLog":
+        """The entries keyed ``lo <= key < hi``, as a slice."""
+        keys = self.keys
+        return self[bisect_left(keys, lo):bisect_left(keys, hi)]
+
+    def truncate_from(self, key: int) -> None:
+        """Drop every entry keyed ``key`` or above."""
+        self.truncate(bisect_left(self.keys, key))
+
+    def drop_below(self, key: int) -> int:
+        """Drop every entry keyed below ``key`` (the prefix a log
+        collection frees); returns how many went."""
+        n = bisect_left(self.keys, key)
+        del self.keys[:n], self.payloads[:n], self.sizes[:n]
+        return n

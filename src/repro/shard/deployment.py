@@ -23,6 +23,7 @@ Two determinism properties hold by construction:
 
 from __future__ import annotations
 
+from array import array
 from contextlib import nullcontext
 from typing import Any, Callable, Optional
 
@@ -103,7 +104,7 @@ class ShardedDeployment:
         self.submitted = [0] * shards
         self.committed = [0] * shards
         self.dropped = [0] * shards
-        self.latencies_ns: list[list[int]] = [[] for _ in range(shards)]
+        self.latencies_ns: list[array] = [array("q") for _ in range(shards)]
         #: Keys whose home group lies outside this slice's group_range
         #: (always 0 on a full deployment).
         self.foreign = 0

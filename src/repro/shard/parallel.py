@@ -132,7 +132,7 @@ class SliceResult:
     submitted: list          # per group in [lo, hi), in group order
     committed: list
     dropped: list
-    latencies_ns: list       # list[list[int]], same indexing
+    latencies_ns: list       # per group array("q"), same indexing
     fingerprints: dict       # group -> digest (shard_fingerprints)
     violations: list         # (group_or_None, str(violation)) pairs
     foreign: int

@@ -65,6 +65,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
+from repro.protocols.entrylog import EntryLog
 from repro.sim.engine import Engine, ms
 
 #: The shipped attack modes, in matrix order.
@@ -110,13 +111,21 @@ def _rewrite(obj: Any, pred: Callable[[Any], bool],
     """Deep-rewrite every ``pred``-matching leaf of a message tree.
 
     Walks tuples (namedtuples are rebuilt through their class, so
-    ``Message``/``MsgHdr`` carriers survive) and lists; returns
+    ``Message``/``MsgHdr`` carriers survive), lists and the payload
+    column of an :class:`EntryLog` (an Acuerdo diff's entries); returns
     ``(rewritten, hits)`` with the original object untouched.  Zero
     hits returns the original object itself — control messages pass
     through forgery-free.
     """
     if pred(obj):
         return forge(obj), 1
+    if isinstance(obj, EntryLog):
+        payloads, hits = _rewrite(obj.payloads, pred, forge)
+        if not hits:
+            return obj, 0
+        out = obj[:]
+        out.payloads = payloads
+        return out, hits
     if type(obj) is tuple or isinstance(obj, tuple):
         items = []
         hits = 0

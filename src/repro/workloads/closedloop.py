@@ -14,8 +14,9 @@ dedicated random stream.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Sequence
 
 from repro.protocols.base import BroadcastSystem
 from repro.sim.engine import Engine
@@ -29,7 +30,7 @@ class ClosedLoopResult:
     sent: int
     completed: int
     duration_ns: int
-    latencies_ns: list[float]
+    latencies_ns: Sequence[int]
     message_size: int
 
     @property
@@ -76,7 +77,9 @@ class ClosedLoopClient:
         self._rng = self.engine.rng("client.closedloop")
         self.sent = 0
         self.completed = 0
-        self.latencies: list[float] = []
+        # One unboxed 8 B sample per completion (run records grow with
+        # operations, so they are columns, not lists of int objects).
+        self.latencies = array("q")
         self._running = False
         self._started_at = 0
         self._stopped_at: Optional[int] = None

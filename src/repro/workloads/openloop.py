@@ -21,6 +21,7 @@ all.
 
 from __future__ import annotations
 
+from array import array
 from typing import Any, Callable, Optional
 
 from repro.protocols.base import BroadcastSystem
@@ -83,8 +84,9 @@ class OpenLoopClient:
             self._zipf = ZipfianGenerator(key_space, skew, self._rng)
         self.sent = 0
         self.committed = 0
-        self.commit_times: list[int] = []
-        self.latencies_ns: list[int] = []
+        # Unboxed 8 B samples: run records grow with operations.
+        self.commit_times = array("q")
+        self.latencies_ns = array("q")
         self.dropped = 0
         self._running = False
         # A tick is executing or scheduled.  Outlives _running by the one

@@ -1,7 +1,8 @@
 """Unit tests for Acuerdo's wire types and their total order (Fig. 1)."""
 
 from repro.core import Epoch, MsgHdr, Vote, Message, HDR_ZERO, EPOCH_ZERO, VOTE_ZERO
-from repro.core.types import diff_payload_size, HDR_BYTES
+from repro.core.types import diff_payload_size, pack_hdr, HDR_BYTES
+from repro.protocols.entrylog import EntryLog
 
 
 def test_epochs_order_by_round_then_leader():
@@ -45,9 +46,9 @@ def test_message_is_diff_iff_count_zero():
 
 def test_diff_payload_size_accounts_for_entries():
     e = Epoch(1, 0)
-    entries = [Message(MsgHdr(e, i), "p", 100) for i in range(1, 4)]
+    entries = EntryLog((pack_hdr(MsgHdr(e, i)), "p", 100) for i in range(1, 4))
     assert diff_payload_size(entries) == 3 * (100 + HDR_BYTES) + HDR_BYTES
-    assert diff_payload_size([]) == HDR_BYTES
+    assert diff_payload_size(EntryLog()) == HDR_BYTES
 
 
 def test_headers_are_hashable_log_keys():

@@ -14,7 +14,12 @@ from repro.harness.adversary import (
     render_matrix,
     run_attack,
 )
-from repro.sim.byzantine import BYZ_MODES
+from repro.harness import RunSpec
+from repro.harness.factory import build_from_spec, settle
+from repro.monitors.registry import MonitorRegistry
+from repro.sim.byzantine import BYZ_MODES, ByzantineInjector
+from repro.sim.engine import Engine, ms, us
+from repro.sim.failure import FailureInjector
 
 
 class _FakeInjector:
@@ -78,6 +83,73 @@ def test_derecho_attacked_two_write_ring_is_pinned(mode, expect):
     out = run_attack("derecho-leader", mode)
     assert (out.outcome, out.attempts, out.landed, out.blocked,
             out.violations, dict(out.by_monitor), out.completed) == expect
+
+
+@pytest.mark.parametrize("mode, expect", [
+    ("corrupt_ring", ("detected", 90, 90, 0, 90,
+                      {"log_prefix_agreement": 90}, 80)),
+    ("dup_ring", ("detected", 30, 30, 0, 30,
+                  {"log_prefix_agreement": 30}, 80)),
+])
+def test_acuerdo_attacked_ring_is_pinned(mode, expect):
+    out = run_attack("acuerdo", mode)
+    assert (out.outcome, out.attempts, out.landed, out.blocked,
+            out.violations, dict(out.by_monitor), out.completed) == expect
+
+
+def _attacked_failover(mode: str) -> tuple:
+    """The ring attack armed on every follower as the leader is
+    descheduled for 1 ms: the new leader's epoch-opening diffs cross
+    its attacked ring, so their entries are forged too (one attempt
+    per diff carrying a client payload, on top of the broadcasts)."""
+    engine = Engine(seed=7)
+    registry = MonitorRegistry(engine)
+    system = build_from_spec(RunSpec(system="acuerdo", n=4), engine,
+                             record_deliveries=True)
+    settle(system, preseed=False)
+    byz = ByzantineInjector(engine, system)
+    old = system.leader_id()
+    state = {"submitted": 0, "completed": 0}
+
+    def fail_over() -> None:
+        for node in system.node_ids:
+            if node != old:
+                byz.arm(mode, node)
+        FailureInjector(engine, system.processes()).deschedule_at(
+            engine.now, old, ms(1))
+
+    def on_commit(_hdr) -> None:
+        state["completed"] += 1
+
+    def pump() -> None:
+        if state["submitted"] < 80:
+            if system.submit(("cl", state["submitted"]), 64,
+                             on_commit=on_commit):
+                state["submitted"] += 1
+            engine.schedule(us(20), pump)
+
+    engine.schedule(ms(1), fail_over)
+    engine.schedule(0, pump)
+    engine.run(until=engine.now + ms(10))
+    violations = registry.finish()
+    by_monitor: dict[str, int] = {}
+    for v in violations:
+        by_monitor[v.monitor] = by_monitor.get(v.monitor, 0) + 1
+    assert system.leader_id() != old, "the attacked ring never shipped diffs"
+    return (classify(byz, mode, len(violations)), byz.attempts[mode],
+            byz.landed[mode], byz.blocked[mode], len(violations), by_monitor,
+            state["completed"])
+
+
+@pytest.mark.parametrize("mode, expect", [
+    ("corrupt_ring", ("detected", 90, 90, 0, 87,
+                      {"log_prefix_agreement": 87}, 79)),
+    ("dup_ring", ("detected", 30, 30, 0, 29,
+                  {"log_prefix_agreement": 29}, 79)),
+])
+def test_acuerdo_attacked_ring_forges_diff_entries(mode, expect):
+    # Without the diff entries forged, the attempts read 87 and 29.
+    assert _attacked_failover(mode) == expect
 
 
 def test_outcome_to_dict_is_json_serialisable():

@@ -80,9 +80,26 @@ def test_divergent_delivery_fires_with_position_and_both_payloads():
     # Node 2 starts delivering from position 0 with the wrong payload —
     # the truncated/diverged-follower fault.
     bad = r.ingest(None, "zookeeper", 3, "deliver", 2, t=30, key=b)
-    v = _only(r, "log_prefix_agreement")
+    # A forged first delivery carrying every optional field fixes
+    # position 2; node 1 then diverges from it.
+    odd = r.ingest(None, "zookeeper", 3, "deliver", 0, t=40, key="x",
+                   term=5, slot=7, seq=9, extra="forged")
+    r.ingest(None, "zookeeper", 3, "deliver", 1, t=45, key=b)
+    bad2 = r.ingest(None, "zookeeper", 3, "deliver", 1, t=50, key="y")
+    vs = r.finish()
+    assert [v.monitor for v in vs] == ["log_prefix_agreement"] * 2
+    v, v2 = vs
+    # The canonical order keeps columns; the first delivery's event is
+    # rebuilt field for field, the forged one kept whole.
     assert v.witness == (first, bad)
+    assert tuple(v.witness[0]) == (10, None, "zookeeper", "deliver", 0,
+                                   None, None, a, None, None)
+    assert v.witness[0].key is a and v.witness[1] is bad
     assert "position 0" in v.detail and v.t == 30
+    assert v2.witness == (odd, bad2)
+    assert tuple(v2.witness[0]) == (40, None, "zookeeper", "deliver", 0,
+                                    5, 7, "x", 9, "forged")
+    assert "position 2" in v2.detail and v2.t == 50
 
 
 def test_prefix_related_logs_at_different_lengths_are_clean():

@@ -2,10 +2,11 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core import Epoch, Message, MessageLog, MsgHdr, Vote
+from repro.core import Epoch, MsgHdr, Vote
 from repro.core.election import decide_vote, max_vote, new_bigger_epoch, won_election, \
     VoteDecision
-from repro.core.types import VOTE_ZERO
+from repro.core.types import VOTE_ZERO, pack_hdr, unpack_hdr
+from repro.protocols.entrylog import EntryLog
 
 epochs = st.builds(Epoch, st.integers(0, 5), st.integers(0, 6))
 hdrs = st.builds(MsgHdr, epochs, st.integers(0, 50))
@@ -36,46 +37,47 @@ def test_new_bigger_epoch_dominates_both_inputs(e_new, seen, self_id):
 
 
 # ------------------------------------------------------------- message log
+# Acuerdo's log: an EntryLog keyed by the packed header.
 
 @given(st.lists(st.tuples(hdrs, st.text(max_size=3)), max_size=40))
 def test_log_headers_always_sorted_and_lookup_consistent(entries):
-    log = MessageLog()
+    log = EntryLog()
     model: dict[MsgHdr, str] = {}
     for hdr, payload in entries:
-        log.insert(Message(hdr, payload, 10))
+        log.insert(pack_hdr(hdr), payload, 10)
         model[hdr] = payload
-    assert log.headers() == sorted(model)
+    assert [unpack_hdr(k) for k in log.keys] == sorted(model)
     for hdr, payload in model.items():
-        assert log.get(hdr).payload == payload
-    assert len(log) == len(model)
+        assert log.payload(log.find(pack_hdr(hdr))) == payload
+    assert len(log) == len(log.sizes) == len(model)
 
 
 @given(st.lists(hdrs, unique=True, max_size=30), hdrs)
 def test_log_truncate_matches_model(headers, cut):
-    log = MessageLog()
+    log = EntryLog()
     for h in headers:
-        log.insert(Message(h, "p", 10))
-    removed = log.truncate_from(cut)
-    assert sorted(m.hdr for m in removed) == sorted(h for h in headers if h >= cut)
-    assert log.headers() == sorted(h for h in headers if h < cut)
+        log.insert(pack_hdr(h), h, 10)
+    log.truncate_from(pack_hdr(cut))
+    assert [unpack_hdr(k) for k in log.keys] == sorted(h for h in headers if h < cut)
+    assert log.payloads == sorted(h for h in headers if h < cut)
 
 
 @given(st.lists(hdrs, unique=True, max_size=30), hdrs, hdrs)
 def test_log_range_matches_model(headers, lo, hi):
-    log = MessageLog()
+    log = EntryLog()
     for h in headers:
-        log.insert(Message(h, "p", 10))
-    got = [m.hdr for m in log.range(lo, hi)]
+        log.insert(pack_hdr(h), h, 10)
+    got = log.span(pack_hdr(lo) + 1, pack_hdr(hi) + 1).payloads
     assert got == sorted(h for h in headers if lo < h <= hi)
 
 
 @given(st.lists(hdrs, unique=True, max_size=30), hdrs)
 def test_log_trim_below_keeps_suffix(headers, cut):
-    log = MessageLog()
+    log = EntryLog()
     for h in headers:
-        log.insert(Message(h, "p", 10))
-    log.trim_below(cut)
-    assert log.headers() == sorted(h for h in headers if h >= cut)
+        log.insert(pack_hdr(h), h, 10)
+    assert log.drop_below(pack_hdr(cut)) == sum(1 for h in headers if h < cut)
+    assert [unpack_hdr(k) for k in log.keys] == sorted(h for h in headers if h >= cut)
 
 
 # --------------------------------------------------------------- elections
