@@ -558,9 +558,9 @@ class AcuerdoNode(Replica):
             # Headers are totally ordered and each node commits them in
             # order, so only the group-wide *first* commit of a slot
             # carries a new proof obligation — later replicas re-commit
-            # slots already checked (the monitor would dedup them by
-            # slot anyway); suppressing them at the source keeps the
-            # monitored hot path cheap.
+            # slots already checked (the monitor would return early on
+            # them anyway, below its proven watermark); suppressing them
+            # at the source keeps the monitored hot path cheap.
             cluster = self.cluster
             hwm = cluster._mon_commit_hwm
             if hwm is None or hdr > hwm:

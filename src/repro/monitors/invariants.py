@@ -119,6 +119,89 @@ class LogPrefixAgreement(Monitor):
                             self._node[i], key=self._key[i])
 
 
+class _AcceptBook:
+    """One group's accept bookkeeping, and how long each slot's part of
+    it stays readable.
+
+    ``cum`` holds each node's cumulative accepted frontier (``accept`` /
+    ``accept_trunc``) and ``per`` each slot's per-slot accepts
+    (``accept_one``).  A slot's accepts are read at its commit (the
+    quorum check) and at the release of a ring sequence bound to it, so
+    they are dropped at the later of the two, and an ``accept_one`` for
+    a slot already past both is not kept.  Nothing here grows with the
+    run: a watermark stands in for the set of every committed slot.
+
+    ``proven`` is the highest slot proven at its group-wide first
+    commit.  Every ``commit`` emit site sits at in-order delivery
+    (``core/node.py``, ``remotelog.py``, ``tcpreplica.py``, ``raft.py``,
+    ``paxos.py``, ``zab.py``, ``derecho.py``): a node commits its slots
+    in increasing order without skipping one another node committed, so
+    the group-wide first commits arrive in increasing slot order and a
+    commit at or below ``proven`` is a re-commit.  Slots whose check
+    failed are few and are kept apart in ``failed``, so that a re-commit
+    of one is checked (and reported) again.  ``bound`` counts each
+    slot's live ring bindings; every binding precedes its slot's first
+    commit.
+    """
+
+    __slots__ = ("cum", "cum_ev", "per", "proven", "failed", "bound")
+
+    def __init__(self):
+        self.cum: dict[int, Any] = {}                # node -> max slot
+        self.cum_ev: dict[int, MonitorEvent] = {}
+        self.per: dict[Any, dict[int, MonitorEvent]] = {}  # slot -> accepts
+        self.proven: Any = None
+        self.failed: set = set()
+        self.bound: dict[Any, int] = {}              # slot -> live bindings
+
+    def on_accept(self, ev: MonitorEvent) -> None:
+        """Fold one ``accept``, ``accept_one`` or ``accept_trunc``."""
+        kind = ev.kind
+        if kind == "accept":
+            cur = self.cum.get(ev.node)
+            if cur is None or ev.slot > cur:
+                self.cum[ev.node] = ev.slot
+                self.cum_ev[ev.node] = ev
+        elif kind == "accept_one":
+            slot = ev.slot
+            if not self.recommit(slot) or slot in self.bound:
+                self.per.setdefault(slot, {})[ev.node] = ev
+        else:
+            cur = self.cum.get(ev.node)
+            if cur is not None and ev.slot < cur:
+                self.cum[ev.node] = ev.slot
+                self.cum_ev[ev.node] = ev
+
+    def recommit(self, slot: Any) -> bool:
+        """True when ``slot`` was proven at an earlier commit."""
+        proven = self.proven
+        return (proven is not None and slot <= proven
+                and slot not in self.failed)
+
+    def committed(self, slot: Any) -> None:
+        """``slot``'s commit passed its quorum check (or, for a
+        standalone ``SlotReuseSafety``, which checks none, happened)."""
+        self.failed.discard(slot)
+        if self.proven is None or slot > self.proven:
+            self.proven = slot
+        if slot not in self.bound:
+            self.per.pop(slot, None)
+
+    def bind(self, slot: Any) -> None:
+        bound = self.bound
+        bound[slot] = bound.get(slot, 0) + 1
+
+    def release(self, slot: Any) -> None:
+        bound = self.bound
+        left = bound[slot] - 1
+        if left:
+            bound[slot] = left
+        else:
+            del bound[slot]
+            if self.recommit(slot):
+                self.per.pop(slot, None)
+
+
 class CommitQuorumAccept(Monitor):
     """A committed slot was accepted by a write quorum first.
 
@@ -129,7 +212,9 @@ class CommitQuorumAccept(Monitor):
     all-replica protocols satisfy it trivially).  For per-slot accepts
     carrying a value identity, only accepts of the *same* value count
     (a quorum of accepts for a different value must not justify the
-    commit).
+    commit).  Only a slot's first commit is checked, and a re-commit of
+    a slot whose check failed; :class:`_AcceptBook` holds the state and
+    bounds it.
     """
 
     name = "commit_quorum_accept"
@@ -137,49 +222,37 @@ class CommitQuorumAccept(Monitor):
 
     def __init__(self, registry, ctx):
         super().__init__(registry, ctx)
-        self._cum: dict[int, Any] = {}               # node -> max slot
-        self._cum_ev: dict[int, MonitorEvent] = {}
-        self._per: dict[Any, dict[int, MonitorEvent]] = {}  # slot -> accepts
-        self._ok: set = set()                        # slots already proven
+        self._book = _AcceptBook()
         self._quorum = ctx.quorum
 
     def on_mark(self, ev: MonitorEvent) -> None:
-        # Branches ordered by event frequency (accept/commit dominate).
-        kind = ev.kind
-        if kind == "accept":
-            cur = self._cum.get(ev.node)
-            if cur is None or ev.slot > cur:
-                self._cum[ev.node] = ev.slot
-                self._cum_ev[ev.node] = ev
-        elif kind == "commit":
-            if ev.slot in self._ok:
-                return
-            acceptors, witness = self.quorum_of(ev.slot, ev.key)
-            if acceptors < self._quorum:
-                self.report(
-                    f"slot {ev.slot!r} committed at node {ev.node} with "
-                    f"only {acceptors} accept(s), quorum is "
-                    f"{self.ctx.quorum}",
-                    witness=(ev, *witness), t=ev.t)
-            else:
-                self._ok.add(ev.slot)
-        elif kind == "accept_one":
-            self._per.setdefault(ev.slot, {})[ev.node] = ev
-        elif kind == "accept_trunc":
-            cur = self._cum.get(ev.node)
-            if cur is not None and ev.slot < cur:
-                self._cum[ev.node] = ev.slot
-                self._cum_ev[ev.node] = ev
+        if ev.kind != "commit":
+            self._book.on_accept(ev)
+            return
+        book, slot = self._book, ev.slot
+        if book.recommit(slot):
+            return
+        acceptors, witness = self.quorum_of(slot, ev.key)
+        if acceptors < self._quorum:
+            book.failed.add(slot)
+            self.report(
+                f"slot {slot!r} committed at node {ev.node} with "
+                f"only {acceptors} accept(s), quorum is "
+                f"{self.ctx.quorum}",
+                witness=(ev, *witness), t=ev.t)
+        else:
+            book.committed(slot)
 
     def quorum_of(self, slot: Any, key: Any = None) -> tuple[int, list]:
         """(acceptor count, witness events) covering ``slot``."""
+        book = self._book
         count = 0
         witness: list[MonitorEvent] = []
-        for node, frontier in self._cum.items():
+        for node, frontier in book.cum.items():
             if frontier >= slot:
                 count += 1
-                witness.append(self._cum_ev[node])
-        for aev in self._per.get(slot, {}).values():
+                witness.append(book.cum_ev[node])
+        for aev in book.per.get(slot, {}).values():
             if key is None or aev.key is None or _same_value(aev.key, key):
                 count += 1
                 witness.append(aev)
@@ -200,31 +273,30 @@ class SlotReuseSafety(Monitor):
       been accepted by a quorum yet (the release policy ran ahead of
       the accept frontier — replayed slots could then diverge).
 
-    Accept bookkeeping follows the same rules as
-    :class:`CommitQuorumAccept`; when that monitor runs in the same
-    group (the default set), this one aliases its frontier/accept maps
-    instead of keeping a second copy and unsubscribes from the accept
-    events — halving the handler work on the hottest event kind without
-    changing what either monitor observes.
+    Accept bookkeeping is an :class:`_AcceptBook`; when
+    :class:`CommitQuorumAccept` runs in the same group (the default
+    set), this monitor shares its book instead of keeping a second one
+    and unsubscribes from the accept and commit events — halving the
+    handler work on the hottest event kind without changing what either
+    monitor observes.  Standalone, it still reads commits: they end a
+    slot's accept lifetime.
     """
 
     name = "slot_reuse_safety"
-    KINDS = frozenset({"accept", "accept_one", "accept_trunc",
+    KINDS = frozenset({"accept", "accept_one", "accept_trunc", "commit",
                        "slot_bind", "slot_release"})
 
     def __init__(self, registry, ctx):
         super().__init__(registry, ctx)
         # per ring owner: {"cap": int|None, "floor": int, "bound": {...}}
         self._rings: dict[int, dict] = {}
-        self._cum: dict[int, Any] = {}
-        self._per: dict[Any, "set[int] | dict"] = {}
+        self._book = _AcceptBook()
         self._quorum = ctx.quorum
 
     def bind_group(self, monitors) -> None:
         for m in monitors:
             if isinstance(m, CommitQuorumAccept):
-                self._cum = m._cum
-                self._per = m._per
+                self._book = m._book
                 self.KINDS = frozenset({"slot_bind", "slot_release"})
                 return
 
@@ -236,13 +308,9 @@ class SlotReuseSafety(Monitor):
         return r
 
     def on_mark(self, ev: MonitorEvent) -> None:
-        # Branches ordered by event frequency (accept/bind dominate).
+        # Branches ordered by event frequency (bind dominates).
         kind = ev.kind
-        if kind == "accept":
-            cur = self._cum.get(ev.node)
-            if cur is None or ev.slot > cur:
-                self._cum[ev.node] = ev.slot
-        elif kind == "slot_bind":
+        if kind == "slot_bind":
             r = self._ring(ev.node)
             if ev.extra is not None:
                 r["cap"] = ev.extra
@@ -256,6 +324,8 @@ class SlotReuseSafety(Monitor):
                     witness=tuple(e for e in (prior, ev) if e is not None),
                     t=ev.t)
             r["bound"][ev.seq] = ev
+            if ev.slot is not None:
+                self._book.bind(ev.slot)
         elif kind == "slot_release":
             r = self._ring(ev.node)
             upto = ev.seq
@@ -267,28 +337,29 @@ class SlotReuseSafety(Monitor):
             # the floor still advances — the overwrite check above
             # keeps guarding actual reuse.
             admin = ev.extra == "admin"
+            book = self._book
             for s in range(r["floor"], upto):
                 bev = r["bound"].pop(s, None)
-                if bev is None or bev.slot is None or admin:
+                if bev is None or bev.slot is None:
                     continue   # filler/null send: no safety obligation
-                if not self._quorum_accepted(bev.slot):
+                if not admin and not self._quorum_accepted(bev.slot):
                     self.report(
                         f"ring {ev.node} released seq {s} (slot "
                         f"{bev.slot!r}) before a quorum of "
                         f"{self.ctx.quorum} accepted it",
                         witness=(bev, ev), t=ev.t)
+                book.release(bev.slot)
             if upto > r["floor"]:
                 r["floor"] = upto
-        elif kind == "accept_one":
-            self._per.setdefault(ev.slot, set()).add(ev.node)
-        elif kind == "accept_trunc":
-            cur = self._cum.get(ev.node)
-            if cur is not None and ev.slot < cur:
-                self._cum[ev.node] = ev.slot
+        elif kind == "commit":
+            self._book.committed(ev.slot)
+        else:
+            self._book.on_accept(ev)
 
     def _quorum_accepted(self, slot: Any) -> bool:
-        count = sum(1 for frontier in self._cum.values() if frontier >= slot)
-        count += len(self._per.get(slot, ()))
+        book = self._book
+        count = sum(1 for frontier in book.cum.values() if frontier >= slot)
+        count += len(book.per.get(slot, ()))
         return count >= self._quorum
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import abc
 import dataclasses
+from collections.abc import Iterator, Mapping
 from typing import Any, Callable, Optional
 
 from repro.sim.engine import Engine
@@ -62,31 +63,78 @@ class DeliveryRecorder:
     over these: every pair of sequences must be prefix-related (Total
     Order, no gaps), payloads must have been broadcast (Integrity) and
     appear at most once per node (No Duplication).
+
+    Nodes that agree share one journal: position ``i`` of the canonical
+    order holds whatever the first node to deliver an ``i``-th payload
+    delivered, and a node that matches it is just a count.  A node that
+    delivers something else at position ``i`` forks: it keeps its own
+    list from ``i`` on.  ``sequences`` is a read-only mapping that
+    assembles each node's list on access.
     """
 
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
-        self.sequences: dict[int, list[Any]] = {}
         self.counts: dict[int, int] = {}
+        self.sequences: Mapping[int, list[Any]] = _Sequences(self)
+        self._canon: list[Any] = []
+        self._forks: dict[int, tuple[int, list[Any]]] = {}  # node -> (at, own)
 
     def record(self, node_id: int, payload: Any) -> None:
-        self.counts[node_id] = self.counts.get(node_id, 0) + 1
-        if self.enabled:
-            self.sequences.setdefault(node_id, []).append(payload)
+        i = self.counts.get(node_id, 0)
+        self.counts[node_id] = i + 1
+        if not self.enabled:
+            return
+        fork = self._forks.get(node_id)
+        if fork is not None:
+            fork[1].append(payload)
+            return
+        canon = self._canon
+        if i == len(canon):
+            canon.append(payload)
+        elif canon[i] is not payload and canon[i] != payload:
+            self._forks[node_id] = (i, [payload])
 
     def delivered_count(self, node_id: int) -> int:
         return self.counts.get(node_id, 0)
 
+    def _sequence(self, node_id: int) -> list[Any]:
+        fork = self._forks.get(node_id)
+        if fork is None:
+            return self._canon[:self.counts[node_id]]
+        return self._canon[:fork[0]] + fork[1]
+
+    def _first_difference(self, a: int, b: int) -> Optional[int]:
+        """First position at which nodes ``a`` and ``b`` delivered
+        different payloads, or None when one is a prefix of the other."""
+        n = min(self.counts[a], self.counts[b])
+        at_a, own_a = self._forks.get(a, (n, ()))
+        at_b, own_b = self._forks.get(b, (n, ()))
+        if at_a != at_b:
+            # Up to the earlier fork both hold the canonical order, and
+            # a fork starts with a payload that differs from it.
+            k = min(at_a, at_b)
+            return k if k < n else None
+        for j in range(n - at_a):
+            if own_a[j] is not own_b[j] and own_a[j] != own_b[j]:
+                return at_a + j
+        return None
+
+    def _at(self, node_id: int, k: int) -> Any:
+        fork = self._forks.get(node_id)
+        if fork is not None and k >= fork[0]:
+            return fork[1][k - fork[0]]
+        return self._canon[k]
+
     def check_total_order(self) -> None:
         """Raise AssertionError unless all sequences are prefix-related."""
-        seqs = [s for s in self.sequences.values() if s]
-        for i, a in enumerate(seqs):
-            for b in seqs[i + 1:]:
-                n = min(len(a), len(b))
-                if a[:n] != b[:n]:
-                    k = next(j for j in range(n) if a[j] != b[j])
+        nodes = list(self.sequences)
+        for i, a in enumerate(nodes):
+            for b in nodes[i + 1:]:
+                k = self._first_difference(a, b)
+                if k is not None:
                     raise AssertionError(
-                        f"total order violated at position {k}: {a[k]!r} != {b[k]!r}")
+                        f"total order violated at position {k}: "
+                        f"{self._at(a, k)!r} != {self._at(b, k)!r}")
 
     def check_no_duplication(self, key: Callable[[Any], Any] = lambda p: p) -> None:
         for node, seq in self.sequences.items():
@@ -99,6 +147,31 @@ class DeliveryRecorder:
             for p in seq:
                 if p not in broadcast:
                     raise AssertionError(f"node {node} delivered out-of-thin-air {p!r}")
+
+
+class _Sequences(Mapping):
+    """``DeliveryRecorder.sequences``: node id -> delivered payloads
+    (empty when recording is disabled)."""
+
+    __slots__ = ("_rec",)
+
+    def __init__(self, recorder: DeliveryRecorder):
+        self._rec = recorder
+
+    def __getitem__(self, node_id: int) -> list[Any]:
+        rec = self._rec
+        if not rec.enabled or node_id not in rec.counts:
+            raise KeyError(node_id)
+        return rec._sequence(node_id)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._rec.counts if self._rec.enabled else ())
+
+    def __len__(self) -> int:
+        return len(self._rec.counts) if self._rec.enabled else 0
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
 
 
 class BroadcastSystem(abc.ABC):

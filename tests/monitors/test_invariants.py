@@ -167,6 +167,109 @@ def test_truncation_lowers_the_frontier_before_commit_checks():
     assert "slot 9" in v.detail
 
 
+def _book(registry: MonitorRegistry):
+    """The group's shared accept bookkeeping."""
+    cqa, = [m for m in registry.groups[None].monitors
+            if isinstance(m, CommitQuorumAccept)]
+    return cqa._book
+
+
+def test_failed_slot_is_reported_again_at_a_later_replicas_commit():
+    # Slot 4 fails its check; slot 5 then raises the proven watermark
+    # past it.  A later replica's commit of slot 4 is still re-checked
+    # and re-reported, and once a quorum covers it the slot is proven.
+    r = _registry()
+    r.ingest(None, "libpaxos", 3, "accept_one", 0, t=1, slot=4, key="v")
+    first = r.ingest(None, "libpaxos", 3, "commit", 0, t=2, slot=4, key="v")
+    for node in (0, 1):
+        r.ingest(None, "libpaxos", 3, "accept_one", node, t=3, slot=5, key="w")
+    r.ingest(None, "libpaxos", 3, "commit", 0, t=4, slot=5, key="w")
+    again = r.ingest(None, "libpaxos", 3, "commit", 1, t=5, slot=4, key="v")
+    r.ingest(None, "libpaxos", 3, "accept_one", 1, t=6, slot=4, key="v")
+    r.ingest(None, "libpaxos", 3, "commit", 2, t=7, slot=4, key="v")
+    r.ingest(None, "libpaxos", 3, "commit", 2, t=8, slot=5, key="w")
+    vs = r.finish()
+    assert [v.witness[0] for v in vs] == [first, again]
+    assert all("slot 4" in v.detail and "only 1 accept(s)" in v.detail
+               for v in vs)
+    book = _book(r)
+    assert book.proven == 5 and book.failed == set() and book.per == {}
+
+
+def test_recommit_after_accept_trunc_is_not_rechecked():
+    # A slot proven at its first commit stays proven: a later replica
+    # re-committing it after a truncation lowered a frontier below it
+    # is not checked again (a first commit above the new frontier is).
+    r = _registry()
+    r.ingest(None, "etcd", 3, "accept", 0, t=1, slot=10)
+    r.ingest(None, "etcd", 3, "accept", 1, t=2, slot=10)
+    for slot in (7, 8):
+        r.ingest(None, "etcd", 3, "commit", 0, t=3, slot=slot)
+    r.ingest(None, "etcd", 3, "accept_trunc", 1, t=4, slot=3)
+    for slot in (7, 8):                    # re-commits: clean
+        r.ingest(None, "etcd", 3, "commit", 1, t=5, slot=slot)
+    r.ingest(None, "etcd", 3, "commit", 0, t=7, slot=9)   # first: fires
+    v = _only(r, "commit_quorum_accept")
+    assert "slot 9" in v.detail and v.t == 7
+
+
+@pytest.mark.parametrize("standalone", [False, True])
+def test_ring_release_after_first_commit_reads_the_slots_accepts(standalone):
+    # Derecho releases a ring slot on all-member delivery, after the
+    # slot's first commit: its accepts must outlive that commit until
+    # the release reads them, and go once both are past.
+    r = _registry(factories=[SlotReuseSafety] if standalone else None)
+    slot = (1, 0)
+    r.ingest(None, "derecho-leader", 3, "slot_bind", 0, t=1, slot=slot,
+             seq=0, extra=8)
+    for node in (0, 1):
+        r.ingest(None, "derecho-leader", 3, "accept_one", node, t=2,
+                 slot=slot, key="m")
+    r.ingest(None, "derecho-leader", 3, "commit", 0, t=3, slot=slot, key="m")
+    g = r.groups[None]
+    book = next(m for m in g.monitors if isinstance(m, SlotReuseSafety))._book
+    assert set(book.per[slot]) == {0, 1} and book.bound == {slot: 1}
+    r.ingest(None, "derecho-leader", 3, "slot_release", 0, t=4, seq=1)
+    assert r.finish() == []
+    assert book.per == {} and book.bound == {} and book.proven == slot
+    # A late accept of the settled slot is not kept.
+    r.ingest(None, "derecho-leader", 3, "accept_one", 2, t=5, slot=slot,
+             key="m")
+    assert book.per == {}
+
+
+def test_ring_release_before_first_commit_keeps_accepts_for_the_commit():
+    # Acuerdo-style accept-based release runs ahead of the commit: the
+    # release is checked, and the accepts stay for the quorum check.
+    r = _registry()
+    r.ingest(None, "derecho-leader", 3, "slot_bind", 0, t=1, slot=7,
+             seq=0, extra=8)
+    for node in (0, 1):
+        r.ingest(None, "derecho-leader", 3, "accept_one", node, t=2, slot=7,
+                 key="m")
+    r.ingest(None, "derecho-leader", 3, "slot_release", 0, t=3, seq=1)
+    book = _book(r)
+    assert set(book.per[7]) == {0, 1} and book.bound == {}
+    r.ingest(None, "derecho-leader", 3, "commit", 1, t=4, slot=7, key="m")
+    assert r.finish() == [] and book.per == {}
+
+
+def test_early_release_still_fires_when_the_slot_was_committed():
+    # The release check reads the slot's accepts as they stood: a
+    # commit that failed its own check does not cover the release.
+    r = _registry()
+    bind = r.ingest(None, "derecho-leader", 3, "slot_bind", 0, t=1,
+                    slot=2, seq=0, extra=8)
+    r.ingest(None, "derecho-leader", 3, "accept_one", 0, t=2, slot=2, key="m")
+    r.ingest(None, "derecho-leader", 3, "commit", 0, t=3, slot=2, key="m")
+    rel = r.ingest(None, "derecho-leader", 3, "slot_release", 0, t=4, seq=1)
+    vs = r.finish()
+    assert [v.monitor for v in vs] == ["commit_quorum_accept",
+                                       "slot_reuse_safety"]
+    assert vs[1].witness == (bind, rel)
+    assert set(_book(r).per[2]) == {0}   # failed: kept for a re-check
+
+
 # --------------------------------------------------------- slot reuse
 
 
@@ -254,7 +357,7 @@ def test_slot_reuse_aliases_commit_quorum_accept_in_the_default_set():
     g = r.groups[None]
     srs = next(m for m in g.monitors if isinstance(m, SlotReuseSafety))
     cqa = next(m for m in g.monitors if isinstance(m, CommitQuorumAccept))
-    assert srs._cum is cqa._cum and srs._per is cqa._per
+    assert srs._book is cqa._book
     assert srs.KINDS == frozenset({"slot_bind", "slot_release"})
     assert g.handlers["accept"] == [cqa.on_mark]
     r.ingest(None, "acuerdo", 3, "accept", 1, t=2, slot="h0")

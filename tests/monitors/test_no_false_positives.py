@@ -200,3 +200,50 @@ def test_crashed_follower_is_silent_and_vocabulary_is_pinned(name):
             if ev.node == victim and ev.t > crashed_at] == []
     assert {ev.kind for ev in seen} == CRASH_RUN_KINDS[name]
     assert finish_monitors(engine) == []
+
+
+@pytest.mark.parametrize("name", ALL_SYSTEMS)
+def test_first_commits_arrive_in_slot_order(name):
+    # CommitQuorumAccept treats a commit at or below the highest slot
+    # proven so far as a re-commit.  That is exact because every commit
+    # emit site sits at in-order delivery, so the group-wide first
+    # commits arrive in increasing slot order; this pins it on every
+    # system across a leader crash and the fail-over that follows.
+    from repro.harness.factory import build_from_spec, settle
+    from repro.monitors import (DEFAULT_MONITORS, Monitor, MonitorRegistry,
+                                finish_monitors)
+    from repro.sim.engine import ms
+    from repro.workloads.closedloop import ClosedLoopClient
+
+    firsts: list = []
+    seen: set = set()
+
+    class FirstCommits(Monitor):
+        KINDS = frozenset({"commit"})
+
+        def on_mark(self, ev):
+            if ev.slot not in seen:
+                seen.add(ev.slot)
+                firsts.append(ev.slot)
+
+    spec = RunSpec(system=name, n=3, payload_bytes=64, window=8)
+    engine = spec.make_engine()
+    MonitorRegistry(engine, factories=[*DEFAULT_MONITORS, FirstCommits])
+    system = build_from_spec(spec, engine)
+    settle(system)
+    client = ClosedLoopClient(system, window=8, message_size=64)
+    client.start()
+
+    def run_to(completed: int) -> None:
+        stop = engine.now + ms(20)
+        while client.completed < completed and engine.now < stop:
+            engine.run(until=engine.now + ms(0.1))
+
+    run_to(40)
+    system.crash(system.leader_id())
+    crashed_at = client.completed
+    run_to(crashed_at + 40)
+    assert firsts == sorted(firsts), name
+    assert finish_monitors(engine) == []
+    if "commit" in CRASH_RUN_KINDS[name]:
+        assert len(firsts) >= crashed_at >= 40, name
