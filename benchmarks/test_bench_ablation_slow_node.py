@@ -18,7 +18,7 @@ from repro.harness.parallel import run_points
 from repro.harness.render import render_table
 from repro.harness.runspec import RunSpec
 from repro.protocols.derecho import DerechoConfig
-from repro.sim import Engine, ms, us
+from repro.sim import Engine, FailureInjector, ms, us
 from repro.workloads.closedloop import ClosedLoopClient
 
 SLOW = 12.0
@@ -36,9 +36,7 @@ def _measure(name: str, slow: bool, seed: int = 3) -> dict:
                              **kwargs)
     settle(system)
     if slow:
-        victim = [p for p in system.processes() if p.node_id == 2][0]
-        victim.config.speed_factor = SLOW
-        victim.cpu.speed_factor = SLOW
+        FailureInjector(engine, system.processes()).slow_node(2, SLOW)
     client = ClosedLoopClient(system, window=4, message_size=10, warmup=30)
     client.start()
     deadline = engine.now + ms(120)

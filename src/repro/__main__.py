@@ -23,19 +23,41 @@ trace event JSON, loadable in Perfetto, or a plain-JSON timeline).
 exit code) and repeatable ``--crash node@ms`` / ``--crash g:n@ms``
 failure-injection flags; ``shootout`` and ``trace`` additionally take
 repeatable ``--partition "GROUPS@MS[-MS]"`` and ``--byz MODE:ADDR@MS``
-adversarial schedules.  ``adversary`` runs the Byzantine scenario
-suite (:mod:`repro.harness.adversary`): every scheduled attack against
-every backend, classified by the monitor oracle.
+adversarial schedules.  A schedule the run cannot take (malformed, or
+naming a group or node it lacks) exits 2.  ``adversary`` runs the
+Byzantine scenario suite (:mod:`repro.harness.adversary`): every
+scheduled attack against every backend, classified by the monitor
+oracle.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from repro.harness.runspec import RunSpec
+
+
+class _BadFlag(Exception):
+    """A flag value the RunSpec rejected: :func:`main` exits 2, apart
+    from exit 1, which reports safety violations."""
+
+
+def _spec(**fields: object) -> "RunSpec":
+    """The RunSpec the flags describe; a value it rejects (a malformed
+    or out-of-range fault schedule, say) raises :class:`_BadFlag`."""
+    from repro.harness.runspec import RunSpec
+
+    try:
+        return RunSpec(**fields)
+    except ValueError as e:
+        raise _BadFlag(e) from None
 
 
 def _cmd_shootout(args: argparse.Namespace) -> int:
-    from repro.harness import RunSpec, SYSTEMS, prepare, render_table
+    from repro.harness import SYSTEMS, prepare, render_table
     from repro.harness.factory import EXTENSION_SYSTEMS
     from repro.monitors import finish_monitors
     from repro.sim import ms
@@ -45,12 +67,11 @@ def _cmd_shootout(args: argparse.Namespace) -> int:
     rows = []
     all_violations = []
     for name in names:
-        spec = RunSpec(system=name, n=args.nodes, payload_bytes=args.size,
-                       window=args.window, seed=args.seed,
-                       check_invariants=args.check_invariants,
-                       crashes=tuple(args.crash),
-                       partitions=tuple(args.partition),
-                       byz=tuple(args.byz))
+        spec = _spec(system=name, n=args.nodes, payload_bytes=args.size,
+                     window=args.window, seed=args.seed,
+                     check_invariants=args.check_invariants,
+                     crashes=args.crash, partitions=args.partition,
+                     byz=args.byz)
         system = prepare(spec)
         engine = system.engine
         client = ClosedLoopClient(system, window=args.window,
@@ -167,32 +188,21 @@ def _cmd_elections(args: argparse.Namespace) -> int:
 
 def _cmd_shard(args: argparse.Namespace) -> int:
     from repro.harness.render import render_table
-    from repro.harness.runspec import RunSpec
     from repro.harness.shardsweep import shard_sweep
 
-    spec = RunSpec(system=args.system, n=args.nodes,
-                   payload_bytes=args.size, workload="openloop",
-                   duration_ms=args.duration_ms, seed=args.seed,
-                   shards=1, users=args.users, skew=0.0,
-                   arrival_rate=args.rate,
-                   workers=args.workers if args.workers is not None else 1,
-                   check_invariants=args.check_invariants,
-                   crashes=tuple(args.crash),
-                   partitions=tuple(args.partition),
-                   byz=tuple(args.byz))
-    # Validate failure-schedule group addresses against every shard
-    # count of the sweep at parse time: a schedule naming group 7 on a
-    # --shards 4 sweep should fail here with the valid range, not
-    # mid-run (or silently never fire).
-    from repro.sim.failure import check_group_schedules
-
-    try:
-        for s in args.shards:
-            check_group_schedules(s, spec.crashes, spec.partitions, spec.byz)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    pts = shard_sweep(spec, args.shards, args.skews)
+    fields = dict(system=args.system, n=args.nodes,
+                  payload_bytes=args.size, workload="openloop",
+                  duration_ms=args.duration_ms, seed=args.seed,
+                  users=args.users, arrival_rate=args.rate,
+                  workers=args.workers if args.workers is not None else 1,
+                  check_invariants=args.check_invariants,
+                  crashes=args.crash, partitions=args.partition,
+                  byz=args.byz)
+    # Every shard count of the sweep is a spec of its own, validated
+    # here: a schedule naming group 7 on a --shards 4 sweep fails
+    # before anything runs.
+    specs = [_spec(**fields, shards=s) for s in args.shards]
+    pts = shard_sweep(specs[0], args.shards, args.skews) if specs else []
     header = ["shards", "skew", "committed", "tput_rps", "mean_lat_us",
               "p99_lat_us", "hottest_share", "events"]
     rows = [[p.shards, p.skew, p.committed, round(p.throughput_rps),
@@ -219,28 +229,17 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     import pathlib
 
     from repro.harness.render import render_table
-    from repro.harness.runspec import RunSpec
     from repro.obs import capture_run
     from repro.obs.export import validate_chrome_trace, validate_timeline
 
-    spec = RunSpec(system=args.system, n=args.nodes, payload_bytes=args.size,
-                   window=args.window, workload=args.workload,
-                   duration_ms=args.duration_ms, seed=args.seed,
-                   capture_spans=True, shards=args.shards, users=args.users,
-                   skew=args.skew, arrival_rate=args.rate,
-                   check_invariants=args.check_invariants,
-                   crashes=tuple(args.crash),
-                   partitions=tuple(args.partition),
-                   byz=tuple(args.byz))
-    if spec.shards > 1:
-        from repro.sim.failure import check_group_schedules
-
-        try:
-            check_group_schedules(spec.shards, spec.crashes,
-                                  spec.partitions, spec.byz)
-        except ValueError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 2
+    spec = _spec(system=args.system, n=args.nodes, payload_bytes=args.size,
+                 window=args.window, workload=args.workload,
+                 duration_ms=args.duration_ms, seed=args.seed,
+                 capture_spans=True, shards=args.shards, users=args.users,
+                 skew=args.skew, arrival_rate=args.rate,
+                 check_invariants=args.check_invariants,
+                 crashes=args.crash, partitions=args.partition,
+                 byz=args.byz)
     res = capture_run(spec)
     if args.format == "chrome":
         doc = res.chrome()
@@ -335,7 +334,7 @@ def _add_adversarial_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--byz", action="append", default=[],
                    metavar="MODE:ADDR@MS",
                    help="arm a Byzantine attack on one node: e.g. "
-                        "'equivocate:1@2' or 'replay_sst:3:1@0.5' "
+                        "'equivocate:1@2' or 'replay_sst:0:1@0.5' "
                         "(repeatable; modes: equivocate, tamper, duplicate, "
                         "replay_sst, inflate, corrupt_ring, dup_ring)")
 
@@ -460,7 +459,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except _BadFlag as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

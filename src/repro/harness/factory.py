@@ -19,8 +19,7 @@ from repro.protocols.paxos import PaxosCluster
 from repro.protocols.raft import RaftCluster
 from repro.protocols.zab import ZabCluster
 from repro.sim.engine import Engine, ms
-from repro.sim.failure import (schedule_byz, schedule_crashes,
-                               schedule_partitions)
+from repro.sim.failure import arm_faults
 from repro.substrate import CostModel
 
 #: All systems of §4, by benchmark name.
@@ -168,15 +167,11 @@ def prepare(spec, substrate_params: Optional[CostModel] = None,
             **kwargs) -> BroadcastSystem:
     """Turn ``spec`` into a serving single-group system on a fresh
     engine (``system.engine``): build, :func:`settle`, then arm the
-    spec's crash / partition / Byzantine schedules.  ``@ms`` times count
-    from the moment this returns, which is where every driver starts
-    its workload.  Empty schedules attach nothing, so a fault-free run
+    spec's fault plan as group 0 (:func:`~repro.sim.failure.arm_faults`).
+    ``@ms`` times count from the moment this returns, which is where
+    every driver starts its workload.  Empty schedules attach nothing, so a fault-free run
     stays bit-identical to the golden fingerprints."""
     system = build_from_spec(spec, substrate_params=substrate_params, **kwargs)
     settle(system)
-    engine = system.engine
-    schedule_crashes(engine, system.processes(), spec.crashes)
-    schedule_partitions(engine, system.substrate, spec.partitions,
-                        processes=system.processes())
-    schedule_byz(engine, system, spec.byz)
+    arm_faults(system.engine, spec.faults, {0: system})
     return system

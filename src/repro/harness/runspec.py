@@ -18,8 +18,12 @@ serialised into ``BENCH_host_perf.json`` verbatim.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
-from typing import Any, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Mapping, Optional
+
+if TYPE_CHECKING:
+    from repro.sim.failure import FaultPlan
 
 #: Workload models a spec can name.
 WORKLOADS = ("closedloop", "openloop", "ycsb")
@@ -55,19 +59,18 @@ class RunSpec:
     # safety monitors during the run and surface violations in the
     # metrics / CLI exit code.
     check_invariants: bool = False
-    #: Crash schedule: ``"node@ms"`` / ``"group:node@ms"`` entries
-    #: (see :func:`repro.sim.failure.parse_crash`), applied relative to
-    #: workload start by :func:`repro.harness.factory.prepare` (farms:
-    #: :func:`repro.shard.parallel.prepare_farm`), like the two
-    #: schedules below.
+    #: Crash schedule: ``"node@ms"`` / ``"group:node@ms"`` entries.
+    #: This and the two schedules below are parsed into :attr:`faults`
+    #: and validated against ``n`` and ``shards`` when the spec is
+    #: built, then armed relative to workload start by
+    #: :func:`repro.harness.factory.prepare` (farms:
+    #: :func:`repro.shard.parallel.prepare_farm`).
     crashes: "tuple[str, ...]" = ()
-    #: Partition schedule: ``"GROUPS@MS"`` / ``"GROUPS@MS-MS"`` entries
-    #: (see :func:`repro.sim.failure.parse_partition`), applied against
-    #: the deployment's substrate relative to workload start.
+    #: Partition schedule: ``"GROUPS@MS"`` / ``"GROUPS@MS-MS"`` entries,
+    #: each cutting one group's substrate.
     partitions: "tuple[str, ...]" = ()
-    #: Byzantine attack schedule: ``"MODE:ADDR@MS"`` entries (see
-    #: :func:`repro.sim.byzantine.parse_byz`), applied relative to
-    #: workload start.  Empty means no injector is attached at all, so
+    #: Byzantine attack schedule: ``"MODE:ADDR@MS"`` entries (single-
+    #: group runs only).  Empty means no injector is attached at all, so
     #: the run stays bit-identical to the golden fingerprints.
     byz: "tuple[str, ...]" = ()
 
@@ -102,20 +105,23 @@ class RunSpec:
             raise ValueError(f"skew must be in [0, 1), got {self.skew}")
         if self.arrival_rate < 0:
             raise ValueError(f"arrival_rate must be >= 0, got {self.arrival_rate}")
-        # Normalise (lists arrive from from_dict / CLI argparse) and
-        # validate eagerly so a bad entry fails at spec construction,
-        # not mid-run.
+        # Normalise (lists arrive from from_dict / CLI argparse), then
+        # parse and validate the fault plan now, so a bad entry fails at
+        # spec construction, not mid-run.
         object.__setattr__(self, "crashes", tuple(self.crashes))
         object.__setattr__(self, "partitions", tuple(self.partitions))
         object.__setattr__(self, "byz", tuple(self.byz))
-        from repro.sim.failure import parse_byz, parse_crash, parse_partition
+        self.faults
 
-        for entry in self.crashes:
-            parse_crash(entry)
-        for entry in self.partitions:
-            parse_partition(entry)
-        for entry in self.byz:
-            parse_byz(entry)
+    @functools.cached_property
+    def faults(self) -> "FaultPlan":
+        """The crash / partition / byz schedules as one typed
+        :class:`~repro.sim.failure.FaultPlan`, valid for this spec's
+        ``shards`` and ``n``."""
+        from repro.sim.failure import FaultPlan
+
+        return FaultPlan.parse(self.crashes, self.partitions, self.byz,
+                               shards=self.shards, n=self.n)
 
     # -------------------------------------------------------------- derived
 

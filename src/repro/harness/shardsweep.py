@@ -29,7 +29,6 @@ from repro.harness.runspec import RunSpec
 from repro.shard.parallel import (ShardPoint, merge_slices, run_slice,
                                   slice_ranges)
 from repro.sim.engine import us
-from repro.sim.failure import check_group_schedules
 
 #: Default widened Acuerdo heartbeat for farm runs, in µs.  At the
 #: single-group default (2 µs) every idle group burns a commit-push
@@ -78,8 +77,6 @@ def shard_point(spec: RunSpec, heartbeat_us: Optional[int] = None,
         raise ValueError("shard_point needs spec.users >= 1 and "
                          f"spec.arrival_rate > 0, got users={spec.users}, "
                          f"arrival_rate={spec.arrival_rate}")
-    check_group_schedules(spec.shards, spec.crashes, spec.partitions,
-                          spec.byz)
     slices = slice_ranges(spec.shards, spec.workers)
     group_config = farm_group_config(spec, heartbeat_us)
     results = run_points(

@@ -13,8 +13,7 @@ each point through the slice machinery of :mod:`repro.shard.parallel`.
 """
 
 from repro.shard.arrivals import ARRIVAL_STREAM, aggregate_client
-from repro.shard.deployment import (ShardedDeployment, default_key_of,
-                                    schedule_farm_partitions)
+from repro.shard.deployment import ShardedDeployment, default_key_of
 from repro.shard.parallel import (SliceResult, prepare_farm, run_slice,
                                   slice_ranges)
 from repro.shard.router import ShardRouter, stable_key_hash
@@ -28,7 +27,6 @@ __all__ = [
     "default_key_of",
     "prepare_farm",
     "run_slice",
-    "schedule_farm_partitions",
     "slice_ranges",
     "stable_key_hash",
 ]

@@ -250,35 +250,3 @@ class ShardedDeployment:
             reg.record("shard.foreign", self.foreign)
         return reg
 
-
-def schedule_farm_partitions(dep: ShardedDeployment,
-                             partitions: "tuple | list",
-                             base_ns: Optional[int] = None) -> None:
-    """Apply ``RunSpec.partitions`` entries to a farm: each entry's
-    ``g:n``-scoped members name exactly one group (enforced up front by
-    :func:`~repro.sim.failure.check_group_schedules`), and the cut lands
-    on that group's substrate with the scope stripped back to bare node
-    ids.  Entries whose group falls outside ``dep.group_range`` are
-    skipped — they belong to another worker's slice."""
-    from repro.sim.engine import ms
-    from repro.sim.failure import FailureInjector, parse_partition
-
-    t0 = dep.engine.now if base_ns is None else base_ns
-    lo, hi = dep.group_range
-    for entry in partitions:
-        groups, start_ms, end_ms = parse_partition(entry)
-        members = [m for grp in groups for m in grp]
-        if dep.shards == 1:
-            target = 0
-            bare = tuple(tuple(m[1] if isinstance(m, tuple) else m
-                               for m in grp) for grp in groups)
-        else:
-            target = members[0][0]
-            bare = tuple(tuple(m[1] for m in grp) for grp in groups)
-        if not lo <= target < hi:
-            continue
-        injector = FailureInjector(dep.engine, (),
-                                   substrate=dep.groups[target].substrate)
-        injector.partition_at(t0 + ms(start_ms), *bare)
-        if end_ms is not None:
-            injector.heal_at(t0 + ms(end_ms))

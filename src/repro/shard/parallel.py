@@ -58,10 +58,9 @@ from typing import TYPE_CHECKING, Any, Optional
 
 from repro.monitors import finish_monitors
 from repro.shard.arrivals import aggregate_client
-from repro.shard.deployment import ShardedDeployment, schedule_farm_partitions
+from repro.shard.deployment import ShardedDeployment
 from repro.sim.engine import ms
-from repro.sim.failure import (check_group_schedules, parse_crash,
-                               schedule_byz, schedule_crashes)
+from repro.sim.failure import arm_faults
 
 if TYPE_CHECKING:  # harness imports this module; keep the edge one-way
     from repro.harness.runspec import RunSpec
@@ -142,34 +141,18 @@ class SliceResult:
     spans: list = field(default_factory=list)
 
 
-def _slice_crashes(spec: RunSpec, lo: int, hi: int) -> "tuple[str, ...]":
-    """The crash entries whose target group falls in [lo, hi).  With one
-    shard every entry is local; with more, validation has already forced
-    the unambiguous ``g:n`` form."""
-    if spec.shards == 1:
-        return spec.crashes
-    keep = []
-    for entry in spec.crashes:
-        addr, _ = parse_crash(entry)
-        if isinstance(addr, tuple) and lo <= addr[0] < hi:
-            keep.append(entry)
-    return tuple(keep)
-
-
 def prepare_farm(spec: RunSpec, lo: int, hi: int,
                  group_config: "dict | None" = None,
                  ) -> "tuple[ShardedDeployment, OpenLoopClient]":
     """Turn ``spec`` into groups [lo, hi) of its farm, serving, on a
-    fresh engine (``dep.engine``): validate the fault schedules against
-    the shard count, build the deployment with the *original* group
-    indices, settle it, arm the crash / partition / Byzantine entries
-    this slice owns (``@ms`` counts from the moment this returns), and
-    build the full aggregate arrival client — returned unstarted.
+    fresh engine (``dep.engine``): build the deployment with the
+    *original* group indices, settle it, arm the entries of the spec's
+    fault plan that this slice's groups own (``@ms`` counts from the
+    moment this returns), and build the full aggregate arrival client —
+    returned unstarted.
 
     The farm counterpart of :func:`repro.harness.factory.prepare`, and
     the only place a farm is constructed or faulted."""
-    check_group_schedules(spec.shards, spec.crashes, spec.partitions,
-                          spec.byz)
     engine = spec.make_engine()
     dep = ShardedDeployment(engine, system=spec.system, shards=spec.shards,
                             n=spec.n, group_config=group_config,
@@ -182,12 +165,7 @@ def prepare_farm(spec: RunSpec, lo: int, hi: int,
             f"clock would diverge from the whole farm's; slicing a farm "
             f"needs a clock-neutral settle (acuerdo preseeds without "
             f"running the engine) — use workers=1")
-    schedule_crashes(engine, dep.processes(), _slice_crashes(spec, lo, hi))
-    schedule_farm_partitions(dep, spec.partitions)
-    if spec.byz:
-        # check_group_schedules restricts byz to shards == 1, where the
-        # single slice holds the single group.
-        schedule_byz(engine, dep.groups[0], spec.byz)
+    arm_faults(engine, spec.faults, dict(dep.local_groups()))
     client = aggregate_client(dep, users=spec.users,
                               rate_rps=spec.arrival_rate, skew=spec.skew,
                               message_size=spec.payload_bytes)

@@ -66,7 +66,7 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 from repro.protocols.entrylog import EntryLog
-from repro.sim.engine import Engine, ms
+from repro.sim.engine import Engine
 
 #: The shipped attack modes, in matrix order.
 BYZ_MODES = ("equivocate", "tamper", "duplicate", "replay_sst",
@@ -198,37 +198,14 @@ class ByzantineInjector:
         # sends, the hook must pass them through untouched.
         self._in_send = False
 
-    # -------------------------------------------------------------- schedule
-
-    def schedule(self, mode: str, addr: Any, at_ms: float,
-                 base_ns: Optional[int] = None) -> None:
-        """Arm ``mode`` on the node at ``addr`` ``at_ms`` milliseconds
-        after ``base_ns`` (default: now — the drivers call this right
-        after settle, so ``@ms`` counts from workload start)."""
-        if mode not in BYZ_MODES:
-            raise ValueError(f"unknown byz mode {mode!r}; pick from {BYZ_MODES}")
-        t0 = self.engine.now if base_ns is None else base_ns
-        self.engine.schedule_at(t0 + ms(at_ms), self.arm, mode, addr)
-
-    def schedule_entry(self, entry: str, base_ns: Optional[int] = None) -> None:
-        """Arm one ``"MODE:ADDR@MS"`` schedule entry (CLI/RunSpec form)."""
-        mode, addr, at_ms = parse_byz(entry)
-        self.schedule(mode, addr, at_ms, base_ns=base_ns)
-
-    def _node(self, addr: Any) -> int:
-        from repro.sim.failure import parse_addr
-
-        a = parse_addr(addr)
-        return a[1] if isinstance(a, tuple) else a
-
     # ------------------------------------------------------------------- arm
 
-    def arm(self, mode: str, addr: Any) -> None:
-        """Activate ``mode`` with the node at ``addr`` as the attacker
-        (idempotent per (mode, node))."""
+    def arm(self, mode: str, node: int) -> None:
+        """Activate ``mode`` with node ``node`` as the attacker
+        (idempotent per (mode, node)).  Scheduled runs arm through
+        :func:`repro.sim.failure.arm_faults`."""
         if mode not in BYZ_MODES:
             raise ValueError(f"unknown byz mode {mode!r}; pick from {BYZ_MODES}")
-        node = self._node(addr)
         if (mode, node) in self._armed:
             return
         self._armed.add((mode, node))
@@ -507,18 +484,3 @@ class ByzantineInjector:
                 "landed": dict(self.landed),
                 "blocked": dict(self.blocked)}
 
-
-def schedule_byz(engine: Engine, system: Any, entries: Any,
-                 base_ns: Optional[int] = None) -> Optional[ByzantineInjector]:
-    """Apply a ``RunSpec.byz`` schedule (``"MODE:ADDR@MS"`` entries,
-    parsed by :func:`parse_byz`) against ``system``.  Times are
-    relative to ``base_ns`` (default: now).  Returns the injector, or
-    None for an empty schedule."""
-    entries = list(entries)
-    if not entries:
-        return None
-    byz = ByzantineInjector(engine, system)
-    t0 = engine.now if base_ns is None else base_ns
-    for entry in entries:
-        byz.schedule_entry(entry, base_ns=t0)
-    return byz

@@ -2,26 +2,31 @@
 
 Supports the failure classes the paper's evaluation exercises:
 
-- **crash-stop** (Table 1: the leader is killed / put to sleep) —
-  :meth:`FailureInjector.crash_at` and :meth:`sleep_at` (a long
-  deschedule after which the node resumes, like the paper's 5 s sleep);
+- **crash-stop** (Table 1: the leader is killed) —
+  :meth:`FailureInjector.crash_at`;
 - **slow node** (§4.1/§4.2 "long-latency nodes") — :meth:`slow_node`;
 - **transient deschedules** (scheduler hiccups that receiver-side
-  batching absorbs) — :meth:`deschedule_at`;
-- **repeating leader kill** (Table 1's repeated election trigger) —
-  :meth:`kill_leader_every`;
+  batching absorbs, or the paper's 5 s leader sleep) —
+  :meth:`deschedule_at`;
 - **network partitions** (substrate-level connectivity groups with an
-  optional heal time) — :meth:`partition_at` / :meth:`heal_at` and the
-  ``RunSpec.partitions`` / ``--partition`` schedule surface;
+  optional heal time) — :meth:`partition_at` / :meth:`heal_at`;
 - **Byzantine misbehaviour** (lying, forging, replaying — the *beyond
-  crash-stop* model) lives in :mod:`repro.sim.byzantine` and is
-  re-exported here for schedule symmetry.
+  crash-stop* model) lives in :mod:`repro.sim.byzantine`.
+
+A run's crash, partition and Byzantine *schedules* (``RunSpec.crashes``
+/ ``.partitions`` / ``.byz``, the ``--crash`` / ``--partition`` /
+``--byz`` flags) are parsed once, into a :class:`FaultPlan` of typed
+``(group, node)``-addressed entries that is validated against the
+deployment's ``shards`` and ``n`` when the spec is built, and armed by
+one function, :func:`arm_faults`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Any, Iterable, Mapping, Optional, Sequence, Union
 
+from repro.sim.byzantine import BYZ_MODES, ByzantineInjector, parse_byz
 from repro.sim.engine import Engine, ms
 from repro.sim.process import Process
 
@@ -102,7 +107,7 @@ def parse_partition(
     sharded farm, members use the hierarchical ``g:n`` spelling
     (``"2:0,2:1|2:2@5"`` cuts shard 2's node 2 off); all members of one
     entry must then name the same shard — a partition cuts one group's
-    substrate, validated by :func:`check_group_schedules`.
+    substrate, validated by :meth:`FaultPlan.parse`.
     """
     groups_part, sep, when = text.rpartition("@")
     if not sep or not groups_part:
@@ -137,68 +142,170 @@ def parse_partition(
     return tuple(groups), start_ms, end_ms
 
 
-def check_group_schedules(shards: int, crashes: Iterable[str] = (),
-                          partitions: Iterable[str] = (),
-                          byz: Iterable[str] = ()) -> None:
-    """Validate the shard-group component of failure schedules against a
-    deployment of ``shards`` consensus groups, *before* anything runs.
+@dataclass(frozen=True)
+class CrashEntry:
+    """Crash-stop node ``node`` of consensus group ``group``
+    ``at_ms`` milliseconds after workload start."""
 
-    Raises ``ValueError`` naming the valid group range when a schedule
-    addresses a group the deployment does not have, uses a bare node id
-    that would be ambiguous across groups, spans several groups in one
-    partition cut, or requests an adversarial mode the farm does not
-    support — instead of failing mid-run (or, worse, silently never
-    firing).  The ``repro shard`` / ``repro trace`` CLIs call this at
-    parse time; :func:`~repro.harness.shardsweep.shard_point` calls it
-    before forking slice workers, and
-    :func:`~repro.shard.parallel.prepare_farm` — the one place farm
-    faults are armed — calls it again as the run-level backstop.
+    group: int
+    node: int
+    at_ms: float
+
+
+@dataclass(frozen=True)
+class PartitionEntry:
+    """Cut group ``group``'s substrate into the connectivity ``sides``
+    (bare node ids) at ``start_ms``; heal it at ``end_ms`` (None:
+    never)."""
+
+    group: int
+    sides: "tuple[tuple[int, ...], ...]"
+    start_ms: float
+    end_ms: Optional[float]
+
+
+@dataclass(frozen=True)
+class ByzEntry:
+    """Arm attack ``mode`` on node ``node`` of group ``group`` at
+    ``at_ms`` (see :data:`~repro.sim.byzantine.BYZ_MODES`)."""
+
+    mode: str
+    group: int
+    node: int
+    at_ms: float
+
+
+@dataclass(frozen=True)
+class FaultPlan:
+    """A run's crash, partition and Byzantine schedules, parsed once.
+
+    Every entry names an explicit group and a bare node id, both checked
+    against the deployment by :meth:`parse`, so any plan that exists can
+    be armed by :func:`arm_faults`.  An empty plan arms nothing.
     """
-    valid = (f"valid groups are 0..{shards - 1}" if shards > 1
-             else "a 1-shard deployment only has group 0")
 
-    def _check_group(entry: str, what: str, g: int) -> None:
-        if not 0 <= g < shards:
-            raise ValueError(
-                f"{what} schedule {entry!r} names group {g}, but the "
-                f"deployment has {shards} shard(s); {valid}")
+    crashes: "tuple[CrashEntry, ...]" = ()
+    partitions: "tuple[PartitionEntry, ...]" = ()
+    byz: "tuple[ByzEntry, ...]" = ()
 
-    for entry in crashes:
-        addr, _ = parse_crash(entry)
-        if isinstance(addr, tuple):
-            _check_group(entry, "crash", addr[0])
-        elif shards > 1:
-            raise ValueError(
-                f"crash schedule {entry!r} uses a bare node id, which is "
-                f"ambiguous across {shards} groups; address it as "
-                f"'group:node@ms' ({valid})")
-    for entry in partitions:
-        groups, _, _ = parse_partition(entry)
-        members = [m for grp in groups for m in grp]
-        scoped = sorted({m[0] for m in members if isinstance(m, tuple)})
-        for g in scoped:
-            _check_group(entry, "partition", g)
-        if shards > 1:
-            if any(not isinstance(m, tuple) for m in members):
+    @classmethod
+    def parse(cls, crashes: Iterable[str] = (),
+              partitions: Iterable[str] = (), byz: Iterable[str] = (),
+              *, shards: int = 1, n: int = 3) -> "FaultPlan":
+        """Parse the ``RunSpec`` schedule strings and validate them
+        against a deployment of ``shards`` groups of ``n`` nodes.
+
+        Raises ``ValueError`` when an entry is malformed, names a group
+        or node the deployment does not have, uses a bare node id that
+        would be ambiguous across groups, spans several groups in one
+        partition cut, or requests a Byzantine attack on a farm — when
+        the spec is built, instead of failing mid-run (or, worse,
+        silently never firing).  On a 1-shard deployment ``n`` and
+        ``0:n`` both name node ``n`` of group 0.
+        """
+        valid = (f"valid groups are 0..{shards - 1}" if shards > 1
+                 else "a 1-shard deployment only has group 0")
+
+        def check_group(entry: str, what: str, g: int) -> int:
+            if not 0 <= g < shards:
                 raise ValueError(
-                    f"partition schedule {entry!r} uses bare node ids, "
-                    f"which are ambiguous across {shards} groups; spell "
-                    f"members as 'g:n' ({valid})")
-            if len(scoped) > 1:
+                    f"{what} schedule {entry!r} names group {g}, but the "
+                    f"deployment has {shards} shard(s); {valid}")
+            return g
+
+        def check_node(entry: str, what: str, node: int) -> int:
+            if not 0 <= node < n:
                 raise ValueError(
-                    f"partition schedule {entry!r} spans groups {scoped}; "
-                    f"a partition cuts one group's substrate at a time — "
-                    f"use one entry per group")
-    for entry in byz:
-        _, addr, _ = parse_byz(entry)
-        if shards > 1:
-            raise ValueError(
-                f"byz schedule {entry!r}: Byzantine attacks are not "
-                f"supported on multi-group farms yet (shards={shards}); "
-                f"run the attack against a single group (shards=1) or "
-                f"use 'repro shootout --byz'")
-        if isinstance(addr, tuple):
-            _check_group(entry, "byz", addr[0])
+                    f"{what} schedule {entry!r} names node {node}, but a "
+                    f"group has {n} node(s); valid node ids are "
+                    f"0..{n - 1}")
+            return node
+
+        def split(addr: "int | tuple[int, int]") -> "tuple[int, int]":
+            return addr if isinstance(addr, tuple) else (0, addr)
+
+        crash_entries = []
+        for entry in crashes:
+            addr, at_ms = parse_crash(entry)
+            if shards > 1 and not isinstance(addr, tuple):
+                raise ValueError(
+                    f"crash schedule {entry!r} uses a bare node id, which is "
+                    f"ambiguous across {shards} groups; address it as "
+                    f"'group:node@ms' ({valid})")
+            g, node = split(addr)
+            crash_entries.append(CrashEntry(check_group(entry, "crash", g),
+                                            check_node(entry, "crash", node),
+                                            at_ms))
+        partition_entries = []
+        for entry in partitions:
+            sides, start_ms, end_ms = parse_partition(entry)
+            members = [m for side in sides for m in side]
+            scoped = [check_group(entry, "partition", g) for g in
+                      sorted({m[0] for m in members if isinstance(m, tuple)})]
+            if shards > 1:
+                if any(not isinstance(m, tuple) for m in members):
+                    raise ValueError(
+                        f"partition schedule {entry!r} uses bare node ids, "
+                        f"which are ambiguous across {shards} groups; spell "
+                        f"members as 'g:n' ({valid})")
+                if len(scoped) > 1:
+                    raise ValueError(
+                        f"partition schedule {entry!r} spans groups {scoped}; "
+                        f"a partition cuts one group's substrate at a time — "
+                        f"use one entry per group")
+            partition_entries.append(PartitionEntry(
+                scoped[0] if scoped else 0,
+                tuple(tuple(check_node(entry, "partition", split(m)[1])
+                            for m in side) for side in sides),
+                start_ms, end_ms))
+        byz_entries = []
+        for entry in byz:
+            mode, addr, at_ms = parse_byz(entry)
+            if shards > 1:
+                raise ValueError(
+                    f"byz schedule {entry!r}: Byzantine attacks are not "
+                    f"supported on multi-group farms yet (shards={shards}); "
+                    f"run the attack against a single group (shards=1) or "
+                    f"use 'repro shootout --byz'")
+            g, node = split(addr)
+            byz_entries.append(ByzEntry(mode, check_group(entry, "byz", g),
+                                        check_node(entry, "byz", node), at_ms))
+        return cls(tuple(crash_entries), tuple(partition_entries),
+                   tuple(byz_entries))
+
+
+def arm_faults(engine: Engine, plan: FaultPlan,
+               groups: "Mapping[int, Any]") -> None:
+    """Schedule ``plan`` against ``groups`` (group index ->
+    :class:`~repro.protocols.base.BroadcastSystem`), ``@ms`` counting
+    from now — the drivers call this right after settle, so from
+    workload start.
+
+    Entries whose group is not in ``groups`` belong to another slice of
+    the farm and are skipped.  Crashes, then partitions, then Byzantine
+    attacks are scheduled, each in entry order: that order is the heap's
+    tie-break, so same-instant faults replay exactly.  A plan with no
+    local Byzantine entry attaches no injector, so a fault-free run
+    stays bit-identical to the golden fingerprints.
+    """
+    t0 = engine.now
+    for c in plan.crashes:
+        if c.group in groups:
+            engine.schedule_at(t0 + ms(c.at_ms),
+                               groups[c.group].nodes[c.node].crash)
+    for p in plan.partitions:
+        if p.group in groups:
+            substrate = groups[p.group].substrate
+            engine.schedule_at(t0 + ms(p.start_ms), substrate.set_partition,
+                               *p.sides)
+            if p.end_ms is not None:
+                engine.schedule_at(t0 + ms(p.end_ms), substrate.heal_partition)
+    attacks = [b for b in plan.byz if b.group in groups]
+    if attacks:
+        # FaultPlan.parse keeps Byzantine entries to one-group runs.
+        byz = ByzantineInjector(engine, groups[attacks[0].group])
+        for b in attacks:
+            engine.schedule_at(t0 + ms(b.at_ms), byz.arm, b.mode, b.node)
 
 
 class FailureInjector:
@@ -269,10 +376,6 @@ class FailureInjector:
         """Take ``node`` off-CPU for ``duration_ns`` starting at ``time_ns``."""
         self.engine.schedule_at(time_ns, self._proc(node).deschedule, duration_ns)
 
-    def sleep_at(self, time_ns: int, node: Addr, duration_ns: int) -> None:
-        """Alias for a long deschedule — the paper's 'leader sleeps 5 s'."""
-        self.deschedule_at(time_ns, node, duration_ns)
-
     def slow_node(self, node: Addr, speed_factor: float) -> None:
         """Make ``node`` a long-latency node from now on: every CPU cost
         and poll gap is multiplied by ``speed_factor``."""
@@ -303,100 +406,14 @@ class FailureInjector:
                 "schedule partitions")
         self.engine.schedule_at(time_ns, self.substrate.heal_partition)
 
-    def kill_leader_every(self, period_ns: int, leader_of: Callable[[], int | None],
-                          start_ns: int | None = None, on_kill: Callable[[int], None] | None = None,
-                          stop_after: int | None = None,
-                          group: int | None = None) -> None:
-        """Repeatedly crash whichever node ``leader_of()`` reports.
-
-        Used by the Table 1 harness: every ``period_ns`` the current
-        leader (if any) is crash-stopped, forcing an election among the
-        survivors.  ``on_kill(node_id)`` lets the harness timestamp the
-        kill.  Stops after ``stop_after`` kills when given.
-
-        ``leader_of()`` usually returns a bare node id.  In a sharded
-        farm that id may exist in several groups; pass ``group=`` to
-        scope the lookup.  An ambiguous id without a scope raises
-        immediately (it used to be swallowed, silently skipping every
-        kill — the worst kind of robustness-test no-op).
-        """
-        state = {"kills": 0}
-
-        def tick() -> None:
-            if stop_after is not None and state["kills"] >= stop_after:
-                return
-            ldr = leader_of()
-            if ldr is not None:
-                addr = ((group, ldr) if group is not None
-                        and not isinstance(ldr, (tuple, Process)) else ldr)
-                proc = self._proc(addr)
-                if not proc.crashed:
-                    proc.crash()
-                    state["kills"] += 1
-                    if on_kill is not None:
-                        on_kill(ldr)
-            self.engine.schedule(period_ns, tick)
-
-        self.engine.schedule_at(start_ns if start_ns is not None else self.engine.now + period_ns,
-                                tick)
-
     def alive(self) -> "list[int | tuple[int, int]]":
         """Addresses of processes that have not crashed: plain node ids
         in single-group runs, ``(group, node_id)`` in sharded ones."""
         return [p.addr for p in self.processes if not p.crashed]
 
 
-def schedule_crashes(engine: Engine, processes: Sequence[Process],
-                     crashes: Iterable[str],
-                     base_ns: Optional[int] = None) -> Optional[FailureInjector]:
-    """Apply a ``RunSpec.crashes`` schedule (``"node@ms"`` /
-    ``"group:node@ms"`` entries, parsed by :func:`parse_crash`) against
-    ``processes``.  Times are relative to ``base_ns`` (default: now —
-    the drivers call this right after settle, so ``@ms`` counts from
-    workload start).  Returns the injector, or None for an empty
-    schedule."""
-    crashes = list(crashes)
-    if not crashes:
-        return None
-    injector = FailureInjector(engine, processes)
-    t0 = engine.now if base_ns is None else base_ns
-    for entry in crashes:
-        addr, at_ms = parse_crash(entry)
-        injector.crash_at(t0 + ms(at_ms), addr)
-    return injector
-
-
-def schedule_partitions(engine: Engine, substrate: object,
-                        partitions: Iterable[str],
-                        base_ns: Optional[int] = None,
-                        processes: Sequence[Process] = (),
-                        ) -> Optional[FailureInjector]:
-    """Apply a ``RunSpec.partitions`` schedule (``"GROUPS@MS[-MS]"``
-    entries, parsed by :func:`parse_partition`) against ``substrate``.
-    Times are relative to ``base_ns`` (default: now).  Returns the
-    injector, or None for an empty schedule."""
-    partitions = list(partitions)
-    if not partitions:
-        return None
-    injector = FailureInjector(engine, processes, substrate=substrate)
-    t0 = engine.now if base_ns is None else base_ns
-    for entry in partitions:
-        groups, start_ms, end_ms = parse_partition(entry)
-        injector.partition_at(t0 + ms(start_ms), *groups)
-        if end_ms is not None:
-            injector.heal_at(t0 + ms(end_ms))
-    return injector
-
-
-# Byzantine attacks are the other half of the adversarial surface; the
-# schedule helpers live in repro.sim.byzantine but are re-exported here
-# so harness code has one failure-scheduling import.
-from repro.sim.byzantine import (  # noqa: E402
-    BYZ_MODES, ByzantineInjector, parse_byz, schedule_byz)
-
 __all__ = [
     "Addr", "FailureInjector", "parse_addr", "format_addr", "parse_crash",
-    "parse_partition", "check_group_schedules", "schedule_crashes",
-    "schedule_partitions",
-    "BYZ_MODES", "ByzantineInjector", "parse_byz", "schedule_byz",
+    "parse_partition", "CrashEntry", "PartitionEntry", "ByzEntry",
+    "FaultPlan", "arm_faults", "BYZ_MODES", "ByzantineInjector", "parse_byz",
 ]

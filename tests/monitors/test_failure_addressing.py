@@ -11,11 +11,13 @@ from __future__ import annotations
 import pytest
 
 from repro.sim.failure import (
+    CrashEntry,
     FailureInjector,
+    FaultPlan,
+    arm_faults,
     format_addr,
     parse_addr,
     parse_crash,
-    schedule_crashes,
 )
 
 
@@ -52,8 +54,12 @@ def test_parse_crash_entries():
 def test_runspec_validates_crash_entries_eagerly():
     from repro.harness import RunSpec
 
-    spec = RunSpec(system="acuerdo", crashes=["0@5", "1:2@3"])
-    assert spec.crashes == ("0@5", "1:2@3")    # normalised to a tuple
+    spec = RunSpec(system="acuerdo", crashes=["0@5", "0:2@3"])
+    assert spec.crashes == ("0@5", "0:2@3")    # normalised to a tuple
+    # One address rule: a bare id and a group-0 address name the same
+    # node of a single-group run.
+    assert spec.faults.crashes == (CrashEntry(0, 0, 5.0),
+                                   CrashEntry(0, 2, 3.0))
     with pytest.raises(ValueError):
         RunSpec(system="acuerdo", crashes=("0",))
 
@@ -122,11 +128,13 @@ def test_schedule_crashes_applies_a_runspec_schedule():
     engine = Engine(seed=1)
     system = build_from_spec(RunSpec(system="acuerdo", n=3), engine)
     settle(system)
-    inj = schedule_crashes(engine, system.processes(), ["2@1"])
-    assert inj is not None
+    arm_faults(engine, RunSpec(system="acuerdo", crashes=["2@1"]).faults,
+               {0: system})
     engine.run(until=engine.now + ms(2))
-    assert sorted(inj.alive()) == [0, 1]
-    assert schedule_crashes(engine, system.processes(), []) is None
+    assert [p.node_id for p in system.processes() if not p.crashed] == [0, 1]
+    pushes = engine.heap_pushes
+    arm_faults(engine, FaultPlan(), {0: system})
+    assert engine.heap_pushes == pushes and engine.byz is None
 
 
 # ----------------------------------------------------------------- CLI
@@ -162,9 +170,11 @@ def test_cli_trace_check_invariants_exits_zero(tmp_path, capsys):
     assert out.exists()
 
 
-def test_cli_rejects_malformed_crash_flag():
+def test_cli_rejects_malformed_crash_flag(capsys):
     from repro.__main__ import main
 
-    with pytest.raises(ValueError):
-        main(["shootout", "--systems", "acuerdo", "--messages", "20",
-              "--crash", "nonsense"])
+    rc = main(["shootout", "--systems", "acuerdo", "--messages", "20",
+               "--crash", "nonsense"])
+    assert rc == 2      # a usage error; exit 1 means a safety violation
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot parse crash 'nonsense'")

@@ -26,9 +26,9 @@ from repro.sim.byzantine import (
     BYZ_MODES,
     ByzantineInjector,
     parse_byz,
-    schedule_byz,
 )
 from repro.sim.engine import Engine, ms, us
+from repro.sim.failure import FaultPlan, arm_faults
 from tests.substrate.test_golden_fingerprints import (
     GOLDEN_FINGERPRINTS,
     run_protocol,
@@ -70,8 +70,6 @@ def test_injector_rejects_unknown_mode():
     engine = Engine(seed=1)
     system = build_from_spec(RunSpec(system="acuerdo", n=3), engine)
     byz = ByzantineInjector(engine, system)
-    with pytest.raises(ValueError):
-        byz.schedule("lie", 1, 2.0)
     with pytest.raises(ValueError):
         byz.arm("lie", 1)
 
@@ -219,8 +217,10 @@ def test_schedule_byz_applies_a_runspec_schedule():
     engine = Engine(seed=7)
     system = build_from_spec(RunSpec(system="acuerdo", n=3), engine)
     settle(system)
-    byz = schedule_byz(engine, system, ["corrupt_ring:0@0.2"])
-    assert byz is not None and engine.byz is byz
+    arm_faults(engine, FaultPlan.parse(byz=["corrupt_ring:0@0.2"]),
+               {0: system})
+    byz = engine.byz
+    assert byz is not None
     state = {"submitted": 0}
 
     def pump():
@@ -240,5 +240,5 @@ def test_schedule_byz_applies_a_runspec_schedule():
 def test_schedule_byz_empty_schedule_is_none():
     engine = Engine(seed=7)
     system = build_from_spec(RunSpec(system="acuerdo", n=3), engine)
-    assert schedule_byz(engine, system, []) is None
+    arm_faults(engine, FaultPlan(), {0: system})
     assert engine.byz is None

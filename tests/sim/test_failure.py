@@ -88,32 +88,6 @@ def test_slow_node_scales_speed():
     assert procs[0].ticks > 5 * procs[1].ticks
 
 
-def test_kill_leader_every_crashes_reported_leader():
-    e = Engine(seed=1)
-    procs = _cluster(e, 5)
-    inj = FailureInjector(e, procs)
-    killed = []
-    order = iter([0, 1, 2])
-
-    def leader_of():
-        alive = inj.alive()
-        return alive[0] if alive else None
-
-    inj.kill_leader_every(us(10), leader_of, on_kill=killed.append, stop_after=3)
-    e.run(until=us(100))
-    assert killed == [0, 1, 2]
-    assert inj.alive() == [3, 4]
-
-
-def test_kill_leader_handles_no_leader():
-    e = Engine(seed=1)
-    procs = _cluster(e, 2)
-    inj = FailureInjector(e, procs)
-    inj.kill_leader_every(us(10), lambda: None, stop_after=1)
-    e.run(until=us(50))
-    assert inj.alive() == [0, 1]
-
-
 def _grouped_cluster(e, groups=2, n=2):
     procs = []
     for g in range(groups):
@@ -170,41 +144,3 @@ def test_unknown_group_address_raises():
     inj = FailureInjector(e, _grouped_cluster(e))
     with pytest.raises(KeyError, match="no process with address"):
         inj.crash_at(us(5), (7, 0))
-
-
-def test_kill_leader_every_group_scopes_bare_ids():
-    """`leader_of()` reporting a bare node id in a sharded deployment is
-    resolved inside the given ``group=``."""
-    e = Engine(seed=1)
-    procs = _grouped_cluster(e)
-    inj = FailureInjector(e, procs)
-    killed = []
-    inj.kill_leader_every(us(10), lambda: 0, group=1,
-                          on_kill=killed.append, stop_after=1)
-    e.run(until=us(50))
-    crashed = [(p.group, p.node_id) for p in procs if p.crashed]
-    assert crashed == [(1, 0)]
-    assert killed == [0]
-
-
-def test_kill_leader_every_ambiguous_bare_id_raises_loudly():
-    """An ambiguous flat id without ``group=`` used to be swallowed,
-    silently skipping every kill; now the first tick raises."""
-    e = Engine(seed=1)
-    inj = FailureInjector(e, _grouped_cluster(e))
-    inj.kill_leader_every(us(10), lambda: 0)
-    with pytest.raises(KeyError, match="ambiguous"):
-        e.run(until=us(50))
-    assert not any(p.crashed for p in inj.processes)
-
-
-def test_kill_leader_every_accepts_hierarchical_leader_ids():
-    """`leader_of()` may itself return a ``(group, node)`` address; the
-    ``group=`` scope only wraps *bare* ids."""
-    e = Engine(seed=1)
-    procs = _grouped_cluster(e)
-    inj = FailureInjector(e, procs)
-    inj.kill_leader_every(us(10), lambda: (0, 1), group=1, stop_after=1)
-    e.run(until=us(50))
-    crashed = [(p.group, p.node_id) for p in procs if p.crashed]
-    assert crashed == [(0, 1)]

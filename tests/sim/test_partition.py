@@ -1,8 +1,9 @@
 """Partition schedules: grammar, injection surface, and determinism.
 
 ``--partition "GROUPS@MS[-MS]"`` entries flow through
-:func:`repro.sim.failure.parse_partition` into
-:meth:`FailureInjector.partition_at` / :meth:`heal_at` against the
+:func:`repro.sim.failure.parse_partition` into a
+:class:`~repro.sim.failure.FaultPlan`, which
+:func:`~repro.sim.failure.arm_faults` schedules against the
 deployment's substrate.  The schedule must be deterministic — the same
 cut and heal produce the same observable run whether idle poll loops
 park or stay on the heap (the ``tests.park_reference`` schedule).
@@ -17,8 +18,9 @@ from repro.harness.runspec import RunSpec
 from repro.sim.engine import Engine, ms, us
 from repro.sim.failure import (
     FailureInjector,
+    FaultPlan,
+    arm_faults,
     parse_partition,
-    schedule_partitions,
 )
 from tests.park_reference import park_mode
 
@@ -70,7 +72,8 @@ def test_partition_methods_require_a_substrate():
 
 def test_schedule_partitions_empty_schedule_is_none():
     engine = Engine(seed=1)
-    assert schedule_partitions(engine, None, []) is None
+    arm_faults(engine, FaultPlan(), {0: None})
+    assert engine.heap_pushes == 0
 
 
 def test_partition_drops_cross_group_traffic_then_heals():
@@ -81,9 +84,8 @@ def test_partition_drops_cross_group_traffic_then_heals():
     system = build_from_spec(RunSpec(system="zookeeper", n=3), engine)
     settle(system)
     assert system.leader_id() == 2
-    inj = schedule_partitions(engine, system.substrate, ["0,1|2@0.5-8"],
-                              processes=system.processes())
-    assert inj is not None
+    arm_faults(engine, FaultPlan.parse(partitions=["0,1|2@0.5-8"]),
+               {0: system})
     state = {"submitted": 0}
 
     def pump():
@@ -111,8 +113,7 @@ def _partitioned_run(name: str, entry: str = "0,1|2@1-6"):
     engine = Engine(seed=7)
     system = build_from_spec(RunSpec(system=name, n=3), engine)
     settle(system)
-    schedule_partitions(engine, system.substrate, [entry],
-                        processes=system.processes())
+    arm_faults(engine, FaultPlan.parse(partitions=[entry]), {0: system})
     state = {"submitted": 0}
     deliveries: list = []
     system.delivery_listeners.append(
