@@ -12,6 +12,7 @@ from typing import Optional
 
 from repro.core.config import AcuerdoConfig
 from repro.core.node import AcuerdoNode, Role
+from repro.core.trains import HeartbeatTrains
 from repro.core.types import CommitRow, Epoch, MsgHdr, Vote, HDR_ZERO, VOTE_BYTES, \
     COMMIT_ROW_BYTES, HDR_BYTES
 from repro.protocols.base import BroadcastSystem
@@ -73,6 +74,9 @@ class AcuerdoCluster(BroadcastSystem):
         for i, node in self.nodes.items():
             self.fabric.nic(i).waker = node
             self.commit_sst.declare_quiet(i, node.heartbeat_is_quiet)
+        #: Commit-SST heartbeats a parked replica elides (DESIGN.md §6,
+        #: "Heartbeat trains"); nodes read it from their first poll on.
+        self.trains = HeartbeatTrains(self)
         self._leader_hint: Optional[int] = None
 
     def register_client_port(self, port) -> None:

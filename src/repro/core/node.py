@@ -82,6 +82,9 @@ NOOP = _Noop()
 class AcuerdoNode(Replica):
     """One replica of an Acuerdo instance."""
 
+    # Its park deadline is GC or a heartbeat-fed failure-detector expiry.
+    keeps_horizon = True
+
     def __init__(self, cluster: "AcuerdoCluster", node_id: int, config: AcuerdoConfig):
         super().__init__(cluster, node_id, config, name=f"acuerdo{node_id}")
         self.peers = list(cluster.node_ids)
@@ -122,6 +125,12 @@ class AcuerdoNode(Replica):
         self.deposed_epochs = 0
         self._last_gc = 0
         self._last_stranded_react = 0
+        # Heartbeat trains (repro.core.trains): pure pushes left at the
+        # last park, and whether this poll moved anything a peer's
+        # train rules by (role, epoch, evictions).
+        self._trains: Any = None      # bound by HeartbeatTrains
+        self._train_pushes = 0
+        self._verdicts_moved = False
 
         # --- hot-path shorthand ---
         # The cluster builds rings and SSTs before any node, and they
@@ -216,6 +225,15 @@ class AcuerdoNode(Replica):
             self._push_commit_row()
         if now - self._last_gc >= cfg.gc_period_ns:
             self._gc()
+        if self._verdicts_moved:
+            self._verdicts_moved = False
+            self._trains.revalidate()
+
+    def crash(self) -> None:
+        # What the group elided up to now happened before the host died.
+        self._trains.catch_up()
+        super().crash()
+        self._trains.revalidate()
 
     # --------------------------------------------------------- poll elision
 
@@ -232,6 +250,9 @@ class AcuerdoNode(Replica):
                 and row not in self._evicted
                 and (self.role is Role.LEADER or row != self.E_cur.leader
                      or new.committed == old.committed))
+
+    def on_park(self) -> None:
+        self._trains.start(self, self._train_pushes)
 
     def on_quiet_deposit(self, row: int, value: CommitRow, tick: int) -> None:
         # What the elided poll at ``tick`` would have kept.  The waking
@@ -278,9 +299,12 @@ class AcuerdoNode(Replica):
         """Earliest instant a time-triggered branch of on_poll could act:
         the commit-row heartbeat push, log GC, and the failure-detector
         expiries (peer eviction for leaders, leader timeout for
-        followers).  Early bounds are safe — an over-woken poll re-parks."""
+        followers).  Early bounds are safe — an over-woken poll re-parks.
+        Pure pushes (repro.core.trains) ride a heartbeat train instead:
+        the push term is the one after them, or never more than that."""
         cfg = self.cfg
-        d = self._last_commit_push + cfg.commit_push_period_ns
+        self._train_pushes = k = self._trains.pure_pushes(self)
+        d = self._last_commit_push + (k + 1) * cfg.commit_push_period_ns
         t = self._last_gc + cfg.gc_period_ns
         if t < d:
             d = t
@@ -449,6 +473,7 @@ class AcuerdoNode(Replica):
         self._ekey = pack_hdr(MsgHdr(e, 0))
         if e.leader != self.node_id:
             self.role = Role.FOLLOWER
+        self._verdicts_moved = True
         entries: EntryLog = msg.payload
         if entries:
             # Replace the uncommitted tail with the leader's view: a
@@ -579,7 +604,9 @@ class AcuerdoNode(Replica):
     def _push_commit_row(self) -> None:
         self._last_commit_push = self.engine.now
         self._hb_seq += 1
-        self._commit_sst.set_and_push(self.node_id, CommitRow(self.Committed, self._hb_seq))
+        row = CommitRow(self.Committed, self._hb_seq)
+        self._commit_sst.set_and_push(self.node_id, row)
+        self._trains.note_push(self.node_id, row)
 
     def _gc(self) -> None:
         """Garbage-collect the log below the cluster-wide commit frontier.
@@ -677,6 +704,7 @@ class AcuerdoNode(Replica):
                     # Keep mirroring (the node may be alive-but-slow and
                     # will catch up) but stop letting it wedge slot reuse.
                     self._evicted.add(p)
+                    self._verdicts_moved = True
                     self._ring.exclude_from_accounting(p)
                     self.engine.trace.count("acuerdo.receiver_evicted")
             else:
@@ -684,6 +712,7 @@ class AcuerdoNode(Replica):
                     # Fresh heartbeat from an evicted peer: re-admit it;
                     # the release state resumes from its next acceptance.
                     self._evicted.discard(p)
+                    self._verdicts_moved = True
                     self._ring.include_in_accounting(p, self._ring.next_seq)
 
     def _check_stranded_voters(self) -> None:
@@ -711,6 +740,7 @@ class AcuerdoNode(Replica):
     def _start_election(self) -> None:
         if self.role is not Role.ELECTING:
             self.role = Role.ELECTING
+            self._verdicts_moved = True
             self._election_started_at = self.engine.now
             self._mx_changed_at = self.engine.now
             self.engine.trace.count("acuerdo.elections_started")
@@ -743,6 +773,7 @@ class AcuerdoNode(Replica):
     def _become_leader(self) -> None:
         """Fig. 7 lines 116-127: transition to leader and send diffs."""
         self.role = Role.LEADER
+        self._verdicts_moved = True
         self.Count = 0
         self._epoch_msg_seq = {}
         self._epoch_seq_floor = 0

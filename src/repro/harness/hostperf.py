@@ -76,7 +76,7 @@ SWEEP_CHECK = dict(min_completions=60, max_window=8)
 #: bench-smoke guard against poll-elision regressions.  Values are the
 #: measured counts plus ~25% headroom.
 EVENT_CEILINGS: dict[str, int] = {
-    "rdma": 83_000,     # measured 66_494 (73_901 before quiet heartbeat deposits)
+    "rdma": 64_000,     # measured 51_567 (66_494 before heartbeat trains)
     "tcp": 63_000,      # measured 50_224 (112_477 before parking through fsync)
 }
 
@@ -88,12 +88,12 @@ SHARD_POINT = RunSpec(system="acuerdo", n=3, seed=9, payload_bytes=64,
                       workload="openloop", duration_ms=20.0, shards=8,
                       users=100_000, skew=0.99, arrival_rate=500_000.0)
 
-#: Executed-event ceiling for :data:`SHARD_POINT` (measured 223_221 with
-#: the farm heartbeat — 301_200 before heartbeat rows
+#: Executed-event ceiling for :data:`SHARD_POINT` (measured 148_966 with
+#: heartbeat trains — 223_221 before them, 301_200 before heartbeat rows
 #: became quiet deposits — plus ~25% headroom).  Guards the
 #: per-group event cost of the farm: a regression here multiplies by the
 #: shard count.
-SHARD_EVENT_CEILING = 279_000
+SHARD_EVENT_CEILING = 184_000
 
 #: Slice workers for the shard-parallel reference measurement: the
 #: 8-group farm splits into this many contiguous 2-group slices.

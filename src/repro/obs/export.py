@@ -41,6 +41,13 @@ def _us(ns: int) -> float:
     return ns / 1000.0
 
 
+def _nic_in_start_order(recorder: SpanRecorder) -> list[tuple]:
+    """NIC intervals by start time.  Recording order is posting order,
+    and a heartbeat push materialized after the fact (repro.core.trains)
+    is recorded when it is caught up, not when it was posted."""
+    return sorted(recorder.nic_events, key=lambda ev: ev[2])
+
+
 def chrome_trace(recorder: SpanRecorder,
                  metadata: Optional[Mapping[str, Any]] = None) -> dict:
     """Serialise a recorder to a Chrome-trace (Trace Event Format) dict."""
@@ -73,7 +80,7 @@ def chrome_trace(recorder: SpanRecorder,
             })
 
     nic_tids: dict[tuple[int, str], int] = {}
-    for node_id, lane, start_ns, end_ns, wire_bytes in recorder.nic_events:
+    for node_id, lane, start_ns, end_ns, wire_bytes in _nic_in_start_order(recorder):
         tid = nic_tids.get((node_id, lane))
         if tid is None:
             tid = len(nic_tids)
@@ -140,7 +147,7 @@ def timeline(recorder: SpanRecorder,
         ],
         "nic_events": [
             {"node": n, "lane": lane, "start_ns": s, "end_ns": e, "wire_bytes": b}
-            for n, lane, s, e, b in recorder.nic_events
+            for n, lane, s, e, b in _nic_in_start_order(recorder)
         ],
         "process_events": [
             {"kind": k, "process": name, "start_ns": s, "end_ns": e}

@@ -97,6 +97,9 @@ class RdmaFabric(Substrate):
         self._bulk_qps: dict[tuple[int, int], QueuePair] = {}
         self._regions: dict[tuple[int, str], MemoryRegion] = {}
         self.endpoints: dict[int, RdmaEndpoint] = {}
+        #: heartbeat trains riding this fabric (``repro.core.trains``),
+        #: caught up before a partition changes which writes get through
+        self.trains: Any = None
         for nid in node_ids:
             self.add_node(nid)
 
@@ -153,6 +156,22 @@ class RdmaFabric(Substrate):
         """Power off a node's NIC (host crash)."""
         self.nics[node_id].power_off()
 
+    def set_partition(self, *groups: Iterable[int]) -> None:
+        trains = self.trains
+        if trains is not None:
+            trains.catch_up()
+        super().set_partition(*groups)
+        if trains is not None:
+            trains.revalidate()
+
+    def heal_partition(self) -> None:
+        trains = self.trains
+        if trains is not None:
+            trains.catch_up()
+        super().heal_partition()
+        if trains is not None:
+            trains.revalidate()
+
     # --------------------------------------------------------------- regions
 
     def register(self, owner: int, name: str, size_bytes: int,
@@ -178,7 +197,7 @@ class RdmaFabric(Substrate):
     def write(self, src: int, dst: int, region: MemoryRegion, rkey: int,
               key: Any, value: Any, size_bytes: int, signaled: bool = False,
               wr_id: Any = None, earliest_ns: int = 0,
-              lane: str = "control") -> None:
+              lane: str = "control", at: Optional[int] = None) -> Optional[int]:
         """Post a one-sided write from ``src`` into ``region`` on ``dst``.
 
         ``earliest_ns``: doorbell time — typically the posting process's
@@ -186,13 +205,22 @@ class RdmaFabric(Substrate):
         ``lane="bulk"`` routes over the dedicated bulk QP and QoS lane;
         ordering is only guaranteed within a lane, so structures that
         rely on FIFO (rings, SSTs) must keep all their writes on one
-        lane."""
+        lane.
+
+        ``at`` posts an unsignaled write materialized after the fact at
+        that instant (``QueuePair.post_at``): nothing is scheduled, and
+        the landing time is returned for the caller to apply — None when
+        the write was dropped at a partition.  A heartbeat train
+        (``repro.core.trains``) posts this way."""
         if self._partition is not None and self._blocked(src, dst):
             self._drop_partitioned()
-            return
+            return None
         qp = self.qps[(src, dst)] if lane != "bulk" else self.bulk_qp(src, dst)
+        if at is not None:
+            return qp.post_at(at, size_bytes)
         qp.post_write(region, rkey, key, value, size_bytes, signaled, wr_id,
                       earliest_ns)
+        return None
 
     def send(self, src: int, dst: int, payload: Any, size_bytes: int) -> None:
         """Message-channel send: one one-sided write into the destination

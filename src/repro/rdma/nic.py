@@ -9,7 +9,7 @@ completions land on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Optional
 
 from repro.rdma.params import RdmaParams
 from repro.sim.engine import Engine
@@ -76,31 +76,44 @@ class Nic:
         #: this node (and every completion pushed to its CQ) rings it so
         #: a parked poll loop wakes (see Process.doorbell).
         self.waker: Any = None
+        #: the heartbeat trains of the group this node belongs to
+        #: (``repro.core.trains``), caught up before any write lands
+        #: here; None outside Acuerdo groups.
+        self.trains: Any = None
         # Cost models are frozen after substrate build; snapshot the
-        # per-verb charge and the wire-maths bound methods so occupy_tx —
-        # called once per write — skips the params indirection entirely.
+        # per-verb charge and keep each payload size's wire bytes and
+        # link time so occupy_tx — called once per write — skips the
+        # params indirection entirely.
         self._nic_tx_ns = params.nic_tx_ns
-        self._tx_serialization_ns = params.tx_serialization_ns
-        self._wire_bytes = params.wire_bytes
+        self._costs: dict[int, tuple[int, int]] = {}   # size -> (wire, tx ns)
 
     def occupy_tx(self, payload_bytes: int, earliest_ns: int = 0,
-                  lane: str = "control") -> int:
+                  lane: str = "control", at: Optional[int] = None) -> int:
         """Reserve the egress link for one write; returns the time the
         last bit leaves the NIC.
 
         ``earliest_ns`` is the moment the posting CPU rings the doorbell
         (it cannot post before its handler work is done).  ``lane``
         selects the QoS class: ``"bulk"`` transfers queue separately so
-        control traffic never waits behind them."""
-        start = max(self.engine.now, earliest_ns) + self._nic_tx_ns
-        bulk = lane == "bulk"
-        start = max(start, self.tx_bulk_free_at if bulk else self.tx_free_at)
-        done = start + self._tx_serialization_ns(payload_bytes)
-        if bulk:
-            self.tx_bulk_free_at = done
+        control traffic never waits behind them.  ``at`` replaces both
+        with an explicit doorbell instant, which may lie before now: a
+        write materialized after the fact (``QueuePair.post_at``)."""
+        start = (max(self.engine.now, earliest_ns) if at is None
+                 else at) + self._nic_tx_ns
+        cost = self._costs.get(payload_bytes)
+        if cost is None:
+            cost = self._costs[payload_bytes] = (
+                self.params.wire_bytes(payload_bytes),
+                self.params.tx_serialization_ns(payload_bytes))
+        wire, busy = cost
+        if lane == "bulk":
+            if start < self.tx_bulk_free_at:
+                start = self.tx_bulk_free_at
+            done = self.tx_bulk_free_at = start + busy
         else:
-            self.tx_free_at = done
-        wire = self._wire_bytes(payload_bytes)
+            if start < self.tx_free_at:
+                start = self.tx_free_at
+            done = self.tx_free_at = start + busy
         self.tx_bytes += wire
         self.tx_msgs += 1
         probe = self.engine.probe

@@ -99,8 +99,12 @@ class QueuePair:
             probe.mark(value, "wire", tx_done + self.params.propagation_ns)
             probe.mark(value, "deposit", deliver_at)
 
-        engine.schedule_at(deliver_at, self._deliver, region, rkey, key, value,
-                           size_bytes, now)
+        # No host powers back on, so a landing in a powered-off one
+        # could only return: the write occupies the wire and retires
+        # like any other, but schedules nothing.
+        if self.dst.powered:
+            engine.schedule_at(deliver_at, self._deliver, region, rkey, key,
+                               value, size_bytes, now)
         if signaled:
             covers = self._unsignaled_run + 1
             self._unsignaled_run = 0
@@ -109,12 +113,40 @@ class QueuePair:
         else:
             self._unsignaled_run += 1
 
+    def post_at(self, at: int, size_bytes: int) -> int:
+        """Account an unsignaled write posted at instant ``at`` (which
+        may lie before now) and return when it lands; the caller keeps
+        the landing and applies it itself.
+
+        The same NIC occupancy, loss draw, FIFO floor and post count as
+        :meth:`post_write`, minus the engine event: the posting path of
+        a heartbeat train (``repro.core.trains``), which materializes
+        pushes in posting order per QP, so the loss stream and the FIFO
+        floor see the eager sequence."""
+        self.posted += 1
+        self._outstanding += 1
+        self._unsignaled_run += 1
+        deliver_at = self.src.occupy_tx(size_bytes, 0, self.lane,
+                                        at) + self._post_wire_ns
+        if self._loss_prob and self._loss_rng.random() < self._loss_prob:
+            deliver_at += self._retransmit_timeout_ns
+            self.retransmits += 1
+        deliver_at = max(deliver_at, self._last_delivery_at + 1)
+        self._last_delivery_at = deliver_at
+        return deliver_at
+
     # -------------------------------------------------------------- internal
 
     def _deliver(self, region: MemoryRegion, rkey: int, key: Any, value: Any,
                  size_bytes: int, posted_at: int = 0) -> None:
-        if not self.dst.powered:
+        dst = self.dst
+        if not dst.powered:
             return  # destination host crashed; write is lost with it
+        trains = dst.trains
+        if trains is not None and trains.due <= self.engine.now:
+            # Land what the group elided before this write: FIFO order
+            # per QP, and the receiver's stamps in landing order.
+            trains.catch_up()
         self.delivered += 1
         quiet = region.remote_write(rkey, key, value, size_bytes)
         # Poll-elision doorbell: a deposit landed in this host's memory
@@ -122,7 +154,7 @@ class QueuePair:
         # write funnels through here), so wake a parked poll loop —
         # unless the region declared the write quiet, which a parked
         # loop only logs.
-        waker = self.dst.waker
+        waker = dst.waker
         if waker is not None:
             if quiet:
                 waker.quiet_deposit(posted_at, key, value)

@@ -182,7 +182,14 @@ class ByzantineInjector:
     def __init__(self, engine: Engine, system: Any):
         self.engine = engine
         self.system = system
+        # Heartbeat trains assume honest rows: materialize them and hand
+        # their pushes back to the polls before any interception runs.
+        trains = getattr(system, "trains", None)
+        if trains is not None:
+            trains.catch_up()
         engine.byz = self
+        if trains is not None:
+            trains.revalidate()
         self.attempts: dict[str, int] = {m: 0 for m in BYZ_MODES}
         self.landed: dict[str, int] = {m: 0 for m in BYZ_MODES}
         self.blocked: dict[str, int] = {m: 0 for m in BYZ_MODES}

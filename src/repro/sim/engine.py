@@ -184,6 +184,9 @@ class Engine:
         #: bit-identical to the golden fingerprints.  Its own slot
         #: because the injector rewrites sends rather than observing.
         self.byz: Optional[Any] = None
+        # Called before run() returns: whatever a subscriber elided up to
+        # ``now`` is materialized before the caller reads any state.
+        self._run_end: list[Callable[[], None]] = []
 
     # ---------------------------------------------------------------- probe
 
@@ -206,6 +209,11 @@ class Engine:
     def monitors(self) -> Optional[Any]:
         """The attached monitor registry or None (for end-of-run readers)."""
         return self.probe and self.probe.registry
+
+    def at_run_end(self, fn: Callable[[], None]) -> None:
+        """Call ``fn()`` before every :meth:`run` (and :meth:`step`)
+        returns, once the clock stands where the caller will find it."""
+        self._run_end.append(fn)
 
     # ---------------------------------------------------------------- scope
 
@@ -376,6 +384,8 @@ class Engine:
         while heap and not self._stopped:
             if bounded and executed >= max_events:
                 self.events_executed += executed
+                for fn in self._run_end:
+                    fn()
                 return executed
             # One tuple unpack reads everything the loop body needs:
             # the handler and its args are preloaded at schedule time,
@@ -403,6 +413,8 @@ class Engine:
             self._born = None
         if until is not None and self.now < until:
             self.now = until
+        for fn in self._run_end:
+            fn()
         return executed
 
     @property

@@ -9,7 +9,8 @@ Supports the failure classes the paper's evaluation exercises:
   batching absorbs, or the paper's 5 s leader sleep) —
   :meth:`deschedule_at`;
 - **network partitions** (substrate-level connectivity groups with an
-  optional heal time) — :meth:`partition_at` / :meth:`heal_at`;
+  optional heal time) — ``RunSpec.partitions`` entries, armed by
+  :func:`arm_faults` as ``set_partition`` / ``heal_partition`` calls;
 - **Byzantine misbehaviour** (lying, forging, replaying — the *beyond
   crash-stop* model) lives in :mod:`repro.sim.byzantine`.
 
@@ -323,13 +324,9 @@ class FailureInjector:
     ``(group, node)`` form rather than silently picking a group.
     """
 
-    def __init__(self, engine: Engine, processes: Sequence[Process],
-                 substrate: object = None):
+    def __init__(self, engine: Engine, processes: Sequence[Process]):
         self.engine = engine
         self.processes = list(processes)
-        #: substrate the partition methods act on (optional — crash
-        #: and deschedule injection never needs it).
-        self.substrate = substrate
         self._by_addr: dict[object, Process] = {}
         self._ambiguous: set[int] = set()
         for p in self.processes:
@@ -385,26 +382,6 @@ class FailureInjector:
         p.request_poll()
         p.config.speed_factor = speed_factor
         p.cpu.speed_factor = speed_factor
-
-    def partition_at(self, time_ns: int, *groups: "Iterable[int]") -> None:
-        """Partition the substrate into the given connectivity groups at
-        absolute ``time_ns`` (see ``Substrate.set_partition``: traffic
-        crossing group boundaries is dropped and counted)."""
-        if self.substrate is None:
-            raise ValueError(
-                "this FailureInjector has no substrate; construct it as "
-                "FailureInjector(engine, processes, substrate=...) to "
-                "schedule partitions")
-        self.engine.schedule_at(time_ns, self.substrate.set_partition, *groups)
-
-    def heal_at(self, time_ns: int) -> None:
-        """Heal any active partition at absolute ``time_ns``."""
-        if self.substrate is None:
-            raise ValueError(
-                "this FailureInjector has no substrate; construct it as "
-                "FailureInjector(engine, processes, substrate=...) to "
-                "schedule partitions")
-        self.engine.schedule_at(time_ns, self.substrate.heal_partition)
 
     def alive(self) -> "list[int | tuple[int, int]]":
         """Addresses of processes that have not crashed: plain node ids

@@ -147,6 +147,10 @@ class Process:
         #: (landed_at, posted_at, key, value)
         self._quiet_log: list[tuple] = []
         self._horizon_event: Optional[Event] = None  # parked deadline event
+        #: called at the start of every poll and wake when set: brings
+        #: anything the process's group has elided up to the present
+        #: before the process observes it (Acuerdo's heartbeat trains)
+        self._catch_up: Optional[Callable[[], None]] = None
 
     # ---------------------------------------------------------------- lifecycle
 
@@ -192,20 +196,29 @@ class Process:
             gap += self._rng.randrange(cfg.poll_jitter_ns + 1)
         return max(1, int(gap * cfg.speed_factor))
 
-    def _replay(self, prev: int, t: int, targets: list) -> tuple[list, int]:
-        """Walk the poll-tick recurrence ``tick' = tick + gap`` and return,
-        for each ``(landed_at, posted_at, ...)`` entry of ``targets``
-        (sorted by ``landed_at``), the first tick whose poll observes
-        something that landed then — and the tick before the last of
-        them.
+    def _walk(self, targets: list) -> list:
+        """The tick walker: advance the parked loop's virtual poll
+        ticks through ``targets`` — ``(landed_at, posted_at, ...)``
+        entries sorted by ``landed_at`` — and return each one's
+        observing tick (:meth:`_walk_to`)."""
+        walk_to = self._walk_to
+        return [walk_to(target[0], target[1]) for target in targets]
 
-        ``prev`` and ``t`` are the last two ticks already drawn (equal
-        when none has been drawn past ``prev``).  The observing tick is
-        the first one >= ``landed_at`` — except when it falls exactly on
-        ``landed_at`` and the landing was scheduled after the tick
-        before it (``posted_at > prev``): the poll event of that tick
-        was created at the tick before, so the real poll fires first,
-        misses the landing, and the next tick observes it.
+    def _walk_to(self, when: int, posted_at: int) -> int:
+        """Advance the walker to the first tick whose poll observes
+        something landing at ``when`` that was scheduled at
+        ``posted_at``, and return it.
+
+        The walker's state is ``(_park_cursor, _park_next)``: the last
+        tick passed and the next one drawn.  The observing tick is the
+        first one >= ``when`` — except when it falls exactly on ``when``
+        and the landing was scheduled after the tick before it
+        (``posted_at > prev``): the poll event of that tick was created
+        at the tick before, so the real poll fires first, misses the
+        landing, and the next tick observes it.  A target ``(t, t)`` on
+        tick ``t`` therefore *passes* that tick.  The state is left on
+        the tick returned, so callers walking in landing order (wakes,
+        quiet-log stamps, heartbeat trains) share one draw sequence.
 
         Every virtual tick draws its gap here, in order, so the jitter
         stream is consumed call for call as an unparked loop consumes
@@ -215,39 +228,50 @@ class Process:
         the config is re-read on every call because failure injection
         (``slow_node``) mutates ``speed_factor`` mid-run.
         """
+        t = self._park_next
+        prev = self._park_cursor
+        if t > when or (t == when and posted_at <= prev):
+            return t
         cfg = self.config
         base = cfg.poll_interval_ns
         jitter = cfg.poll_jitter_ns
-        ticks = []
         if cfg.speed_factor == 1.0 and base >= 1 and jitter:
             # max(1, int(gap * 1.0)) == gap for gap = base + r >= 1.
             grb = self._rng.getrandbits
             n = jitter + 1
             k = n.bit_length()
-            for target in targets:
-                when = target[0]
-                while t < when or (t == when and target[1] > prev):
-                    prev = t
+            while t < when or (t == when and posted_at > prev):
+                prev = t
+                r = grb(k)
+                while r >= n:
                     r = grb(k)
-                    while r >= n:
-                        r = grb(k)
-                    t = prev + base + r
-                ticks.append(t)
+                t = prev + base + r
         else:
             gap = self._poll_gap
-            for target in targets:
-                when = target[0]
-                while t < when or (t == when and target[1] > prev):
-                    prev = t
-                    t = prev + gap()
-                ticks.append(t)
-        return ticks, prev
+            while t < when or (t == when and posted_at > prev):
+                prev = t
+                t = prev + gap()
+        self._park_cursor = prev
+        self._park_next = t
+        return t
+
+    def _stamp_quiet_log(self) -> None:
+        """Hand every logged quiet deposit its observing tick now
+        (:meth:`on_quiet_deposit`), walking the ticks in landing order.
+        The stamps a later poll would have written are the same ones;
+        a heartbeat train calls this before the walker moves past the
+        log."""
+        log = self._quiet_log
+        if log:
+            for entry, tick in zip(log, self._walk(log)):
+                self.on_quiet_deposit(entry[2], entry[3], tick)
+            log.clear()
 
     def _next_tick(self) -> int:
         """The tick after a poll at ``now``: one gap on, but not while
         the CPU is still busy with this poll's batch.  Every poll that
         runs pays for this draw, so it inlines the same sampler as
-        :meth:`_replay` rather than walking a one-entry target list."""
+        :meth:`_walk_to` rather than calling it."""
         cfg = self.config
         base = cfg.poll_interval_ns
         jitter = cfg.poll_jitter_ns
@@ -266,6 +290,8 @@ class Process:
     def _poll_tick(self) -> None:
         if self.crashed:
             return
+        if self._catch_up is not None:
+            self._catch_up()
         self.on_poll()
         if self.crashed:
             return
@@ -279,9 +305,15 @@ class Process:
                 self._park_cursor = now
                 self._park_next = nxt
                 self._poll_event = None
-                if deadline is not None:
+                horizon = self._horizon_event
+                if horizon is not None and (deadline is None
+                                            or horizon.time > deadline):
+                    horizon.cancel()
+                    horizon = self._horizon_event = None
+                if horizon is None and deadline is not None:
                     self._horizon_event = self.engine.schedule_at(
-                        deadline, self._wake, -1)
+                        deadline, self._horizon)
+                self.on_park()
                 return
         self._poll_event = self.engine.schedule_at(nxt, self._poll_tick)
 
@@ -305,6 +337,14 @@ class Process:
     # downstream behaviour are bit-for-bit what the unparked loop
     # produces (the golden trace fingerprints pin this).
 
+    #: Keep the deadline event across wakes while it comes due no later
+    #: than the next park's deadline, instead of cancelling it at every
+    #: wake and scheduling a new one at every park: a deadline that only
+    #: moves later (a failure detector fed by heartbeats) then costs one
+    #: early wake per timeout instead of two heap operations per park.
+    #: An early wake is always safe (it re-parks).
+    keeps_horizon = False
+
     def park_ready(self) -> bool:
         """Override: True iff on_poll is *currently* a no-op — nothing
         pending, nothing readable, nothing to retransmit.  Default False
@@ -319,6 +359,10 @@ class Process:
         diverges.  None means on_poll can only be unblocked by input
         (doorbell-only park)."""
         return None
+
+    def on_park(self) -> None:
+        """Override: the loop has just parked under :meth:`park_deadline`
+        (the walker sits on the first virtual tick)."""
 
     def on_quiet_deposit(self, key: Any, value: Any, tick: int) -> None:
         """Override: record what the elided poll at ``tick`` would have
@@ -339,7 +383,7 @@ class Process:
 
         ``posted_at`` is the engine time at which the deposit's delivery
         was scheduled; it disambiguates the exact-tie case where the
-        deposit lands on a virtual poll tick (see :meth:`_replay`; the
+        deposit lands on a virtual poll tick (see :meth:`_walk`; the
         default never shifts)."""
         if self._parked:
             self._wake(posted_at)
@@ -366,14 +410,25 @@ class Process:
         if self._parked:
             self._wake(self.engine.event_created_at)
 
+    def _horizon(self) -> None:
+        """The parked deadline came due.  A kept horizon (see
+        :attr:`keeps_horizon`) may come due while the loop is polling
+        for real, whose pending poll acts on the deadline anyway."""
+        self._horizon_event = None
+        if self._parked:
+            self._wake(-1)
+
     def _wake(self, posted_at: int) -> None:
         """Unpark: materialise the poll at the tick that observes
         something landing now, after replaying the virtual ticks through
         the quiet log.  ``posted_at`` is -1 for the horizon event at the
         park deadline: a poll tick falling on a deadline acts on it."""
+        if self._catch_up is not None:
+            self._catch_up()
         log = self._quiet_log
-        log.append((self.engine.now, posted_at))    # the last replay target
-        ticks, prev = self._replay(self._park_cursor, self._park_next, log)
+        log.append((self.engine.now, posted_at))    # the last walk target
+        ticks = self._walk(log)
+        prev = self._park_cursor
         at = ticks[-1]
         for entry, tick in zip(log, ticks):
             if tick == at:
@@ -381,7 +436,7 @@ class Process:
             self.on_quiet_deposit(entry[2], entry[3], tick)
         log.clear()
         self._parked = False
-        if self._horizon_event is not None:
+        if not self.keeps_horizon and self._horizon_event is not None:
             self._horizon_event.cancel()
             self._horizon_event = None
         # The unparked loop scheduled this poll at the tick before it,

@@ -9,6 +9,10 @@ each real poll must leave ``_peer_hb`` exactly as the oracle's poll at
 that instant does.
 """
 
+import importlib.util
+import pathlib
+import sys
+
 from repro.core import AcuerdoCluster, AcuerdoConfig
 from repro.core.node import Role
 from repro.core.types import CommitRow, Epoch, MsgHdr
@@ -186,9 +190,10 @@ def test_two_leader_crashes_elect_at_identical_times():
 
 def test_lightly_loaded_deployment_parks_away_most_events():
     """One 64 B message per 50 us against a 20 us heartbeat — the
-    cadence is the floor on how long an idle replica stays parked.  The
-    run must equal the oracle's and execute at least 3x fewer events
-    (measured 14.3x: 8 649 against 123 788 over these 10 ms)."""
+    cadence was the floor on how long an idle replica stays parked,
+    until its pushes rode heartbeat trains.  The run must equal the
+    oracle's and execute at least 3x fewer events (measured 34.0x: 3 636
+    against 123 788 over these 10 ms; 14.3x before trains)."""
     def run(parked):
         with park_mode(parked):
             e = Engine(seed=7)
@@ -205,3 +210,28 @@ def test_lightly_loaded_deployment_parks_away_most_events():
     (parked, parked_events), (oracle, oracle_events) = run(True), run(False)
     assert parked == oracle and parked[0] > 150
     assert 3 * parked_events <= oracle_events
+
+
+def _bench_workloads():
+    path = pathlib.Path(__file__).resolve().parents[2] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = sys.modules.get(spec.name)
+    if module is None:
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module     # dataclasses resolve their module
+        spec.loader.exec_module(module)
+    return module
+
+
+def test_floor_workload_runs_at_most_22_events_per_commit():
+    """Heartbeat trains (repro.core.trains): on the benchmark's
+    unloaded-latency point every idle replica's Commit-SST pushes ride
+    its virtual poll ticks, so a commit costs the engine at most 22
+    events (49.4 when each push woke its sender and scheduled a landing
+    per peer; 19.9 with trains, seed 3)."""
+    p = _bench_workloads().prepare("acuerdo_floor_64b_w1", 3, 0.05)
+    before = p.engine.events_executed
+    p.drive(lambda: None)
+    commits = len(p.client.ack_times)
+    assert commits > 300
+    assert p.engine.events_executed - before <= 22 * commits

@@ -1,7 +1,11 @@
 """Unit tests for the span recorder (repro.obs.spans)."""
 
+from repro.core import AcuerdoCluster
+from repro.obs.export import timeline
 from repro.obs.spans import PHASES, SpanRecorder
+from repro.sim import Engine, ms, us
 from repro.sim.trace import Tracer
+from repro.workloads.openloop import OpenLoopClient
 
 
 def _recorder():
@@ -145,3 +149,31 @@ def test_phases_cover_the_critical_path_in_order():
     for p in ("propose", "nic_tx", "wire", "deposit", "poll_notice",
               "accept", "quorum", "commit"):
         assert p in PHASES
+
+
+def test_attached_recorder_changes_no_event_or_counter():
+    """Idle Acuerdo replicas push heartbeats as trains whose NIC
+    intervals are recorded when they are caught up, not when posted:
+    the recorder sees every one of them, in start order once exported,
+    and attaching it changes neither what runs nor what is counted."""
+    def run(record):
+        engine = Engine(seed=5)
+        rec = SpanRecorder(tracer=Tracer()) if record else None
+        if record:
+            engine.attach(recorder=rec)
+        cluster = AcuerdoCluster(engine, 3)
+        cluster.preseed_leader(0)
+        cluster.start()
+        client = OpenLoopClient(cluster, period_ns=us(15), message_size=64)
+        client.start()
+        engine.run(until=ms(2))
+        client.stop()
+        return (engine.events_executed,
+                sorted(cluster.substrate_counters().items())), rec
+
+    bare, _ = run(False)
+    traced, rec = run(True)
+    assert traced == bare
+    assert len(rec.nic_events) == dict(traced[1])["substrate.rdma.tx_msgs"]
+    starts = [ev["start_ns"] for ev in timeline(rec)["nic_events"]]
+    assert starts == sorted(starts)

@@ -11,6 +11,12 @@ two-crash fail-over.  A parked run must reproduce the unparked
 reference run's (``tests.park_reference``) exact latency sequence,
 commit instants and substrate counters.
 
+Heartbeat trains (``repro.core.trains``) get their own cases too: a
+window-1 Acuerdo closed loop cut by a partition that isolates a
+follower or the leader, healed mid-run, and then a leader crash — so the
+trains are caught up at the cut, the heal and the crash, and must still
+land every elided heartbeat where the unparked reference does.
+
 The device path gets its own cases: closed loops over ZooKeeper and etcd
 at windows 1 and 32, where every commit waits on a group-committed fsync
 and the nodes park through it (``Disk`` rings the owner's doorbell on
@@ -29,6 +35,7 @@ import pytest
 from repro.harness.factory import build_from_spec, settle
 from repro.harness.runspec import RunSpec
 from repro.sim.engine import ms
+from repro.sim.failure import arm_faults
 from tests.park_reference import park_mode
 
 _BENCH = pathlib.Path(__file__).resolve().parents[2] / "bench" / "workloads.py"
@@ -93,6 +100,38 @@ def observe_closed_loop(system_name: str, window: int,
     return observed, engine.events_executed
 
 
+#: (partition, sim ms of the leader crash) on a 3-node Acuerdo window-1
+#: closed loop: cut a follower off, or the leader, and heal mid-run.
+PARTITION_CASES = [
+    ("0,1|2@0.5-1.5", 3.0),
+    ("1,2|0@0.5-1.5", 3.0),
+]
+
+
+def observe_partitioned(partition: str, crash_ms: float) -> tuple[dict, int]:
+    spec = RunSpec(system="acuerdo", n=3, payload_bytes=64, window=1,
+                   seed=3, duration_ms=5.0, partitions=[partition])
+    engine = spec.make_engine()
+    system = build_from_spec(spec, engine)
+    settle(system)
+    arm_faults(engine, spec.faults, {0: system})
+    engine.schedule_at(engine.now + ms(crash_ms),
+                       lambda: system.crash(system.leader_id()))
+    client = bench_workloads.AckTimedClosedLoop(system, window=1,
+                                                message_size=64)
+    client.start()
+    engine.run(until=engine.now + ms(spec.duration_ms))
+    observed = {
+        "latencies": list(client.latencies),
+        "commit_times": list(client.ack_times),
+        "substrate": sorted(system.substrate_counters().items()),
+        "leaders": [system.leader_id()],
+        "elections": list(engine.trace.series("acuerdo.election_duration_ns")),
+        "tracer": sorted(engine.trace.summary().items()),
+    }
+    return observed, engine.events_executed
+
+
 def _assert_parked_equals_oracle(run, *args):
     parked, parked_events = run(*args)
     with park_mode(False):
@@ -111,3 +150,9 @@ def test_parked_run_equals_unparked_oracle(name, seed, scale):
 @pytest.mark.parametrize("system_name,window,sim_ms", DEVICE_CASES)
 def test_parking_through_fsync_equals_unparked_oracle(system_name, window, sim_ms):
     _assert_parked_equals_oracle(observe_closed_loop, system_name, window, sim_ms)
+
+
+@pytest.mark.parametrize("partition,crash_ms", PARTITION_CASES)
+def test_trains_through_cut_heal_and_crash_equal_unparked_oracle(partition,
+                                                                 crash_ms):
+    _assert_parked_equals_oracle(observe_partitioned, partition, crash_ms)

@@ -150,6 +150,26 @@ def test_write_to_crashed_host_completes_nothing():
     assert fab.qp(0, 1).outstanding == 0
 
 
+def test_write_into_powered_off_host_schedules_no_landing():
+    """No host powers back on, so a write posted into a dead one keeps
+    its wire and queue accounting but puts no landing on the heap; a
+    signaled one still retires its WQE through the completion event."""
+    e, fab, region, store = _pair()
+    fab.crash_node(1)
+    fab.write(0, 1, region, region.grant(), "a", 1, 10)
+    assert e.heap_pushes == 0
+    fab.write(0, 1, region, region.grant(), "b", 2, 10, signaled=True, wr_id="w")
+    assert e.heap_pushes == 1
+    qp, nic = fab.qp(0, 1), fab.nic(0)
+    assert (qp.posted, qp.outstanding, nic.tx_msgs) == (2, 2, 2)
+    floor = qp._last_delivery_at
+    assert floor >= nic.tx_free_at
+    e.run()
+    assert e.events_executed == 1
+    assert store == {} and qp.delivered == 0
+    assert qp.outstanding == 0 and len(nic.cq) == 0
+
+
 def test_crashed_source_sends_nothing():
     e, fab, region, store = _pair()
     fab.crash_node(0)

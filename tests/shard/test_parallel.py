@@ -138,7 +138,7 @@ def test_one_slice_farm_reproduces_recorded_reference():
     point = shard_point(SHARD_POINT, collect=collect)
     assert collect["slices"] == [(0, SHARD_POINT.shards)]
     assert collect["foreign"] == 0
-    assert point.events_executed == 223_221
+    assert point.events_executed == 148_966
     assert point.committed == 10_038
     assert point.workers == 1
     assert dataclasses.asdict(point) == recorded

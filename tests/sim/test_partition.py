@@ -17,7 +17,6 @@ from repro.harness.factory import build_from_spec, settle
 from repro.harness.runspec import RunSpec
 from repro.sim.engine import Engine, ms, us
 from repro.sim.failure import (
-    FailureInjector,
     FaultPlan,
     arm_faults,
     parse_partition,
@@ -59,15 +58,6 @@ def test_runspec_validates_partition_entries_eagerly():
 
 
 # ------------------------------------------------------------- injection
-
-
-def test_partition_methods_require_a_substrate():
-    engine = Engine(seed=1)
-    inj = FailureInjector(engine, [])
-    with pytest.raises(ValueError, match="no substrate"):
-        inj.partition_at(us(5), (0, 1), (2,))
-    with pytest.raises(ValueError, match="no substrate"):
-        inj.heal_at(us(5))
 
 
 def test_schedule_partitions_empty_schedule_is_none():
