@@ -60,17 +60,13 @@ class AcuerdoCluster(BroadcastSystem):
                                            initial=CommitRow(HDR_ZERO, 0),
                                            signal_interval=self.cfg.signal_interval)
 
-        #: external RDMA clients (see repro.core.clientport); replicas
-        #: poll their request mailboxes as part of the event loop.  Built
-        #: before the nodes, which cache a reference to this list.
-        self.client_ports: list = []
         self.nodes: dict[int, AcuerdoNode] = {
             i: AcuerdoNode(self, i, self.cfg) for i in self.node_ids}
         # Poll-elision doorbells: every one-sided deposit into a node's
-        # memory (ring slots, SST rows, client mailboxes) wakes its poll
-        # loop if parked — except Commit-SST rows that only carry a
-        # heartbeat, which the node rules quiet.  Bound here because
-        # replicas never go through fabric.attach().
+        # memory (ring slots, SST rows) wakes its poll loop if parked —
+        # except Commit-SST rows that only carry a heartbeat, which the
+        # node rules quiet.  Bound here because replicas never go
+        # through fabric.attach().
         for i, node in self.nodes.items():
             self.fabric.nic(i).waker = node
             self.commit_sst.declare_quiet(i, node.heartbeat_is_quiet)
@@ -78,9 +74,6 @@ class AcuerdoCluster(BroadcastSystem):
         #: "Heartbeat trains"); nodes read it from their first poll on.
         self.trains = HeartbeatTrains(self)
         self._leader_hint: Optional[int] = None
-
-    def register_client_port(self, port) -> None:
-        self.client_ports.append(port)
 
     # ------------------------------------------------------------- lifecycle
 

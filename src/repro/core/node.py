@@ -136,18 +136,15 @@ class AcuerdoNode(Replica):
         # The cluster builds rings and SSTs before any node, and they
         # live for the whole run, so plain attributes replace property
         # indirection on every poll.  The mirror list is fixed too:
-        # Acuerdo never drops a ring receiver (it only excludes them
-        # from slot accounting), so the mirrors this node polls are
-        # exactly the ones present at construction.
+        # every node receives on every ring, and a ring's receivers are
+        # fixed at construction (Acuerdo only excludes a receiver from
+        # slot accounting).
         self._accept_sst = cluster.accept_sst
         self._vote_sst = cluster.vote_sst
         self._commit_sst = cluster.commit_sst
         self._ring = cluster.rings[node_id]
-        # Same list object the cluster appends registered ports to.
-        self._client_ports = cluster.client_ports
         self._ring_mirrors = [ring.receiver(node_id)
-                              for ring in cluster.rings.values()
-                              if node_id in ring._receivers]
+                              for ring in cluster.rings.values()]
         # Vote-SST max_vote cache: max_vote is a pure function of this
         # node's local copy, and the copy's version counter bumps on
         # every change — so re-scanning at an unchanged version must
@@ -208,8 +205,6 @@ class AcuerdoNode(Replica):
         if self.role is Role.ELECTING:
             self._election_step(timeout_fired=False)
         else:
-            if self._client_ports:
-                self._serve_client_ports()
             self._commit_loop()
             if self.role is Role.LEADER:
                 if self.pending or self._pending_diffs:
@@ -263,17 +258,13 @@ class AcuerdoNode(Replica):
     def park_ready(self) -> bool:
         """on_poll is a no-op right now iff nothing is drainable and no
         commit is ready.  Every input that can change that rings the
-        doorbell: ring deposits, SST writes and mailbox deposits all ride
-        the QP delivery path (heartbeat-only Commit-SST rows are logged
-        instead, see heartbeat_is_quiet), and client_broadcast calls
-        request_poll."""
+        doorbell: ring deposits and SST writes both ride the QP delivery
+        path (heartbeat-only Commit-SST rows are logged instead, see
+        heartbeat_is_quiet), and client_broadcast calls request_poll."""
         if self.role is Role.ELECTING:
             return False
         for rr in self._ring_mirrors:
             if rr._ready:
-                return False
-        for port in self._client_ports:
-            if port.request_backlog(self.node_id):
                 return False
         if self._commit_ready():
             return False
@@ -375,25 +366,6 @@ class AcuerdoNode(Replica):
             if on_commit is not None:
                 self._on_commit_cb[hdr] = on_commit
             self.engine.trace.count("acuerdo.broadcast")
-
-    def _serve_client_ports(self) -> None:
-        """Drain external clients' request mailboxes (§4.3 client path).
-
-        Only the leader turns requests into broadcasts; other replicas
-        drop what lands in their mailboxes (clients re-send after a
-        timeout, as with any leader-based service)."""
-        for port in self._client_ports:
-            reqs = port.drain_requests_at(self.node_id)
-            if self.role is not Role.LEADER:
-                if reqs:
-                    self.engine.trace.count("acuerdo.client_req_dropped", len(reqs))
-                continue
-            for req_id, payload, size in reqs:
-                self.client_broadcast(
-                    payload, size,
-                    on_commit=lambda hdr, p=port, r=req_id:
-                        p.post_reply(self.node_id, r))
-                self.cpu.charge(self.cfg.broadcast_cpu_ns // 2)
 
     # ------------------------------------------------------- Fig. 5: accept
 

@@ -22,8 +22,7 @@ events would have run, whenever something could observe it:
 - at the start of every poll or wake of a node of the group, and before
   any write lands on one of them (``QueuePair._deliver``);
 - before a crash powers a host off, a partition is set or healed, a
-  Byzantine injector attaches (trains stop while one is attached), a
-  replica posts a client reply outside its poll;
+  Byzantine injector attaches (trains stop while one is attached);
 - before :meth:`Engine.run <repro.sim.engine.Engine.run>` returns.
 
 Ties follow the parked loop's rules (DESIGN.md §6): relative to the

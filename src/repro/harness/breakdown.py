@@ -8,11 +8,9 @@ Two views, both reading uniform surfaces so every system is comparable:
   (:mod:`repro.obs`) on ``engine.probe``, the same instrumentation
   ``repro trace`` exports, so the anatomy and the Chrome trace can never
   disagree about where time went;
-- :func:`substrate_breakdown` renders any system's transport totals and
-  per-message charges from the unified ``substrate.<backend>.*``
-  counters and :meth:`~repro.substrate.cost.CostModel.cost_table`, so
-  the wire-efficiency and CPU-cost comparisons read the same keys for
-  RDMA and TCP deployments alike.
+- :func:`substrate_counters` reads any system's transport totals from the
+  unified ``substrate.<backend>.*`` counters, so the wire-efficiency
+  comparisons read the same keys for RDMA and TCP deployments alike.
 
 Used by the ``latency_anatomy`` example and the calibration tests to
 keep the cost model honest about *where* time is spent, not just the
@@ -193,22 +191,3 @@ def substrate_counters(system: BroadcastSystem,
     if publish:
         return system.substrate.publish_counters()
     return system.substrate.counters()
-
-
-def substrate_breakdown(system: BroadcastSystem) -> str:
-    """Render any system's wire totals and per-message cost charges.
-
-    Reads only the substrate interface — identical keys and rows for
-    every backend, which is what makes cross-system wire-efficiency
-    tables possible without per-protocol plumbing.
-    """
-    from repro.harness.render import render_table
-
-    sub = system.substrate
-    if sub is None:
-        raise ValueError(f"{system.name}: no substrate attached")
-    rows = [[k, v] for k, v in sorted(sub.counters().items())]
-    rows += [[f"cost.{k}", v] for k, v in sub.params.cost_table().items()]
-    return render_table(
-        f"{system.name} substrate breakdown ({sub.backend})",
-        ["counter", "value"], rows)

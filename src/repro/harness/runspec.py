@@ -3,8 +3,8 @@
 Historically every figure driver grew its own keyword pile
 (``system_name, n, message_size, window, seed, ...``), and the CLI,
 benchmarks and hostperf each re-spelled it.  :class:`RunSpec` collapses
-them: one frozen dataclass names the run — which system, over which
-backend, under what workload, for how long, from which seed — and every
+them: one frozen dataclass names the run — which system (and so which
+backend), under what workload, for how long, from which seed — and every
 harness entry point (:mod:`~repro.harness.fig8`,
 :mod:`~repro.harness.fig9`, :mod:`~repro.harness.table1`,
 :mod:`~repro.harness.hostperf`, ``repro`` CLI, ``repro trace``)
@@ -20,7 +20,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Mapping
 
 if TYPE_CHECKING:
     from repro.sim.failure import FaultPlan
@@ -33,14 +33,11 @@ WORKLOADS = ("closedloop", "openloop", "ycsb")
 class RunSpec:
     """Complete description of one simulation run.
 
-    ``backend`` is normally derived from the system
-    (:data:`~repro.harness.factory.SUBSTRATE_OF`); passing it explicitly
-    is a consistency assertion, not a override — naming the wrong
-    backend for a system raises at construction.
+    The substrate backend is not an option: each system runs over the
+    one :data:`~repro.harness.factory.SUBSTRATE_OF` names.
     """
 
     system: str = "acuerdo"
-    backend: Optional[str] = None
     n: int = 3
     payload_bytes: int = 64
     window: int = 8
@@ -75,15 +72,11 @@ class RunSpec:
     byz: "tuple[str, ...]" = ()
 
     def __post_init__(self) -> None:
-        from repro.harness.factory import EXTENSION_SYSTEMS, SUBSTRATE_OF, SYSTEMS
+        from repro.harness.factory import EXTENSION_SYSTEMS, SYSTEMS
 
         if self.system not in SYSTEMS + EXTENSION_SYSTEMS:
             raise ValueError(f"unknown system {self.system!r}; pick from "
                              f"{SYSTEMS + EXTENSION_SYSTEMS}")
-        derived = SUBSTRATE_OF[self.system]
-        if self.backend is not None and self.backend != derived:
-            raise ValueError(f"system {self.system!r} runs over {derived!r}, "
-                             f"not {self.backend!r}")
         if self.workload not in WORKLOADS:
             raise ValueError(f"unknown workload {self.workload!r}; pick from "
                              f"{WORKLOADS}")
@@ -124,15 +117,6 @@ class RunSpec:
                                shards=self.shards, n=self.n)
 
     # -------------------------------------------------------------- derived
-
-    @property
-    def resolved_backend(self) -> str:
-        """The substrate backend this run deploys over."""
-        if self.backend is not None:
-            return self.backend
-        from repro.harness.factory import SUBSTRATE_OF
-
-        return SUBSTRATE_OF[self.system]
 
     def replace(self, **changes: Any) -> "RunSpec":
         """A copy with the named fields changed (re-validated)."""

@@ -30,10 +30,8 @@ from repro.rdma.qp import QueuePair, SendQueueFullError
 from repro.rdma.fabric import RdmaEndpoint, RdmaFabric
 from repro.rdma.ringbuffer import RingBuffer, RingReceiver, SlotReleasePolicy
 from repro.rdma.sst import SharedStateTable
-from repro.rdma.mailbox import Mailbox
 
 __all__ = [
-    "Mailbox",
     "RdmaParams",
     "MemoryRegion",
     "AccessError",

@@ -150,7 +150,7 @@ class QueuePair:
         self.delivered += 1
         quiet = region.remote_write(rkey, key, value, size_bytes)
         # Poll-elision doorbell: a deposit landed in this host's memory
-        # (SST row, ring slot, mailbox, log region — every one-sided
+        # (SST row, ring slot, inbox, log region — every one-sided
         # write funnels through here), so wake a parked poll loop —
         # unless the region declared the write quiet, which a parked
         # loop only logs.

@@ -142,7 +142,7 @@ class RingBuffer:
         # observers (the slot_release monitor hook) skip the floor min()
         # when nothing moved.
         self.release_gen = 0
-        # Bumped only by membership changes (evict / re-admit / drop).
+        # Bumped only by membership changes (evict / re-admit).
         # A floor advance while this moved is *administrative* — epoch
         # or view bookkeeping re-baselining a receiver — not the
         # accept-driven release policy, and monitor observers tag the
@@ -188,11 +188,6 @@ class RingBuffer:
         """Slots available under the most conservative receiver."""
         min_released = min(self._released.values()) if self._released else 0
         return self.capacity - (self.next_seq - min_released)
-
-    @property
-    def accounted(self) -> int:
-        """Receivers currently participating in slot accounting."""
-        return len(self._released)
 
     @property
     def accept_accounted(self) -> int:
@@ -291,21 +286,7 @@ class RingBuffer:
     def include_in_accounting(self, receiver: int, released_upto: int) -> None:
         """Re-admit a receiver to slot accounting (start of a new epoch,
         after its diff made earlier slots irrelevant)."""
-        if receiver in self._receivers:
-            self._released[receiver] = min(max(released_upto, 0), self.next_seq)
-            self._admin_baseline.add(receiver)
-            self.release_gen += 1
-            self.admin_gen += 1
-
-    def drop_receiver(self, receiver: int) -> None:
-        """Remove a receiver entirely: no more mirroring, no accounting.
-        Virtual-synchrony protocols do this when a view change configures
-        the node out; quorum protocols use :meth:`exclude_from_accounting`
-        instead."""
-        self._released.pop(receiver, None)
-        self._admin_baseline.discard(receiver)
+        self._released[receiver] = min(max(released_upto, 0), self.next_seq)
+        self._admin_baseline.add(receiver)
         self.release_gen += 1
         self.admin_gen += 1
-        self._since_signal.pop(receiver, None)
-        self._receivers.pop(receiver, None)
-        self._regions.pop(receiver, None)

@@ -13,8 +13,7 @@ a first-class, swappable layer:
   ``substrate.<backend>.*`` counter namespace;
 - the two concrete backends, re-exported here: the RDMA fabric
   (:mod:`repro.rdma`) and the kernel-TCP mesh (:mod:`repro.net`),
-  plus the RDMA data structures protocols build on (rings, SSTs,
-  mailboxes).
+  plus the RDMA data structures protocols build on (rings and SSTs).
 
 Protocols and the harness import transports from here only; adding a
 backend (a SmartNIC or CXL-style cost model, say) means implementing the
@@ -38,7 +37,6 @@ if TYPE_CHECKING:  # pragma: no cover - type hints only
 
 #: Lazily resolved re-exports: public name -> defining module.
 _LAZY = {
-    "Mailbox": "repro.rdma.mailbox",
     "RdmaEndpoint": "repro.rdma.fabric",
     "RdmaFabric": "repro.rdma.fabric",
     "RdmaParams": "repro.rdma.params",
@@ -104,7 +102,6 @@ __all__ = [
     "BACKENDS",
     "CostModel",
     "Endpoint",
-    "Mailbox",
     "RdmaEndpoint",
     "RdmaFabric",
     "RdmaParams",

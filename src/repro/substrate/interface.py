@@ -39,8 +39,7 @@ class Endpoint(abc.ABC):
     """One node's attachment to a substrate: an inbox plus egress state.
 
     Subclasses maintain the per-endpoint accounting attributes ``sent``,
-    ``received``, ``tx_bytes`` and ``retransmits``; the aliases below
-    give them uniform names for substrate-generic code.
+    ``received``, ``tx_bytes`` and ``retransmits``.
     """
 
     #: set by subclasses
@@ -63,25 +62,6 @@ class Endpoint(abc.ABC):
         """Pop pending ``(src, payload)`` messages in delivery order,
         charging this backend's per-message receive cost (if any)."""
 
-    # ------------------------------------------------------------- uniform
-
-    @property
-    def tx_msgs(self) -> int:
-        return self.sent
-
-    @property
-    def rx_msgs(self) -> int:
-        return self.received
-
-    def stats(self) -> dict[str, int]:
-        """Un-namespaced per-endpoint counters."""
-        return {
-            "tx_msgs": self.sent,
-            "rx_msgs": self.received,
-            "tx_bytes": self.tx_bytes,
-            "retransmits": self.retransmits,
-        }
-
 
 class Substrate(abc.ABC):
     """A cluster-wide transport with unified failure and cost hooks."""
@@ -101,10 +81,6 @@ class Substrate(abc.ABC):
     @abc.abstractmethod
     def attach(self, process: "Process") -> Endpoint:
         """Create and register ``process``'s endpoint on this substrate."""
-
-    def endpoint(self, node_id: int) -> Endpoint:
-        """The endpoint attached for ``node_id``."""
-        return self.endpoints[node_id]
 
     # ------------------------------------------------------------ messaging
 

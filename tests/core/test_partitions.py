@@ -1,5 +1,7 @@
 """Network partitions: majority progress, minority safety, healing."""
 
+import pytest
+
 from repro.core import AcuerdoCluster
 from repro.core.node import Role
 from repro.sim import Engine, ms
@@ -80,6 +82,25 @@ def test_safety_when_leader_partitioned_mid_stream():
     for nid in (1, 2, 3, 4):
         seq = c.deliveries.sequences[nid]
         assert [p for p in seq if p[0] == "pre"] == [("pre", i) for i in range(10)]
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 8")
+def test_reelects_after_heal_and_leader_crash():
+    """The CI monitors shootout's point: node 2 is cut off for 1 ms,
+    then leader 0 crashes; nodes 1 and 2 are a connected majority and
+    must elect.  Today node 2's vote cast while cut off is dropped by
+    the fabric and never re-sent, so the two wait on stale copies of
+    each other's Vote-SST rows forever (ROADMAP item 8)."""
+    from repro.harness import RunSpec, prepare
+    from repro.workloads.closedloop import ClosedLoopClient
+
+    spec = RunSpec(system="acuerdo", n=3, payload_bytes=10, window=4, seed=1,
+                   partitions=("0,1|2@0.5-1.5",), crashes=("0@3",))
+    c = prepare(spec)
+    e = c.engine
+    ClosedLoopClient(c, window=4, message_size=10, warmup=30).start()
+    e.run(until=e.now + ms(8))
+    assert c.leader_id() is not None
 
 
 def test_tcp_partition_blocks_zab_minority():

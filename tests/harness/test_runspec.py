@@ -11,19 +11,12 @@ from repro.obs.spans import SpanRecorder
 def test_defaults_are_valid():
     spec = RunSpec()
     assert spec.system == "acuerdo"
-    assert spec.resolved_backend == "rdma"
     assert spec.workload in WORKLOADS
 
 
 def test_unknown_system_rejected():
     with pytest.raises(ValueError, match="unknown system"):
         RunSpec(system="pbft")
-
-
-def test_backend_is_an_assertion_not_an_override():
-    assert RunSpec(system="zookeeper", backend="tcp").resolved_backend == "tcp"
-    with pytest.raises(ValueError, match="runs over"):
-        RunSpec(system="zookeeper", backend="rdma")
 
 
 def test_numeric_and_workload_validation():

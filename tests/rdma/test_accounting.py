@@ -40,13 +40,6 @@ def test_include_clamps_to_sent():
     assert ring._released[1] <= ring.next_seq
 
 
-def test_include_ignores_removed_receiver():
-    e, ring = _ring()
-    ring.drop_receiver(2)
-    ring.include_in_accounting(2, 0)
-    assert 2 not in ring._released
-
-
 def test_sst_version_bumps_on_remote_and_local_writes():
     e = Engine(seed=1)
     fab = RdmaFabric(e, [0, 1])

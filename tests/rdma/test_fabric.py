@@ -35,6 +35,26 @@ def test_total_tx_bytes_aggregates_all_nics():
     assert fab.total_tx_bytes() == fab.params.wire_bytes(10)
 
 
+def test_client_hop_delay_model_matches_one_simulated_write():
+    """EXPERIMENTS deviation 4: the workloads model the client's RDMA hop
+    as ``client_hop_ns``.  Check it against the fabric: one request
+    write (10 B payload plus a 16 B header) posted after the client's
+    doorbell, plus the replica's mean poll interval to notice it."""
+    from repro.core import AcuerdoCluster
+    from repro.sim import ProcessConfig
+
+    e = Engine(seed=1)
+    fab = RdmaFabric(e, [0, 1])
+    landed = []
+    reg = fab.register(1, "req", 64, on_write=lambda *a: landed.append(e.now))
+    fab.write(0, 1, reg, reg.grant(), 0, None, 10 + 16,
+              earliest_ns=fab.params.doorbell_cpu_ns)
+    e.run()
+    assert len(landed) == 1
+    measured = landed[0] + ProcessConfig().poll_interval_ns
+    assert 0.5 * measured < AcuerdoCluster.client_hop_ns < 3 * measured, measured
+
+
 def test_crash_node_blocks_future_traffic_both_ways():
     e = Engine(seed=1)
     fab = RdmaFabric(e, [0, 1, 2])

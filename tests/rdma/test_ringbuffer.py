@@ -97,17 +97,6 @@ def test_release_is_monotone():
     assert ring._released[1] == 3
 
 
-def test_drop_receiver_unblocks_slow_node():
-    e, fab, ring = _ring(capacity=2)
-    ring.try_send("a", 10)
-    ring.try_send("b", 10)
-    ring.mark_released(0, 2)
-    ring.mark_released(1, 2)
-    assert ring.try_send("c", 10) is None  # receiver 2 wedges the ring
-    ring.drop_receiver(2)
-    assert ring.try_send("c", 10) is not None
-
-
 def test_unicast_targets_only_named_receiver():
     e, fab, ring = _ring()
     ring.try_send("just-for-1", 10, targets=[1])
