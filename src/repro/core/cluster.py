@@ -18,7 +18,7 @@ from repro.core.types import CommitRow, Epoch, MsgHdr, Vote, HDR_ZERO, VOTE_BYTE
 from repro.protocols.base import BroadcastSystem
 from repro.sim.engine import Engine
 from repro.substrate import (RdmaParams, RingBuffer, SharedStateTable,
-                             SlotReleasePolicy, build_substrate)
+                             build_substrate)
 
 
 class AcuerdoCluster(BroadcastSystem):
@@ -44,7 +44,6 @@ class AcuerdoCluster(BroadcastSystem):
             i: RingBuffer(self.fabric, i, self.node_ids,
                           capacity=self.cfg.ring_capacity,
                           writes_per_message=1,
-                          policy=SlotReleasePolicy.ON_ACCEPT,
                           signal_interval=self.cfg.signal_interval,
                           name=f"acuerdo.ring.{i}")
             for i in self.node_ids}

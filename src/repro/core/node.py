@@ -447,16 +447,16 @@ class AcuerdoNode(Replica):
             self.role = Role.FOLLOWER
         self._verdicts_moved = True
         entries: EntryLog = msg.payload
+        # Replace the uncommitted tail with the leader's view.  The diff
+        # is a slice of the leader's keyed log from our committed header
+        # (as the leader last read it) on, so whatever we hold above
+        # Committed and below its first key is a deposed epoch's
+        # leftover that the leader never had: drop it too.
+        cut = pack_hdr(self.Committed) + 1
         if entries:
-            # Replace the uncommitted tail with the leader's view: a
-            # slice of the leader's keyed log, so its keys increase and
-            # all lie above what the truncation leaves.
-            self.log.truncate_from(entries.keys[0])
-            self.log.extend(entries)
-        else:
-            # Leader knows of nothing we are missing: drop any
-            # uncommitted leftovers from deposed epochs.
-            self.log.truncate_from(pack_hdr(self.Committed) + 1)
+            cut = min(cut, entries.keys[0])
+        self.log.truncate_from(cut)
+        self.log.extend(entries)
         self.cpu.charge(self.cfg.accept_cpu_ns * (1 + len(entries)))
         self.Accepted = msg.hdr
         self._accept_sst.write_local(self.node_id, msg.hdr)

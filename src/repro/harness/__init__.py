@@ -15,8 +15,6 @@ Cross-cutting plumbing:
   (and the ``repro`` CLI) consumes;
 - :mod:`repro.harness.parallel` — the process-pool sweep runner every
   driver fans its independent points through;
-- :mod:`repro.harness.hostperf` — wall-clock timing of a fixed
-  reference workload (``BENCH_host_perf.json``);
 - :mod:`repro.harness.shardsweep` — shard-farm sweeps over the
   :mod:`repro.shard` scale-out deployment (shard count × key skew).
 

@@ -1,16 +1,11 @@
-"""Per-message latency and wire-cost breakdowns (where do the 10 µs go?).
+"""Per-message latency breakdowns (where do the 10 µs go?).
 
-Two views, both reading uniform surfaces so every system is comparable:
-
-- :class:`LatencyAnatomy` derives each probe message's stage milestones
-  — client submit, leader broadcast, follower acceptance, quorum
-  commit, client acknowledgment — from the span recorder
-  (:mod:`repro.obs`) on ``engine.probe``, the same instrumentation
-  ``repro trace`` exports, so the anatomy and the Chrome trace can never
-  disagree about where time went;
-- :func:`substrate_counters` reads any system's transport totals from the
-  unified ``substrate.<backend>.*`` counters, so the wire-efficiency
-  comparisons read the same keys for RDMA and TCP deployments alike.
+:class:`LatencyAnatomy` derives each probe message's stage milestones —
+client submit, leader broadcast, follower acceptance, quorum commit,
+client acknowledgment — from the span recorder (:mod:`repro.obs`) on
+``engine.probe``, the same instrumentation ``repro trace`` exports, so
+the anatomy and the Chrome trace can never disagree about where time
+went.
 
 Used by the ``latency_anatomy`` example and the calibration tests to
 keep the cost model honest about *where* time is spent, not just the
@@ -23,7 +18,6 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.obs.spans import MessageSpan, SpanRecorder
-from repro.protocols.base import BroadcastSystem
 from repro.sim.engine import Engine
 
 _PROBE_PREFIX = "probe."
@@ -176,18 +170,3 @@ class LatencyAnatomy:
                 for n, v in sums.items()]
         return render_table("Acuerdo latency anatomy (us since client submit)",
                             ["stage", "mean_us", "samples"], rows)
-
-
-def substrate_counters(system: BroadcastSystem,
-                       publish: bool = False) -> dict[str, int]:
-    """The system's transport totals under the unified namespace.
-
-    With ``publish=True`` the snapshot is also folded into the engine's
-    tracer, so post-run analyses find ``substrate.<backend>.*`` next to
-    the protocol counters.
-    """
-    if system.substrate is None:
-        return {}
-    if publish:
-        return system.substrate.publish_counters()
-    return system.substrate.counters()

@@ -67,10 +67,6 @@ def point(spec: RunSpec, min_completions: int = 400,
     backend = system.substrate.backend if system.substrate else ""
     violations = finish_monitors(engine)
     if collect is not None:
-        # Host-cost side channel (Fig8Point itself is frozen: it is the
-        # behavioral fingerprint recorded in BENCH_host_perf.json).
-        collect["events_executed"] = engine.events_executed
-        collect["sim_ns"] = engine.now
         collect["violations"] = len(violations)
     return Fig8Point(
         system=spec.system,

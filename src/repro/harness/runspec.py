@@ -1,18 +1,17 @@
 """RunSpec: the one description of a simulation run.
 
 Historically every figure driver grew its own keyword pile
-(``system_name, n, message_size, window, seed, ...``), and the CLI,
-benchmarks and hostperf each re-spelled it.  :class:`RunSpec` collapses
-them: one frozen dataclass names the run — which system (and so which
-backend), under what workload, for how long, from which seed — and every
-harness entry point (:mod:`~repro.harness.fig8`,
-:mod:`~repro.harness.fig9`, :mod:`~repro.harness.table1`,
-:mod:`~repro.harness.hostperf`, ``repro`` CLI, ``repro trace``)
-consumes it.
+(``system_name, n, message_size, window, seed, ...``), and the CLI and
+benchmarks each re-spelled it.  :class:`RunSpec` collapses them: one
+frozen dataclass names the run — which system (and so which backend),
+under what workload, for how long, from which seed — and every harness
+entry point (:mod:`~repro.harness.fig8`, :mod:`~repro.harness.fig9`,
+:mod:`~repro.harness.table1`, ``repro`` CLI, ``repro trace``) consumes
+it.
 
 Frozen + hashable + picklable: a spec can key a result cache, travel
 through the :mod:`~repro.harness.parallel` process pool, and be
-serialised into ``BENCH_host_perf.json`` verbatim.
+serialised into a trace capture's metadata verbatim.
 """
 
 from __future__ import annotations
@@ -146,7 +145,7 @@ class RunSpec:
     # ---------------------------------------------------------------- (de)ser
 
     def to_dict(self) -> dict[str, Any]:
-        """Plain-JSON-serialisable form (used by hostperf's BENCH doc)."""
+        """Plain-JSON-serialisable form (a trace capture's ``spec``)."""
         return dataclasses.asdict(self)
 
     @classmethod

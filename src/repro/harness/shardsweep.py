@@ -52,8 +52,7 @@ def farm_group_config(spec: RunSpec,
 
 
 def shard_point(spec: RunSpec, heartbeat_us: Optional[int] = None,
-                collect: Optional[dict] = None,
-                pool_workers: Optional[int] = None) -> ShardPoint:
+                collect: Optional[dict] = None) -> ShardPoint:
     """Measure one shard-farm point described by ``spec``.
 
     ``spec.shards`` groups of ``spec.n`` nodes are split into
@@ -66,10 +65,7 @@ def shard_point(spec: RunSpec, heartbeat_us: Optional[int] = None,
     the ``collect`` side channel).  Per-shard results are bit-identical
     at every slice count; only the host-cost fields differ.
 
-    Slices fan over that many processes; ``pool_workers`` overrides the
-    pool width without changing the slicing — ``pool_workers=1`` runs
-    the same slices sequentially, which is how hostperf measures honest
-    per-slice inner times on small hosts.  Module-level and
+    Slices fan over that many processes.  Module-level and
     argument-picklable, so :func:`~repro.harness.parallel.run_points`
     can fan whole points out too.
     """
@@ -81,7 +77,7 @@ def shard_point(spec: RunSpec, heartbeat_us: Optional[int] = None,
     group_config = farm_group_config(spec, heartbeat_us)
     results = run_points(
         run_slice, [(spec, lo, hi, group_config) for lo, hi in slices],
-        workers=len(slices) if pool_workers is None else pool_workers)
+        workers=len(slices))
     return merge_slices(spec, results, collect)
 
 

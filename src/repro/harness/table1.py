@@ -16,8 +16,9 @@ long-latency (slow *response* cadence — large, jittered poll intervals —
 with full processing capacity, so they batch-catch-up like real
 descheduled machines).  Elections that can form a quorum from fast
 nodes stay sub-millisecond; elections that need a long-latency voter
-wait on its response cadence, which is where the growth and the
-7-to-9-node plateau come from.
+wait on its response cadence, which is where the jump from 3 to 5
+replicas comes from.  Past 5 the paper's growth is not reproduced
+(EXPERIMENTS.md, "Known deviations").
 
 The entry point consumes a :class:`~repro.harness.runspec.RunSpec`
 (:func:`elections`, an open-loop run whose ``duration_ms`` spans

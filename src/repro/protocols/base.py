@@ -299,10 +299,3 @@ class BroadcastSystem(abc.ABC):
         if self.substrate is None:
             return {}
         return self.substrate.counters()
-
-    def min_delivered(self) -> int:
-        """Smallest per-node delivered count across live replicas."""
-        live = [p.node_id for p in self.processes() if not p.crashed]
-        if not live:
-            return 0
-        return min(self.deliveries.delivered_count(nid) for nid in live)

@@ -30,7 +30,7 @@ from typing import Any, Optional
 
 from repro.protocols.base import BroadcastSystem, CommitCallback, Replica
 from repro.substrate import (RdmaParams, RingBuffer, SharedStateTable,
-                             SlotReleasePolicy, build_substrate)
+                             build_substrate)
 from repro.sim.engine import Engine, us
 from repro.sim.process import ProcessConfig
 
@@ -684,7 +684,6 @@ class DerechoCluster(BroadcastSystem):
             s: RingBuffer(self.fabric, s, self.node_ids,
                           capacity=self.cfg.ring_capacity,
                           writes_per_message=2,
-                          policy=SlotReleasePolicy.ON_COMMIT,
                           signal_interval=self.cfg.signal_interval,
                           name=f"derecho.ring.{s}")
             for s in senders}
@@ -748,6 +747,5 @@ class DerechoCluster(BroadcastSystem):
                 self.rings[s] = RingBuffer(self.fabric, s, members,
                                            capacity=self.cfg.ring_capacity,
                                            writes_per_message=2,
-                                           policy=SlotReleasePolicy.ON_COMMIT,
                                            signal_interval=self.cfg.signal_interval,
                                            name=f"derecho.ring.{s}.v{view_no}")

@@ -16,9 +16,9 @@ performance rests on:
   25 Gb/s, and the 80-byte minimum wire message that makes Acuerdo's
   one-write-per-message design twice as bandwidth-efficient as
   Derecho's two-write design for small payloads (§4.1);
-- **ring buffers** with pluggable slot-release policy
-  (:mod:`repro.rdma.ringbuffer`) — accept-based for Acuerdo,
-  commit-based for Derecho;
+- **ring buffers** whose slots the owning protocol releases
+  (:mod:`repro.rdma.ringbuffer`) — on accept for Acuerdo, on commit
+  for Derecho;
 - **shared state tables** with last-writer-wins overwrite semantics
   (:mod:`repro.rdma.sst`).
 """
@@ -28,7 +28,7 @@ from repro.rdma.memory import MemoryRegion, AccessError
 from repro.rdma.nic import Nic, Completion, CompletionQueue
 from repro.rdma.qp import QueuePair, SendQueueFullError
 from repro.rdma.fabric import RdmaEndpoint, RdmaFabric
-from repro.rdma.ringbuffer import RingBuffer, RingReceiver, SlotReleasePolicy
+from repro.rdma.ringbuffer import RingBuffer, RingReceiver
 from repro.rdma.sst import SharedStateTable
 
 __all__ = [
@@ -44,6 +44,5 @@ __all__ = [
     "RdmaFabric",
     "RingBuffer",
     "RingReceiver",
-    "SlotReleasePolicy",
     "SharedStateTable",
 ]

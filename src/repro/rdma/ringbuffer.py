@@ -9,11 +9,11 @@ batching.
 Two design points from the paper are first-class here because they are
 exactly what the Fig. 8 analysis attributes Acuerdo's win to:
 
-- **slot release policy** (:class:`SlotReleasePolicy`): Acuerdo frees a
-  slot once the receiver has merely *accepted* the message; Derecho only
-  when it has been *committed across all active nodes*, which magnifies
-  a single slow node.  The ring exposes ``mark_released`` and leaves the
-  policy to the protocol; the enum names the intent for harness code.
+- **slot release policy**: Acuerdo frees a slot once the receiver has
+  merely *accepted* the message; Derecho only when it has been
+  *committed across all active nodes*, which magnifies a single slow
+  node.  The ring exposes ``mark_released`` and leaves the policy to the
+  protocol, which calls it at its own release point.
 - **writes per message**: Acuerdo couples metadata with data (one RDMA
   write per message); Derecho sends data and a separate counter update
   (two writes).  With an 80-byte wire minimum, that is a 2× bandwidth
@@ -22,18 +22,10 @@ exactly what the Fig. 8 analysis attributes Acuerdo's win to:
 
 from __future__ import annotations
 
-import enum
 from collections import deque
 from typing import Any, Iterable, Optional
 
 from repro.rdma.fabric import RdmaFabric
-
-
-class SlotReleasePolicy(enum.Enum):
-    """When the protocol lets the sender reuse a ring slot."""
-
-    ON_ACCEPT = "accept"   # Acuerdo: receiver has seen the message
-    ON_COMMIT = "commit"   # Derecho: message committed at all active nodes
 
 
 class RingReceiver:
@@ -113,8 +105,6 @@ class RingBuffer:
         ring has no free slot under the current release state.
     writes_per_message:
         1 = Acuerdo-style coupled write; 2 = Derecho-style data+counter.
-    policy:
-        advisory label of the release policy the owning protocol applies.
     signal_interval:
         request a completion every N writes per QP (selective signaling;
         the paper uses 1000).
@@ -122,7 +112,6 @@ class RingBuffer:
 
     def __init__(self, fabric: RdmaFabric, sender: int, receivers: Iterable[int],
                  capacity: int = 4096, writes_per_message: int = 1,
-                 policy: SlotReleasePolicy = SlotReleasePolicy.ON_ACCEPT,
                  signal_interval: int = 1000, name: Optional[str] = None):
         if writes_per_message not in (1, 2):
             raise ValueError("writes_per_message must be 1 or 2")
@@ -130,7 +119,6 @@ class RingBuffer:
         self.sender = sender
         self.capacity = capacity
         self.writes_per_message = writes_per_message
-        self.policy = policy
         self.signal_interval = signal_interval
         self.name = name or f"ring.{sender}"
         self.next_seq = 0

@@ -52,7 +52,6 @@ foreign-event elision makes the sum smaller).
 
 from __future__ import annotations
 
-import time as _time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Optional
 
@@ -137,7 +136,6 @@ class SliceResult:
     foreign: int
     events_executed: int
     sim_elapsed_ns: int
-    seconds: float           # wall-clock inside the worker
     spans: list = field(default_factory=list)
 
 
@@ -191,7 +189,6 @@ def run_slice(spec: RunSpec, lo: int, hi: int,
     """Run groups [lo, hi) of ``spec``'s farm on a fresh engine and
     collect the per-shard observables.  Module-level and picklable, so
     :func:`~repro.harness.parallel.run_points` can fan it out."""
-    t_wall = _time.perf_counter()
     dep, client = prepare_farm(spec, lo, hi, group_config)
     engine = dep.engine
     sim_elapsed_ns = drive_farm(dep, client, spec.duration_ms)
@@ -208,7 +205,6 @@ def run_slice(spec: RunSpec, lo: int, hi: int,
         foreign=dep.foreign,
         events_executed=engine.events_executed,
         sim_elapsed_ns=sim_elapsed_ns,
-        seconds=_time.perf_counter() - t_wall,
         spans=spans,
     )
 
@@ -225,8 +221,8 @@ def merge_slices(spec: RunSpec, results: "list[SliceResult]",
     (modulo the host-cost fields; see module docstring).
 
     ``collect`` (a dict) receives the side channel:
-    ``shard_fingerprints``, ``slices``, ``slice_seconds``,
-    ``violations``, ``foreign``, and ``spans``."""
+    ``shard_fingerprints``, ``slices``, ``violations``, ``foreign``,
+    and ``spans``."""
     sim_elapsed = {r.sim_elapsed_ns for r in results}
     if len(sim_elapsed) != 1:
         raise RuntimeError(
@@ -254,7 +250,6 @@ def merge_slices(spec: RunSpec, results: "list[SliceResult]",
     if collect is not None:
         collect["shard_fingerprints"] = fingerprints
         collect["slices"] = [(r.lo, r.hi) for r in results]
-        collect["slice_seconds"] = [r.seconds for r in results]
         collect["violations"] = [text for _g, text in violations]
         collect["foreign"] = sum(r.foreign for r in results)
         collect["spans"] = spans

@@ -43,7 +43,6 @@ _LAZY = {
     "RingBuffer": "repro.rdma.ringbuffer",
     "RingReceiver": "repro.rdma.ringbuffer",
     "SharedStateTable": "repro.rdma.sst",
-    "SlotReleasePolicy": "repro.rdma.ringbuffer",
     "TcpEndpoint": "repro.net.tcp",
     "TcpNetwork": "repro.net.tcp",
     "TcpParams": "repro.net.tcp",
@@ -108,7 +107,6 @@ __all__ = [
     "RingBuffer",
     "RingReceiver",
     "SharedStateTable",
-    "SlotReleasePolicy",
     "Substrate",
     "TcpEndpoint",
     "TcpNetwork",

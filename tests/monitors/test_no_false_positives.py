@@ -19,6 +19,12 @@ from repro.harness.fig8 import point
 
 ALL_SYSTEMS = SYSTEMS + EXTENSION_SYSTEMS
 
+#: An 8-group Acuerdo farm serving 10^5 logical users under
+#: Zipfian(0.99) skew at 500k req/s aggregate.
+FARM = RunSpec(system="acuerdo", n=3, seed=9, payload_bytes=64,
+               workload="openloop", duration_ms=20.0, shards=8,
+               users=100_000, skew=0.99, arrival_rate=500_000.0)
+
 
 @pytest.mark.parametrize("name", ALL_SYSTEMS)
 def test_golden_systems_run_clean_under_monitors(name):
@@ -76,10 +82,9 @@ def test_five_node_churn_with_slow_nodes_stays_clean():
 
 
 def test_eight_shard_farm_runs_clean_per_group():
-    from repro.harness.hostperf import SHARD_POINT
     from repro.harness.shardsweep import shard_point
 
-    spec = SHARD_POINT.replace(duration_ms=4.0, check_invariants=True)
+    spec = FARM.replace(duration_ms=4.0, check_invariants=True)
     pt = shard_point(spec)
     assert pt.shards == 8 and pt.committed > 0
     assert pt.violations == 0
@@ -89,11 +94,10 @@ def test_sharded_farm_monitors_every_group_independently():
     # The registry must hold one monitor set per consensus group — the
     # per-shard instances are what let one forged group fire without
     # implicating its neighbours.
-    from repro.harness.hostperf import SHARD_POINT
     from repro.monitors import MonitorRegistry
     from repro.shard import ShardedDeployment
 
-    spec = SHARD_POINT.replace(shards=4, duration_ms=2.0,
+    spec = FARM.replace(shards=4, duration_ms=2.0,
                                check_invariants=True)
     engine = spec.make_engine()
     assert isinstance(engine.monitors, MonitorRegistry)

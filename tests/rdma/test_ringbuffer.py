@@ -3,7 +3,7 @@
 import pytest
 
 from repro.rdma import (RdmaFabric, RdmaParams, RingBuffer,
-                        SendQueueFullError, SlotReleasePolicy)
+                        SendQueueFullError)
 from repro.sim import Engine
 
 
@@ -144,14 +144,6 @@ def test_selective_signaling_interval():
         ring.try_send(i, 10)
     e.run()
     assert fab.nic(0).cq.total_seen == 10  # one completion per 10 writes
-
-
-def test_policy_labels():
-    e, fab, _ = _ring()
-    accept = RingBuffer(fab, 1, [0, 1], policy=SlotReleasePolicy.ON_ACCEPT)
-    commit = RingBuffer(fab, 2, [0, 2], policy=SlotReleasePolicy.ON_COMMIT)
-    assert accept.policy is SlotReleasePolicy.ON_ACCEPT
-    assert commit.policy is SlotReleasePolicy.ON_COMMIT
 
 
 def test_send_queue_full_mid_broadcast_keeps_the_writes_already_posted():

@@ -2,12 +2,23 @@
 
 A static guard against code that nothing runs: it parses ``src/repro``,
 ``tests``, ``bench``, ``benchmarks`` and ``examples`` and fails on any
-non-dunder ``def`` or ``class`` in ``src/repro`` whose name occurs
-nowhere as a ``Name``, an ``Attribute``, an import alias or a word of a
-string constant.  Docstrings do not count as references: a function
-that only its own module's docstring mentions is still dead.  A string
-does, since ``getattr``-style lookups (lazy re-exports, tracer wrappers
-in ``bench/``) name code that way.
+non-dunder ``def`` or ``class`` in ``src/repro`` that nothing names in
+a way that can reach it:
+
+- a *method* (any definition directly in a class body) counts as
+  referenced only through an ``Attribute`` (``obj.name``) or a word of
+  a string constant.  A bare ``Name`` does not count, because that is
+  how a local variable of the same name hides a dead method;
+- any other definition counts through a ``Name``, an import alias, a
+  word of a string constant, or ``module.name`` where ``module`` is an
+  imported ``repro`` module.  An attribute of any other object does not
+  count, because that is how a method of the same name hides a dead
+  function.
+
+Docstrings do not count as references: a function that only its own
+module's docstring mentions is still dead.  A string does, since
+``getattr``-style lookups (lazy re-exports, tracer wrappers in
+``bench/``) name code that way.
 """
 
 from __future__ import annotations
@@ -17,9 +28,17 @@ import pathlib
 import re
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 SCANNED = ("src/repro", "tests", "bench", "benchmarks", "examples")
 _WORD = re.compile(r"\w+")
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 _DOC_OWNERS = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+
+#: Dotted names of every module and package under ``src/repro``.
+MODULES = {".".join(p.relative_to(SRC).with_suffix("").parts[:-1]
+                    if p.name == "__init__.py"
+                    else p.relative_to(SRC).with_suffix("").parts)
+           for p in (SRC / "repro").rglob("*.py")}
 
 
 def _docstrings(tree: ast.AST) -> set[int]:
@@ -34,34 +53,79 @@ def _docstrings(tree: ast.AST) -> set[int]:
     return out
 
 
-def _scan() -> tuple[dict[str, list[str]], set[str]]:
-    defined: dict[str, list[str]] = {}
-    used: set[str] = set()
+def _imported_modules(tree: ast.AST) -> dict[str, str]:
+    """Local name -> dotted ``repro`` path, for every import binding a
+    name to a ``repro`` module (``import repro.x`` binds ``repro``)."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                if a.asname:
+                    out[a.asname] = a.name
+                else:
+                    out[a.name.split(".")[0]] = a.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            for a in node.names:
+                out[a.asname or a.name] = f"{node.module}.{a.name}"
+    return {k: v for k, v in out.items() if v in MODULES}
+
+
+def _module_of(expr: ast.AST, imported: dict[str, str]) -> "str | None":
+    """The ``repro`` module ``expr`` evaluates to, if it is one."""
+    if isinstance(expr, ast.Name):
+        return imported.get(expr.id)
+    if isinstance(expr, ast.Attribute):
+        base = _module_of(expr.value, imported)
+        if base is not None and f"{base}.{expr.attr}" in MODULES:
+            return f"{base}.{expr.attr}"
+    return None
+
+
+def _scan():
+    """``(methods, others, by_attribute, by_name)``: where each method and
+    each other definition lives, and the names each way of referring
+    reaches."""
+    methods: dict[str, list[str]] = {}
+    others: dict[str, list[str]] = {}
+    by_attribute: set[str] = set()    # obj.name, and words of strings
+    by_name: set[str] = set()         # Name, alias, repro_module.name, strings
     for top in SCANNED:
         for path in sorted((ROOT / top).rglob("*.py")):
             tree = ast.parse(path.read_text(), filename=str(path))
             docs = _docstrings(tree)
-            in_src = top == "src/repro"
+            imported = _imported_modules(tree)
+            if top == "src/repro":
+                for owner in ast.walk(tree):
+                    for node in ast.iter_child_nodes(owner):
+                        if isinstance(node, _DEFS) and not (
+                                node.name.startswith("__")
+                                and node.name.endswith("__")):
+                            table = (methods if isinstance(owner, ast.ClassDef)
+                                     else others)
+                            table.setdefault(node.name, []).append(
+                                f"{path.relative_to(ROOT)}:{node.lineno}")
             for node in ast.walk(tree):
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                    if in_src and not (node.name.startswith("__")
-                                       and node.name.endswith("__")):
-                        where = f"{path.relative_to(ROOT)}:{node.lineno}"
-                        defined.setdefault(node.name, []).append(where)
-                elif isinstance(node, ast.Name):
-                    used.add(node.id)
+                if isinstance(node, ast.Name):
+                    by_name.add(node.id)
                 elif isinstance(node, ast.Attribute):
-                    used.add(node.attr)
+                    by_attribute.add(node.attr)
+                    if _module_of(node.value, imported) is not None:
+                        by_name.add(node.attr)
                 elif isinstance(node, ast.alias):
-                    used.update(node.name.split("."))
+                    by_name.update(node.name.split("."))
                 elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
                         and id(node) not in docs):
-                    used.update(_WORD.findall(node.value))
-    return defined, used
+                    words = _WORD.findall(node.value)
+                    by_attribute.update(words)
+                    by_name.update(words)
+    return methods, others, by_attribute, by_name
 
 
 def test_every_src_definition_is_referenced():
-    defined, used = _scan()
-    dead = sorted(f"{name} ({', '.join(where)})"
-                  for name, where in defined.items() if name not in used)
+    methods, others, by_attribute, by_name = _scan()
+    dead = sorted(
+        [f"method {name} ({', '.join(where)})"
+         for name, where in methods.items() if name not in by_attribute]
+        + [f"{name} ({', '.join(where)})"
+           for name, where in others.items() if name not in by_name])
     assert not dead, "defined in src/repro but referenced nowhere:\n  " + "\n  ".join(dead)
