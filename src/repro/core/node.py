@@ -82,9 +82,6 @@ NOOP = _Noop()
 class AcuerdoNode(Replica):
     """One replica of an Acuerdo instance."""
 
-    # Its park deadline is GC or a heartbeat-fed failure-detector expiry.
-    keeps_horizon = True
-
     def __init__(self, cluster: "AcuerdoCluster", node_id: int, config: AcuerdoConfig):
         super().__init__(cluster, node_id, config, name=f"acuerdo{node_id}")
         self.peers = list(cluster.node_ids)
@@ -225,8 +222,6 @@ class AcuerdoNode(Replica):
             self._trains.revalidate()
 
     def crash(self) -> None:
-        # What the group elided up to now happened before the host died.
-        self._trains.catch_up()
         super().crash()
         self._trains.revalidate()
 
@@ -240,7 +235,8 @@ class AcuerdoNode(Replica):
         stamp re-admits it), a follower's leader row whose ``committed``
         moved (commits become ready), and a counter that did not advance
         (a replayed row: the scan compares against the last heartbeat it
-        saw, not the last one written)."""
+        saw, not the last one written).  Heartbeat trains ask it before
+        a push is posted, to decide whether the push needs an event."""
         return (new.heartbeat > old.heartbeat
                 and row not in self._evicted
                 and (self.role is Role.LEADER or row != self.E_cur.leader

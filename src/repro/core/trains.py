@@ -5,11 +5,12 @@ Every Acuerdo replica pushes its Commit-SST row to every peer each
 parked replica used to wake for each push: a horizon event, a poll that
 found nothing else to do, and one landing event per peer.  SST rows are
 last-writer-wins, so a receiver only ever acts on the newest row — and
-most heartbeat rows it never acts on at all: they are *quiet* under
-:meth:`AcuerdoNode.heartbeat_is_quiet <repro.core.node.AcuerdoNode.heartbeat_is_quiet>`.
+most heartbeat rows it never acts on at all: they are *quiet* under the
+verdict each receiver declares on its copy of the table
+(:meth:`AcuerdoNode.heartbeat_is_quiet <repro.core.node.AcuerdoNode.heartbeat_is_quiet>`).
 
-A push is *pure* when every receiver it reaches would rule it quiet and
-it is not the selectively signaled one (whose completion must wake the
+A push is *pure* when every receiver it reaches rules it quiet and it
+is not the selectively signaled one (whose completion must wake the
 sender).  When a parked replica's next push is pure, its pushes become a
 *train*: the push ticks are the replica's own virtual poll ticks, drawn
 by the one tick walker (:meth:`Process._walk_to`) that also serves its
@@ -17,13 +18,10 @@ wakes, and nothing is scheduled.  What the pushes would have done — NIC
 occupancy, the QP's FIFO floor, loss draw and counters, the row landing
 in each receiver's copy and a parked receiver's heartbeat stamp — is
 materialized by :meth:`HeartbeatTrains.catch_up`, in the order the eager
-events would have run, whenever something could observe it:
-
-- at the start of every poll or wake of a node of the group, and before
-  any write lands on one of them (``QueuePair._deliver``);
-- before a crash powers a host off, a partition is set or healed, a
-  Byzantine injector attaches (trains stop while one is attached);
-- before :meth:`Engine.run <repro.sim.engine.Engine.run>` returns.
+events would have run.  The engine calls it (:meth:`Engine.add_train
+<repro.sim.engine.Engine.add_train>`) before it dispatches any event at
+or after :attr:`HeartbeatTrains.due` and before ``run`` returns, so any
+event, and any caller between runs, observes current state.
 
 Ties follow the parked loop's rules (DESIGN.md §6): relative to the
 event that triggers a catch-up — due at ``T``, scheduled at ``c`` — a
@@ -37,7 +35,6 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from typing import TYPE_CHECKING
 
-from repro.core.node import Role
 from repro.core.types import CommitRow
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -57,9 +54,8 @@ class HeartbeatTrains:
         self.sst = sst = cluster.commit_sst
         self.fabric = fabric = cluster.fabric
         self.period = cluster.cfg.commit_push_period_ns
-        self.nodes = cluster.nodes
-        #: earliest instant at which anything elided can be due: every
-        #: catch-up point before it returns on one comparison
+        #: earliest instant at which anything elided can be due; the
+        #: engine calls catch_up before events from then on
         self.due: float = _NEVER
         # node id -> [node, pushes left, deadline, tick, key]; the tick
         # is None until the walker has resolved the deadline.
@@ -75,37 +71,26 @@ class HeartbeatTrains:
         # (sender, receiver) -> the last row posted between them, i.e.
         # what the receiver holds once everything in flight has landed
         self._sent: dict[tuple[int, int], CommitRow] = {}
-        self._busy = False
         for me in sst.members:
             self._routes[me] = [
                 (peer, (me, peer), fabric.qps[me, peer], sst._regions[peer][0],
                  fabric.nics[peer], sst.copies[peer], sst._regions[peer][1])
                 for peer in sst.members if peer != me]
-            fabric.nics[me].trains = self
-            node = self.nodes[me]
-            node._catch_up = self.catch_up
-            node._trains = self
+            cluster.nodes[me]._trains = self
         fabric.trains = self
-        self.engine.at_run_end(self.catch_up)
-        # Who follows each sender, kept until a receiver's state may
-        # have moved (see pure_pushes); the epoch counts revalidations.
-        self._epoch = 0
-        # sender -> [epoch, routes to its followers or None]
-        self._ruled = {me: [-1, None] for me in sst.members}
+        self.engine.add_train(self)
 
     # ------------------------------------------------------------ eligibility
 
     def pure_pushes(self, node: "AcuerdoNode") -> int:
         """How many of ``node``'s next pushes are pure (0: the next one
-        is not): ``heartbeat_is_quiet`` read for the sender's own next
-        row.  A counter that advanced makes a row quiet unless its
-        receiver has evicted the sender or follows it (a follower whose
-        epoch the sender leads) and its ``committed`` moved since the
-        row that receiver holds.  The receivers' state cannot change
-        before the rows land without a :meth:`revalidate`, and the
-        later pushes carry the same ``committed`` as the first, so they
-        are pure whenever it is.  The count stops before the next
-        signaled push, whose completion wakes the sender."""
+        is not).  Each receiver the next push reaches rules on it with
+        its declared verdict, against the row it will hold when the push
+        lands.  The receivers' state cannot change before the rows land
+        without a :meth:`revalidate`, and the later pushes carry the same
+        ``committed`` and higher counters, so they are pure whenever the
+        first is.  The count stops before the next signaled push, whose
+        completion wakes the sender."""
         if node.crashed or self.engine.byz is not None:
             return 0
         me = node.node_id
@@ -116,40 +101,18 @@ class HeartbeatTrains:
                 - self.sst._since_signal[routes[0][1]])
         if left <= 0:
             return 0
-        ruled = self._ruled[me]
-        if ruled[0] != self._epoch:
-            ruled[0] = self._epoch
-            ruled[1] = self._followers(me)
-        followers = ruled[1]
-        if followers is None:
-            return 0
-        committed = node.Committed
-        sent = self._sent
-        for route in followers:
-            held = sent.get(route[1])
-            if held is None:
-                held = route[5][me]
-            if held.committed != committed:
-                return 0
-        return left
-
-    def _followers(self, me: int) -> "list[tuple] | None":
-        """The routes of ``me``'s rows to the peers that follow it, or
-        None when a peer they reach has evicted it (its rows re-admit)."""
+        row = _new_row(CommitRow, (node.Committed, node._hb_seq + 1))
+        verdicts = self.sst._quiet
         fabric = self.fabric
         partitioned = fabric._partition is not None
-        nodes = self.nodes
-        followers = []
-        for route in self._routes[me]:
-            peer = route[0]
-            if (partitioned and fabric._blocked(me, peer)) or not route[4].powered:
+        sent = self._sent
+        for peer, pair, _qp, _region, dst, copy, _rkey in routes:
+            if (partitioned and fabric._blocked(me, peer)) or not dst.powered:
                 continue        # the write lands nowhere
-            receiver = nodes[peer]
-            if me in receiver._evicted:
-                return None
-            if receiver.role is not Role.LEADER and receiver.E_cur.leader == me:
-                followers.append(route)
-        return followers
+            held = sent.get(pair)
+            if not verdicts[peer](me, copy[me] if held is None else held, row):
+                return 0
+        return left
 
     def note_push(self, me: int, row: CommitRow) -> None:
         """An eager push of ``row`` by ``me``."""
@@ -172,6 +135,7 @@ class HeartbeatTrains:
                                       (deadline, 0)]
         if deadline < self.due:
             self.due = deadline
+            self.engine.note_due(deadline)
 
     # --------------------------------------------------------------- catch-up
 
@@ -185,12 +149,10 @@ class HeartbeatTrains:
 
     def catch_up(self) -> None:
         """Materialize every elided push and landing that ran before
-        the executing event (see the module docstring for the order)."""
+        the executing event (see the module docstring for the order).
+        The engine calls it once ``now`` has reached :attr:`due`."""
         engine = self.engine
         now = engine.now
-        if now < self.due or self._busy:
-            return
-        self._busy = True
         born = engine._born       # Engine.event_created_at, inlined
         created = now if born is None else born
         pushed_by = (now, created)
@@ -213,7 +175,6 @@ class HeartbeatTrains:
             while landings and landings[0] < key:
                 if not landings[0] < landed_by:
                     self.due = landings[0][0]
-                    self._busy = False
                     return
                 # What QueuePair._deliver does with a row its receiver
                 # rules quiet (the purity invariant: revalidate() gives
@@ -250,7 +211,6 @@ class HeartbeatTrains:
             else:
                 break
         self.due = key[0] if not landings or key < landings[0] else landings[0][0]
-        self._busy = False
 
     def _resolve(self, train: list) -> None:
         """Find the tick of the train's next push: the first virtual
@@ -326,7 +286,6 @@ class HeartbeatTrains:
         longer pure, and give every elided write that would now land
         loud its landing event back."""
         engine = self.engine
-        self._epoch += 1
         for tr in list(self._trains.values()):
             node = tr[0]
             if not node._parked:
@@ -356,6 +315,7 @@ class HeartbeatTrains:
             if tr[4][0] < due:
                 due = tr[4][0]
         self.due = due
+        engine.note_due(due)
 
     def _stop(self, train: list) -> None:
         """End a train: its sender wakes for its next push."""

@@ -98,7 +98,7 @@ class RdmaFabric(Substrate):
         self._regions: dict[tuple[int, str], MemoryRegion] = {}
         self.endpoints: dict[int, RdmaEndpoint] = {}
         #: heartbeat trains riding this fabric (``repro.core.trains``),
-        #: caught up before a partition changes which writes get through
+        #: revalidated when a partition changes which writes get through
         self.trains: Any = None
         for nid in node_ids:
             self.add_node(nid)
@@ -157,20 +157,14 @@ class RdmaFabric(Substrate):
         self.nics[node_id].power_off()
 
     def set_partition(self, *groups: Iterable[int]) -> None:
-        trains = self.trains
-        if trains is not None:
-            trains.catch_up()
         super().set_partition(*groups)
-        if trains is not None:
-            trains.revalidate()
+        if self.trains is not None:
+            self.trains.revalidate()
 
     def heal_partition(self) -> None:
-        trains = self.trains
-        if trains is not None:
-            trains.catch_up()
         super().heal_partition()
-        if trains is not None:
-            trains.revalidate()
+        if self.trains is not None:
+            self.trains.revalidate()
 
     # --------------------------------------------------------------- regions
 
@@ -208,19 +202,16 @@ class RdmaFabric(Substrate):
         lane.
 
         ``at`` posts an unsignaled write materialized after the fact at
-        that instant (``QueuePair.post_at``): nothing is scheduled, and
-        the landing time is returned for the caller to apply — None when
-        the write was dropped at a partition.  A heartbeat train
-        (``repro.core.trains``) posts this way."""
+        that instant (see ``QueuePair.post_write``): nothing is
+        scheduled, and the landing time is returned for the caller to
+        apply — None when the write was dropped at a partition.  A
+        heartbeat train (``repro.core.trains``) posts this way."""
         if self._partition is not None and self._blocked(src, dst):
             self._drop_partitioned()
             return None
         qp = self.qps[(src, dst)] if lane != "bulk" else self.bulk_qp(src, dst)
-        if at is not None:
-            return qp.post_at(at, size_bytes)
-        qp.post_write(region, rkey, key, value, size_bytes, signaled, wr_id,
-                      earliest_ns)
-        return None
+        return qp.post_write(region, rkey, key, value, size_bytes, signaled,
+                             wr_id, earliest_ns, at)
 
     def send(self, src: int, dst: int, payload: Any, size_bytes: int) -> None:
         """Message-channel send: one one-sided write into the destination

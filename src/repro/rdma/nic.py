@@ -76,10 +76,6 @@ class Nic:
         #: this node (and every completion pushed to its CQ) rings it so
         #: a parked poll loop wakes (see Process.doorbell).
         self.waker: Any = None
-        #: the heartbeat trains of the group this node belongs to
-        #: (``repro.core.trains``), caught up before any write lands
-        #: here; None outside Acuerdo groups.
-        self.trains: Any = None
         # Cost models are frozen after substrate build; snapshot the
         # per-verb charge and keep each payload size's wire bytes and
         # link time so occupy_tx — called once per write — skips the
@@ -97,7 +93,7 @@ class Nic:
         selects the QoS class: ``"bulk"`` transfers queue separately so
         control traffic never waits behind them.  ``at`` replaces both
         with an explicit doorbell instant, which may lie before now: a
-        write materialized after the fact (``QueuePair.post_at``)."""
+        write materialized after the fact (``QueuePair.post_write``)."""
         start = (max(self.engine.now, earliest_ns) if at is None
                  else at) + self._nic_tx_ns
         cost = self._costs.get(payload_bytes)

@@ -10,7 +10,7 @@ on the same QP (selective signaling).
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Optional
 
 from repro.rdma.memory import MemoryRegion
 from repro.rdma.nic import Completion, Nic
@@ -56,7 +56,8 @@ class QueuePair:
 
     def post_write(self, region: MemoryRegion, rkey: int, key: Any, value: Any,
                    size_bytes: int, signaled: bool = False,
-                   wr_id: Any = None, earliest_ns: int = 0) -> None:
+                   wr_id: Any = None, earliest_ns: int = 0,
+                   at: Optional[int] = None) -> Optional[int]:
         """Post a one-sided RDMA write of ``value`` to ``region[key]``.
 
         The write occupies the sender's egress link, crosses the wire,
@@ -65,12 +66,19 @@ class QueuePair:
         unsignaled writes is pushed to the sender's CQ once the transport
         ACK returns.
 
+        ``at`` posts an unsignaled write materialized after the fact at
+        that instant (which may lie before now): the same posting step,
+        but nothing is scheduled, and the landing time is returned for
+        the caller to apply.  A heartbeat train (``repro.core.trains``)
+        posts this way, in posting order per QP, so the loss stream and
+        the FIFO floor see the eager sequence.
+
         Raises :class:`SendQueueFullError` when more than
         ``params.max_send_queue`` WQEs are outstanding — the failure mode
         selective signaling exists to avoid.
         """
         if not self.src.powered:
-            return  # crashed host: nothing leaves
+            return None  # crashed host: nothing leaves
         if self._outstanding >= self._max_send_queue:
             raise SendQueueFullError(
                 f"QP {self.src.node_id}->{self.dst.node_id}: "
@@ -78,7 +86,7 @@ class QueuePair:
         self.posted += 1
         self._outstanding += 1
 
-        tx_done = self.src.occupy_tx(size_bytes, earliest_ns, lane=self.lane)
+        tx_done = self.src.occupy_tx(size_bytes, earliest_ns, self.lane, at)
         deliver_at = tx_done + self._post_wire_ns
         if self._loss_prob and self._loss_rng.random() < self._loss_prob:
             # Go-back-N: this packet (and, through the FIFO floor below,
@@ -88,6 +96,10 @@ class QueuePair:
         # RC FIFO guarantee: never deliver out of order.
         deliver_at = max(deliver_at, self._last_delivery_at + 1)
         self._last_delivery_at = deliver_at
+        if at is not None:
+            # A heartbeat row: no span carrier, and the caller lands it.
+            self._unsignaled_run += 1
+            return deliver_at
         engine = self.engine
         now = engine.now
 
@@ -112,28 +124,7 @@ class QueuePair:
                                wr_id, covers, now)
         else:
             self._unsignaled_run += 1
-
-    def post_at(self, at: int, size_bytes: int) -> int:
-        """Account an unsignaled write posted at instant ``at`` (which
-        may lie before now) and return when it lands; the caller keeps
-        the landing and applies it itself.
-
-        The same NIC occupancy, loss draw, FIFO floor and post count as
-        :meth:`post_write`, minus the engine event: the posting path of
-        a heartbeat train (``repro.core.trains``), which materializes
-        pushes in posting order per QP, so the loss stream and the FIFO
-        floor see the eager sequence."""
-        self.posted += 1
-        self._outstanding += 1
-        self._unsignaled_run += 1
-        deliver_at = self.src.occupy_tx(size_bytes, 0, self.lane,
-                                        at) + self._post_wire_ns
-        if self._loss_prob and self._loss_rng.random() < self._loss_prob:
-            deliver_at += self._retransmit_timeout_ns
-            self.retransmits += 1
-        deliver_at = max(deliver_at, self._last_delivery_at + 1)
-        self._last_delivery_at = deliver_at
-        return deliver_at
+        return None
 
     # -------------------------------------------------------------- internal
 
@@ -142,11 +133,6 @@ class QueuePair:
         dst = self.dst
         if not dst.powered:
             return  # destination host crashed; write is lost with it
-        trains = dst.trains
-        if trains is not None and trains.due <= self.engine.now:
-            # Land what the group elided before this write: FIFO order
-            # per QP, and the receiver's stamps in landing order.
-            trains.catch_up()
         self.delivered += 1
         quiet = region.remote_write(rkey, key, value, size_bytes)
         # Poll-elision doorbell: a deposit landed in this host's memory

@@ -182,12 +182,10 @@ class ByzantineInjector:
     def __init__(self, engine: Engine, system: Any):
         self.engine = engine
         self.system = system
-        # Heartbeat trains assume honest rows: materialize them and hand
-        # their pushes back to the polls before any interception runs.
-        trains = getattr(system, "trains", None)
-        if trains is not None:
-            trains.catch_up()
+        # Heartbeat trains assume honest rows: hand their pushes back to
+        # the polls before any interception runs.
         engine.byz = self
+        trains = getattr(system, "trains", None)
         if trains is not None:
             trains.revalidate()
         self.attempts: dict[str, int] = {m: 0 for m in BYZ_MODES}

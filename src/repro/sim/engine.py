@@ -13,6 +13,11 @@ determinism tests in ``tests/sim/test_determinism.py`` rely on this.
 Observers attach through one slot, :attr:`Engine.probe` (a
 :class:`Probe`, None while nothing observes): every hook site loads it
 once and tests it against None once, then calls a verb on it.
+
+Work a subscriber elides instead of scheduling (Acuerdo's heartbeat
+trains) is the engine's to bring up to date: a registered train
+(:meth:`Engine.add_train`) is caught up before any event that could
+observe it is dispatched, and before :meth:`Engine.run` returns.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from typing import Any, Callable, Iterator, Optional
 NS_PER_US = 1_000
 NS_PER_MS = 1_000_000
 NS_PER_SEC = 1_000_000_000
+_NEVER = float("inf")
 
 
 def _as_int_ns(value: Any, what: str) -> int:
@@ -184,9 +190,10 @@ class Engine:
         #: bit-identical to the golden fingerprints.  Its own slot
         #: because the injector rewrites sends rather than observing.
         self.byz: Optional[Any] = None
-        # Called before run() returns: whatever a subscriber elided up to
-        # ``now`` is materialized before the caller reads any state.
-        self._run_end: list[Callable[[], None]] = []
+        # Registered trains (add_train) and the earliest ``due`` over
+        # them: an event before it pays one comparison.
+        self._trains: list[Any] = []
+        self._trains_due: float = _NEVER
 
     # ---------------------------------------------------------------- probe
 
@@ -210,10 +217,36 @@ class Engine:
         """The attached monitor registry or None (for end-of-run readers)."""
         return self.probe and self.probe.registry
 
-    def at_run_end(self, fn: Callable[[], None]) -> None:
-        """Call ``fn()`` before every :meth:`run` (and :meth:`step`)
-        returns, once the clock stands where the caller will find it."""
-        self._run_end.append(fn)
+    # --------------------------------------------------------------- trains
+
+    def add_train(self, train: Any) -> None:
+        """Register ``train``, a subscriber that elides events (Acuerdo's
+        heartbeat trains, :mod:`repro.core.trains`): it has a ``due``,
+        the earliest instant anything it elided can be due, and a
+        ``catch_up()`` that materializes everything elided that ran
+        before the executing event.  The engine calls it before it
+        dispatches any event at or after ``due``, and where :meth:`run`
+        returns, so every event and every caller between runs observes
+        current state.  A train whose ``due`` moves earlier calls
+        :meth:`note_due`."""
+        self._trains.append(train)
+        self.note_due(train.due)
+
+    def note_due(self, due: float) -> None:
+        """A registered train's ``due`` moved to ``due``."""
+        if due < self._trains_due:
+            self._trains_due = due
+
+    def _catch_up(self) -> None:
+        """Catch every registered train up to the executing event."""
+        now = self.now
+        due = _NEVER
+        for train in self._trains:
+            if train.due <= now:
+                train.catch_up()
+            if train.due < due:
+                due = train.due
+        self._trains_due = due
 
     # ---------------------------------------------------------------- scope
 
@@ -384,8 +417,8 @@ class Engine:
         while heap and not self._stopped:
             if bounded and executed >= max_events:
                 self.events_executed += executed
-                for fn in self._run_end:
-                    fn()
+                if self.now >= self._trains_due:
+                    self._catch_up()
                 return executed
             # One tuple unpack reads everything the loop body needs:
             # the handler and its args are preloaded at schedule time,
@@ -403,6 +436,8 @@ class Engine:
             ev._popped = True
             self._born = born
             self.now = time
+            if time >= self._trains_due:
+                self._catch_up()
             fn(*args)
             executed += 1
         self.events_executed += executed
@@ -413,8 +448,8 @@ class Engine:
             self._born = None
         if until is not None and self.now < until:
             self.now = until
-        for fn in self._run_end:
-            fn()
+        if self.now >= self._trains_due:
+            self._catch_up()
         return executed
 
     @property

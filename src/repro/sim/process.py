@@ -147,10 +147,6 @@ class Process:
         #: (landed_at, posted_at, key, value)
         self._quiet_log: list[tuple] = []
         self._horizon_event: Optional[Event] = None  # parked deadline event
-        #: called at the start of every poll and wake when set: brings
-        #: anything the process's group has elided up to the present
-        #: before the process observes it (Acuerdo's heartbeat trains)
-        self._catch_up: Optional[Callable[[], None]] = None
 
     # ---------------------------------------------------------------- lifecycle
 
@@ -290,8 +286,6 @@ class Process:
     def _poll_tick(self) -> None:
         if self.crashed:
             return
-        if self._catch_up is not None:
-            self._catch_up()
         self.on_poll()
         if self.crashed:
             return
@@ -336,14 +330,6 @@ class Process:
     # wake time) — so the poll-time sequence, RNG consumption and all
     # downstream behaviour are bit-for-bit what the unparked loop
     # produces (the golden trace fingerprints pin this).
-
-    #: Keep the deadline event across wakes while it comes due no later
-    #: than the next park's deadline, instead of cancelling it at every
-    #: wake and scheduling a new one at every park: a deadline that only
-    #: moves later (a failure detector fed by heartbeats) then costs one
-    #: early wake per timeout instead of two heap operations per park.
-    #: An early wake is always safe (it re-parks).
-    keeps_horizon = False
 
     def park_ready(self) -> bool:
         """Override: True iff on_poll is *currently* a no-op — nothing
@@ -412,8 +398,8 @@ class Process:
 
     def _horizon(self) -> None:
         """The parked deadline came due.  A kept horizon (see
-        :attr:`keeps_horizon`) may come due while the loop is polling
-        for real, whose pending poll acts on the deadline anyway."""
+        :meth:`_wake`) may come due while the loop is polling for real,
+        whose pending poll acts on the deadline anyway."""
         self._horizon_event = None
         if self._parked:
             self._wake(-1)
@@ -422,9 +408,15 @@ class Process:
         """Unpark: materialise the poll at the tick that observes
         something landing now, after replaying the virtual ticks through
         the quiet log.  ``posted_at`` is -1 for the horizon event at the
-        park deadline: a poll tick falling on a deadline acts on it."""
-        if self._catch_up is not None:
-            self._catch_up()
+        park deadline: a poll tick falling on a deadline acts on it.
+
+        The deadline event is kept across the wake: the next park keeps
+        it while it comes due no later than that park's deadline, instead
+        of cancelling it at every wake and scheduling a new one at every
+        park.  A deadline that only moves later (a failure detector fed
+        by heartbeats) then costs one early wake per timeout instead of
+        two heap operations per park; an early wake is always safe (it
+        re-parks)."""
         log = self._quiet_log
         log.append((self.engine.now, posted_at))    # the last walk target
         ticks = self._walk(log)
@@ -436,9 +428,6 @@ class Process:
             self.on_quiet_deposit(entry[2], entry[3], tick)
         log.clear()
         self._parked = False
-        if not self.keeps_horizon and self._horizon_event is not None:
-            self._horizon_event.cancel()
-            self._horizon_event = None
         # The unparked loop scheduled this poll at the tick before it,
         # which decides its turn among the events due at ``at``.
         self._poll_event = self.engine.schedule_backdated(prev, at, self._poll_tick)

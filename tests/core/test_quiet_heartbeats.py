@@ -212,6 +212,37 @@ def test_lightly_loaded_deployment_parks_away_most_events():
     assert 3 * parked_events <= oracle_events
 
 
+def test_any_engine_event_observes_what_trains_elided():
+    """An idle group's pushes ride heartbeat trains, and the engine
+    catches them up before it dispatches any event, not only the
+    group's own polls and landings: a plain event reading Commit-SST
+    copies and NIC counters every 7 us sees what the unparked oracle
+    sees (each of the 39 reads differed while only the group's own
+    events caught trains up)."""
+    def run(parked):
+        with park_mode(parked):
+            e = Engine(seed=3)
+            c = AcuerdoCluster(e, 3)
+            c.preseed_leader(0)
+            c.start()
+            e.run(until=ms(1))
+            snaps = []
+
+            def snapshot():
+                snaps.append((
+                    {r: dict(copy) for r, copy in c.commit_sst.copies.items()},
+                    [c.fabric.nic(i).tx_msgs for i in c.node_ids]))
+
+            for k in range(1, 40):
+                e.schedule_at(ms(1) + k * us(7), snapshot)
+            e.run(until=ms(1) + us(280))
+        return snaps
+
+    parked, oracle = run(True), run(False)
+    assert len(oracle) == 39
+    assert parked == oracle
+
+
 def _bench_workloads():
     path = pathlib.Path(__file__).resolve().parents[2] / "bench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("bench_workloads", path)

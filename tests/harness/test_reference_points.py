@@ -39,7 +39,7 @@ REFERENCE_POINTS = {
         RunSpec(system="zookeeper", n=3, payload_bytes=1000, window=32,
                 seed=3, duration_ms=4000.0),
         2000,
-        50_224,
+        50_411,
         {"system": "zookeeper", "n": 3, "message_size": 1000, "window": 32,
          "throughput_mb_s": 25.24468085106383,
          "throughput_msgs_s": 25244.68085106383,

@@ -323,3 +323,33 @@ def test_schedule_and_schedule_at_share_coercion_rules():
     ev1 = e.schedule(2.0, lambda: None)
     ev2 = e.schedule_at(2.0, lambda: None)
     assert ev1.time == ev2.time == 2
+
+
+def test_registered_train_is_caught_up_before_any_event_from_its_due_on():
+    e = Engine()
+    seen = []
+
+    class Train:
+        due = 50
+
+        def catch_up(self):
+            seen.append((e.now, e.event_created_at))
+            self.due = e.now + 100
+
+    train = Train()
+    e.add_train(train)
+    ran = []
+
+    def probe(t):
+        ran.append((t, len(seen)))
+        if t == 60:
+            train.due = 80      # moved earlier: it tells the engine
+            e.note_due(80)
+
+    for t in (10, 50, 60, 90, 120):
+        e.schedule_at(t, probe, t)
+    e.run(until=300)
+    # 10 precedes the due instant; 50 and 90 find the train due; 120
+    # precedes the due set at 90; run() returns at 300 caught up.
+    assert ran == [(10, 0), (50, 1), (60, 1), (90, 2), (120, 2)]
+    assert seen == [(50, 0), (90, 0), (300, 300)]
