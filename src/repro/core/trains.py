@@ -84,12 +84,13 @@ class HeartbeatTrains:
 
     def pure_pushes(self, node: "AcuerdoNode") -> int:
         """How many of ``node``'s next pushes are pure (0: the next one
-        is not).  Each receiver the next push reaches rules on it with
-        its declared verdict, against the row it will hold when the push
-        lands.  The receivers' state cannot change before the rows land
-        without a :meth:`revalidate`, and the later pushes carry the same
-        ``committed`` and higher counters, so they are pure whenever the
-        first is.  The count stops before the next signaled push, whose
+        is not, and none is while any of its QPs is cut: a train never
+        crosses a cut).  Each receiver the next push reaches rules on it
+        with its declared verdict, against the row it will hold when the
+        push lands.  The receivers' state cannot change before the rows
+        land without a :meth:`revalidate`, and the later pushes carry the
+        same ``committed`` and higher counters, so they are pure whenever
+        the first is.  The count stops before the next signaled push, whose
         completion wakes the sender."""
         if node.crashed or self.engine.byz is not None:
             return 0
@@ -103,11 +104,11 @@ class HeartbeatTrains:
             return 0
         row = _new_row(CommitRow, (node.Committed, node._hb_seq + 1))
         verdicts = self.sst._quiet
-        fabric = self.fabric
-        partitioned = fabric._partition is not None
         sent = self._sent
-        for peer, pair, _qp, _region, dst, copy, _rkey in routes:
-            if (partitioned and fabric._blocked(me, peer)) or not dst.powered:
+        for peer, pair, qp, _region, dst, copy, _rkey in routes:
+            if qp.cut:
+                return 0
+            if not dst.powered:
                 continue        # the write lands nowhere
             held = sent.get(pair)
             if not verdicts[peer](me, copy[me] if held is None else held, row):
@@ -117,10 +118,8 @@ class HeartbeatTrains:
     def note_push(self, me: int, row: CommitRow) -> None:
         """An eager push of ``row`` by ``me``."""
         sent = self._sent
-        fabric = self.fabric
-        partitioned = fabric._partition is not None
-        for peer, pair, _qp, _region, _dst, _copy, _rkey in self._routes[me]:
-            if not (partitioned and fabric._blocked(me, peer)):
+        for _peer, pair, qp, _region, _dst, _copy, _rkey in self._routes[me]:
+            if not qp.cut:
                 sent[pair] = row
 
     def start(self, node: "AcuerdoNode", pushes: int) -> None:
@@ -259,8 +258,6 @@ class HeartbeatTrains:
             since[pair] += 1
             landed_at = write(me, route[0], route[3], route[6], me, row, size,
                               False, None, 0, "control", tick)
-            if landed_at is None:
-                continue                # dropped at a partition
             old = sent.get(pair)
             sent[pair] = row
             if route[4].powered:

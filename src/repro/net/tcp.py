@@ -24,7 +24,7 @@ from typing import Any, Optional
 from repro.sim.engine import Engine, us
 from repro.sim.process import Process
 from repro.substrate.cost import CostModel
-from repro.substrate.interface import Endpoint, Substrate
+from repro.substrate.interface import Connection, Endpoint, Substrate
 
 
 @dataclass
@@ -80,7 +80,6 @@ class TcpEndpoint(Endpoint):
         self.sent = 0
         self.received = 0
         self.tx_bytes = 0
-        self.retransmits = 0
         # Cost models are frozen after substrate build, so the per-message
         # charges can be snapshotted once instead of chased through
         # self.params on every deliver/drain.
@@ -136,16 +135,14 @@ class TcpNetwork(Substrate):
 
     def __init__(self, engine: Engine, params: Optional[TcpParams] = None):
         super().__init__(engine, params or TcpParams())
-        self.endpoints: dict[int, TcpEndpoint] = {}
-        self._last_delivery: dict[tuple[int, int], int] = {}
+        # (src, dst) -> its stream, made on first send
+        self._streams: dict[tuple[int, int], Connection] = {}
         self._loss_rng = engine.rng("tcp.loss")
         # Frozen-cost snapshots for the per-message send path.  The sum
         # is int + int, so precomputing it cannot change any timestamp.
         p = self.params
         self._send_cpu_ns = p.kernel_send_cpu_ns
         self._post_wire_ns = p.propagation_ns + p.stack_latency_ns
-        self._loss_prob = p.loss_prob
-        self._rto_ns = p.rto_ns
 
     def attach(self, process: Process) -> TcpEndpoint:
         """Create this process's TCP stack and register it for delivery."""
@@ -167,7 +164,11 @@ class TcpNetwork(Substrate):
         src_ep = self.endpoints[src]
         if src_ep.process.crashed:
             return
-        if self._blocked(src, dst):
+        stream = self._streams.get((src, dst))
+        if stream is None:
+            stream = self._streams[src, dst] = Connection(
+                self, src, dst, self._loss_rng)
+        if stream.cut:
             self._drop_partitioned()
             return
         start = max(src_ep.process.cpu.charge(self._send_cpu_ns), src_ep.tx_free_at)
@@ -175,13 +176,7 @@ class TcpNetwork(Substrate):
         src_ep.tx_free_at = tx_done
         src_ep.sent += 1
         src_ep.tx_bytes += p.wire_bytes(size_bytes)
-        deliver_at = tx_done + self._post_wire_ns
-        if self._loss_prob and self._loss_rng.random() < self._loss_prob:
-            deliver_at += self._rto_ns
-            src_ep.retransmits += 1
-        key = (src, dst)
-        deliver_at = max(deliver_at, self._last_delivery.get(key, 0) + 1)
-        self._last_delivery[key] = deliver_at
+        deliver_at = stream.arrival(tx_done + self._post_wire_ns)
         self.engine.schedule_at(deliver_at, self._deliver, dst, src, payload,
                                 size_bytes, self.engine.now)
         probe = self.engine.probe
@@ -209,5 +204,5 @@ class TcpNetwork(Substrate):
             "tx_bytes": sum(ep.tx_bytes for ep in eps),
             "tx_msgs": sum(ep.sent for ep in eps),
             "rx_msgs": sum(ep.received for ep in eps),
-            "retransmits": sum(ep.retransmits for ep in eps),
+            "retransmits": sum(c.retransmits for c in self._connections),
         }

@@ -36,25 +36,16 @@ class RdmaEndpoint(Endpoint):
     """
 
     def __init__(self, fabric: "RdmaFabric", process: Process):
-        self.fabric = fabric
         self.engine = fabric.engine
         self.process = process
-        self.params = fabric.params
         self.inbox: deque[tuple[int, Any, int]] = deque()
-        self.sent = 0
-        self.received = 0
-        self.tx_bytes = 0
-        self.retransmits = 0
         self._region = fabric.register(process.node_id, "substrate.inbox",
-                                       1 << 20, on_write=self._on_write)
+                                       1 << 20, on_write=self.deliver)
         self._rkey = self._region.grant()
 
     @property
     def node_id(self) -> int:
         return self.process.node_id
-
-    def _on_write(self, key: Any, value: Any, size: int) -> None:
-        self.deliver(key, value, size)
 
     def deliver(self, src: int, payload: Any, size: int) -> None:
         """A one-sided write from ``src`` landed in the inbox region.
@@ -72,7 +63,6 @@ class RdmaEndpoint(Endpoint):
         while self.inbox and (max_batch is None or len(out) < max_batch):
             src, payload, _size = self.inbox.popleft()
             out.append((src, payload))
-            self.received += 1
             if probe is not None:
                 probe.mark(payload, "poll_notice", now)
         return out
@@ -96,7 +86,6 @@ class RdmaFabric(Substrate):
         self.qps: dict[tuple[int, int], QueuePair] = {}
         self._bulk_qps: dict[tuple[int, int], QueuePair] = {}
         self._regions: dict[tuple[int, str], MemoryRegion] = {}
-        self.endpoints: dict[int, RdmaEndpoint] = {}
         #: heartbeat trains riding this fabric (``repro.core.trains``),
         #: revalidated when a partition changes which writes get through
         self.trains: Any = None
@@ -111,8 +100,8 @@ class RdmaFabric(Substrate):
             return self.nics[node_id]
         nic = Nic(self.engine, node_id, self.params)
         for other_id, other in self.nics.items():
-            self.qps[(node_id, other_id)] = QueuePair(self.engine, nic, other, self.params)
-            self.qps[(other_id, node_id)] = QueuePair(self.engine, other, nic, self.params)
+            self.qps[(node_id, other_id)] = QueuePair(self, nic, other)
+            self.qps[(other_id, node_id)] = QueuePair(self, other, nic)
         self.nics[node_id] = nic
         return nic
 
@@ -144,9 +133,8 @@ class RdmaFabric(Substrate):
         key = (src, dst)
         qp = self._bulk_qps.get(key)
         if qp is None:
-            qp = QueuePair(self.engine, self.nics[src], self.nics[dst],
-                           self.params, lane="bulk")
-            self._bulk_qps[key] = qp
+            qp = self._bulk_qps[key] = QueuePair(
+                self, self.nics[src], self.nics[dst], lane="bulk")
         return qp
 
     def nic(self, node_id: int) -> Nic:
@@ -156,13 +144,8 @@ class RdmaFabric(Substrate):
         """Power off a node's NIC (host crash)."""
         self.nics[node_id].power_off()
 
-    def set_partition(self, *groups: Iterable[int]) -> None:
-        super().set_partition(*groups)
-        if self.trains is not None:
-            self.trains.revalidate()
-
-    def heal_partition(self) -> None:
-        super().heal_partition()
+    def _recut(self, partition: Optional[list[frozenset[int]]]) -> None:
+        super()._recut(partition)
         if self.trains is not None:
             self.trains.revalidate()
 
@@ -196,27 +179,31 @@ class RdmaFabric(Substrate):
 
         ``earliest_ns``: doorbell time — typically the posting process's
         ``cpu.busy_until``, so protocol CPU work delays the wire.
-        ``lane="bulk"`` routes over the dedicated bulk QP and QoS lane;
-        ordering is only guaranteed within a lane, so structures that
-        rely on FIFO (rings, SSTs) must keep all their writes on one
-        lane.
+        The caller picks the lane: ``lane="bulk"`` routes over the
+        dedicated bulk QP and NIC QoS lane (Derecho's RDMC data plane),
+        so control traffic (SST rows, heartbeats, ring metadata) never
+        queues behind megabytes of data, as the service levels of real
+        RDMA NICs provide.  Ordering is only guaranteed within a lane,
+        so structures that rely on FIFO (rings, SSTs) must keep all
+        their writes on one lane.  A write on a ``cut`` QP is dropped.
 
         ``at`` posts an unsignaled write materialized after the fact at
         that instant (see ``QueuePair.post_write``): nothing is
         scheduled, and the landing time is returned for the caller to
-        apply — None when the write was dropped at a partition.  A
-        heartbeat train (``repro.core.trains``) posts this way."""
-        if self._partition is not None and self._blocked(src, dst):
+        apply.  A heartbeat train (``repro.core.trains``) posts this
+        way, never across a cut."""
+        qp = self.qps[(src, dst)] if lane != "bulk" else self.bulk_qp(src, dst)
+        if qp.cut:
             self._drop_partitioned()
             return None
-        qp = self.qps[(src, dst)] if lane != "bulk" else self.bulk_qp(src, dst)
         return qp.post_write(region, rkey, key, value, size_bytes, signaled,
                              wr_id, earliest_ns, at)
 
     def send(self, src: int, dst: int, payload: Any, size_bytes: int) -> None:
         """Message-channel send: one one-sided write into the destination
         endpoint's inbox region.  Charges the poster's doorbell CPU (the
-        only send-side CPU RDMA involves); both endpoints must have been
+        only send-side CPU RDMA involves; a send across a cut pays it
+        too, as a real RC post does); both endpoints must have been
         created with :meth:`attach`."""
         byz = self.engine.byz
         if byz is not None and byz.on_net_send(self, src, dst, payload,
@@ -226,14 +213,9 @@ class RdmaFabric(Substrate):
         dst_ep = self.endpoints[dst]
         if src_ep.process.crashed or not self.nics[src].powered:
             return
-        if self._blocked(src, dst):
-            self._drop_partitioned()
-            return
         self.write(src, dst, dst_ep._region, dst_ep._rkey, src, payload,
                    size_bytes,
                    earliest_ns=src_ep.process.cpu.charge(self._doorbell_cpu_ns))
-        src_ep.sent += 1
-        src_ep.tx_bytes += self.params.wire_bytes(size_bytes)
 
     # The inherited loop over send(), bound in this class's namespace
     # because bench/hosttrace.py wraps ``broadcast`` here by name.
@@ -242,8 +224,7 @@ class RdmaFabric(Substrate):
     # ------------------------------------------------------------ accounting
 
     def _all_qps(self) -> Iterable[QueuePair]:
-        yield from self.qps.values()
-        yield from self._bulk_qps.values()
+        return self._connections
 
     def _raw_counters(self) -> dict[str, int]:
         return {

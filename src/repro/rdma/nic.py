@@ -91,9 +91,12 @@ class Nic:
         ``earliest_ns`` is the moment the posting CPU rings the doorbell
         (it cannot post before its handler work is done).  ``lane``
         selects the QoS class: ``"bulk"`` transfers queue separately so
-        control traffic never waits behind them.  ``at`` replaces both
-        with an explicit doorbell instant, which may lie before now: a
-        write materialized after the fact (``QueuePair.post_write``)."""
+        control traffic never waits behind them.  Control traffic is a
+        few percent of link capacity, so modelling the lanes as
+        independent introduces negligible bandwidth error.  ``at``
+        replaces both with an explicit doorbell instant, which may lie
+        before now: a write materialized after the fact
+        (``QueuePair.post_write``)."""
         start = (max(self.engine.now, earliest_ns) if at is None
                  else at) + self._nic_tx_ns
         cost = self._costs.get(payload_bytes)

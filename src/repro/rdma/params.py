@@ -74,13 +74,6 @@ class RdmaParams(CostModel):
     # their cost vanish into one completion per thousand writes.
     completion_ns: int = 1_500
     max_send_queue: int = 4096
-    # NIC QoS: wire messages at or above this size are scheduled on the
-    # bulk lane, so small control traffic (SST rows, heartbeats, ring
-    # metadata) never queues behind megabytes of data — the service
-    # levels / per-QP fair queueing real RDMA NICs provide.  Control
-    # traffic is a few percent of link capacity, so modelling the lanes
-    # as independent introduces negligible bandwidth error.
-    qos_bulk_threshold_bytes: int = 16_384
 
     # Wire maths (``wire_bytes``, ``tx_serialization_ns``) are inherited
     # from CostModel; only the uniform accessors are backend-specific.

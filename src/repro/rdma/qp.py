@@ -10,19 +10,21 @@ on the same QP (selective signaling).
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from repro.rdma.memory import MemoryRegion
 from repro.rdma.nic import Completion, Nic
-from repro.rdma.params import RdmaParams
-from repro.sim.engine import Engine
+from repro.substrate.interface import Connection
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.rdma.fabric import RdmaFabric
 
 
 class SendQueueFullError(Exception):
     """Too many un-retired WQEs: the poster failed to signal often enough."""
 
 
-class QueuePair:
+class QueuePair(Connection):
     """One direction of a reliable connection from ``src`` to ``dst``.
 
     One-sided writes posted here land in a registered
@@ -30,25 +32,22 @@ class QueuePair:
     without waking its CPU.
     """
 
-    def __init__(self, engine: Engine, src: Nic, dst: Nic, params: RdmaParams,
+    def __init__(self, fabric: "RdmaFabric", src: Nic, dst: Nic,
                  lane: str = "control"):
-        self.engine = engine
+        self.engine = engine = fabric.engine
+        super().__init__(fabric, src.node_id, dst.node_id,
+                         engine.rng(f"qp.{src.node_id}->{dst.node_id}"))
         self.src = src
         self.dst = dst
-        self.params = params
+        self.params = params = fabric.params
         self.lane = lane
-        self._loss_rng = engine.rng(f"qp.{src.node_id}->{dst.node_id}")
-        self._last_delivery_at = 0
         self._outstanding = 0  # WQEs not yet retired by a completion
         self._unsignaled_run = 0  # unsignaled writes since last signaled one
         self.posted = 0
         self.delivered = 0
-        self.retransmits = 0
         # Frozen-cost snapshots for the post_write hot path.  The wire
         # sum is int + int, so precomputing it cannot move a timestamp.
         self._post_wire_ns = params.propagation_ns + params.nic_rx_ns
-        self._loss_prob = params.loss_prob
-        self._retransmit_timeout_ns = params.retransmit_timeout_ns
         self._max_send_queue = params.max_send_queue
         self._completion_ns = params.completion_ns
 
@@ -87,15 +86,7 @@ class QueuePair:
         self._outstanding += 1
 
         tx_done = self.src.occupy_tx(size_bytes, earliest_ns, self.lane, at)
-        deliver_at = tx_done + self._post_wire_ns
-        if self._loss_prob and self._loss_rng.random() < self._loss_prob:
-            # Go-back-N: this packet (and, through the FIFO floor below,
-            # everything behind it) arrives a retransmit-timeout late.
-            deliver_at += self._retransmit_timeout_ns
-            self.retransmits += 1
-        # RC FIFO guarantee: never deliver out of order.
-        deliver_at = max(deliver_at, self._last_delivery_at + 1)
-        self._last_delivery_at = deliver_at
+        deliver_at = self.arrival(tx_done + self._post_wire_ns)
         if at is not None:
             # A heartbeat row: no span carrier, and the caller lands it.
             self._unsignaled_run += 1

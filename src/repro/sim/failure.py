@@ -199,10 +199,12 @@ class FaultPlan:
         Raises ``ValueError`` when an entry is malformed, names a group
         or node the deployment does not have, uses a bare node id that
         would be ambiguous across groups, spans several groups in one
-        partition cut, or requests a Byzantine attack on a farm — when
-        the spec is built, instead of failing mid-run (or, worse,
-        silently never firing).  On a 1-shard deployment ``n`` and
-        ``0:n`` both name node ``n`` of group 0.
+        partition cut, cuts one group in intersecting windows (a shared
+        instant counts; an open-ended one never ends), or requests a
+        Byzantine attack on a farm — when the spec is built, instead of
+        failing mid-run (or, worse, silently never firing).  On a
+        1-shard deployment ``n`` and ``0:n`` both name node ``n`` of
+        group 0.
         """
         valid = (f"valid groups are 0..{shards - 1}" if shards > 1
                  else "a 1-shard deployment only has group 0")
@@ -237,7 +239,7 @@ class FaultPlan:
             crash_entries.append(CrashEntry(check_group(entry, "crash", g),
                                             check_node(entry, "crash", node),
                                             at_ms))
-        partition_entries = []
+        partition_entries, windows = [], []
         for entry in partitions:
             sides, start_ms, end_ms = parse_partition(entry)
             members = [m for side in sides for m in side]
@@ -254,8 +256,17 @@ class FaultPlan:
                         f"partition schedule {entry!r} spans groups {scoped}; "
                         f"a partition cuts one group's substrate at a time — "
                         f"use one entry per group")
+            group = scoped[0] if scoped else 0
+            end = float("inf") if end_ms is None else end_ms
+            for other, g, lo, hi in windows:
+                if g == group and lo <= end and start_ms <= hi:
+                    raise ValueError(
+                        f"partition schedules {other!r} and {entry!r} cut "
+                        f"group {group} in windows that intersect; the later "
+                        f"cut would replace the earlier, one heal end both")
+            windows.append((entry, group, start_ms, end))
             partition_entries.append(PartitionEntry(
-                scoped[0] if scoped else 0,
+                group,
                 tuple(tuple(check_node(entry, "partition", split(m)[1])
                             for m in side) for side in sides),
                 start_ms, end_ms))

@@ -26,6 +26,7 @@ protocol factory) is allowed to assume.
 from __future__ import annotations
 
 import abc
+import random
 from typing import TYPE_CHECKING, Any, Iterable, Optional
 
 from repro.substrate.cost import CostModel
@@ -35,18 +36,39 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.sim.process import Process
 
 
+class Connection:
+    """One direction of a reliable connection from ``src`` to ``dst``,
+    the one owner of whether, in which order and how late a message
+    posted on it arrives: nothing gets through while it is ``cut`` (a
+    partition separates its ends, :meth:`Substrate.set_partition`), a
+    loss (``loss_prob``) is ``loss_delay_ns`` of delay, counted in
+    ``retransmits``, and no message overtakes an earlier one."""
+
+    def __init__(self, substrate: "Substrate", src: int, dst: int,
+                 loss_rng: random.Random):
+        self.ends = (src, dst)
+        self.cut = substrate._blocked(src, dst)
+        substrate._connections.append(self)
+        self.retransmits = 0
+        self._loss_rng = loss_rng
+        self._loss_prob = substrate.params.loss_prob
+        self._loss_delay_ns = substrate.params.loss_delay_ns
+        self._last_delivery_at = 0
+
+    def arrival(self, deliver_at: int) -> int:
+        """When a message due at ``deliver_at`` is delivered."""
+        if self._loss_prob and self._loss_rng.random() < self._loss_prob:
+            # Go-back-N / RTO: this message (and, through the FIFO floor
+            # below, everything behind it) arrives a loss delay late.
+            deliver_at += self._loss_delay_ns
+            self.retransmits += 1
+        deliver_at = max(deliver_at, self._last_delivery_at + 1)
+        self._last_delivery_at = deliver_at
+        return deliver_at
+
+
 class Endpoint(abc.ABC):
-    """One node's attachment to a substrate: an inbox plus egress state.
-
-    Subclasses maintain the per-endpoint accounting attributes ``sent``,
-    ``received``, ``tx_bytes`` and ``retransmits``.
-    """
-
-    #: set by subclasses
-    sent: int = 0
-    received: int = 0
-    tx_bytes: int = 0
-    retransmits: int = 0
+    """One node's attachment to a substrate: an inbox plus egress state."""
 
     @property
     @abc.abstractmethod
@@ -75,6 +97,7 @@ class Substrate(abc.ABC):
         self.endpoints: dict[int, Endpoint] = {}
         self._partition: Optional[list[frozenset[int]]] = None
         self.partition_drops = 0
+        self._connections: list[Connection] = []
 
     # ------------------------------------------------------------- wiring
 
@@ -102,16 +125,22 @@ class Substrate(abc.ABC):
     def set_partition(self, *groups: Iterable[int]) -> None:
         """Partition the network: traffic crosses only within a group.
 
-        Nodes not named in any group are isolated.  Cross-partition
-        messages are dropped (on RDMA the reliable connection would
-        retransmit until its retry budget dies; on TCP the connection
-        stalls — from the protocol's viewpoint the peer is unreachable
-        either way)."""
-        self._partition = [frozenset(g) for g in groups]
+        Nodes not named in any group are isolated.  Every connection
+        between two groups is ``cut`` (one made later is cut when it is
+        made), and a message posted on a cut connection is dropped (on
+        RDMA the reliable connection would retransmit until its retry
+        budget dies; on TCP the connection stalls — from the protocol's
+        viewpoint the peer is unreachable either way)."""
+        self._recut([frozenset(g) for g in groups])
 
     def heal_partition(self) -> None:
         """Restore full connectivity."""
-        self._partition = None
+        self._recut(None)
+
+    def _recut(self, partition: Optional[list[frozenset[int]]]) -> None:
+        self._partition = partition
+        for conn in self._connections:
+            conn.cut = self._blocked(*conn.ends)
 
     def _blocked(self, src: int, dst: int) -> bool:
         if self._partition is None:

@@ -243,6 +243,39 @@ def test_any_engine_event_observes_what_trains_elided():
     assert parked == oracle
 
 
+def test_trains_stop_at_a_cut_and_resume_after_the_heal():
+    """A heartbeat train never crosses a cut: while a partition is set,
+    no replica of an idle group rides a train or has a pure push, so
+    every push is posted eagerly and dropped at the cut QP.  Trains
+    resume once the heal lets the pushes through, and the run equals
+    the unparked oracle's throughout."""
+    def run(parked):
+        with park_mode(parked):
+            e, c = _cluster()
+            trains = c.fabric.trains
+            seen = []
+
+            def probe():
+                pure = [trains.pure_pushes(nd) for nd in c.nodes.values()]
+                seen.append((ms(1) < e.now < ms(2), len(trains._trains), pure))
+
+            for k in range(30):
+                e.schedule_at(us(50) + k * us(100), probe)
+            e.schedule_at(ms(1), c.fabric.set_partition, {0, 1}, {2})
+            e.schedule_at(ms(2), c.fabric.heal_partition)
+            e.run(until=ms(3))
+        return (e, c), seen
+
+    parked, seen = run(True)
+    oracle, _ = run(False)
+    _assert_same(parked, oracle)
+    during = [(n, pure) for cut, n, pure in seen if cut]
+    assert len(during) == 10
+    assert all(n == 0 and pure == [0, 0, 0] for n, pure in during)
+    assert max(n for _cut, n, _pure in seen[:10]) > 0     # before the cut
+    assert max(n for _cut, n, _pure in seen[20:]) > 0     # after the heal
+
+
 def _bench_workloads():
     path = pathlib.Path(__file__).resolve().parents[2] / "bench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("bench_workloads", path)

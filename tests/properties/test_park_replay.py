@@ -21,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.sim import Engine, FailureInjector, Process, ProcessConfig
 from tests.park_reference import park_mode
+from tests.properties import budget
 
 GAP_MIN, GAP_MAX = 3, 5
 #: ns between an event being scheduled and landing: often inside the
@@ -116,7 +117,7 @@ def run(script, period, seed):
     return p
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=budget(300), deadline=None)
 @given(script=SCRIPT, period=st.integers(20, 120), seed=st.integers(0, 50))
 def test_parked_loop_matches_unparked_oracle(script, period, seed):
     with park_mode(False):

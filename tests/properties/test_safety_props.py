@@ -20,6 +20,7 @@ from repro.harness.factory import build_from_spec
 from repro.harness.runspec import RunSpec
 from repro.monitors import finish_monitors
 from repro.sim import ms, us
+from tests.properties import budget
 
 
 def _run_schedule(system_name: str, n: int, seed: int, crashes: list[int],
@@ -67,7 +68,7 @@ schedule = st.tuples(
 )
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=budget(20), deadline=None)
 @given(schedule)
 # Leader 0 is descheduled holding ('p', 0), which no follower accepted,
 # and wakes two epochs later; the diff it then accepts starts above
@@ -80,7 +81,7 @@ def test_acuerdo_safety_under_failures(sched):
     _assert_safety(system, 40)
 
 
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=budget(10), deadline=None)
 @given(schedule)
 def test_derecho_safety_under_failures(sched):
     seed, crashes, deschedules = sched
@@ -98,7 +99,7 @@ def test_derecho_cut_off_member_leads_no_view_change():
     _assert_safety(system, 30)
 
 
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=budget(10), deadline=None)
 @given(schedule)
 def test_apus_safety_under_failures(sched):
     seed, crashes, deschedules = sched
@@ -107,7 +108,7 @@ def test_apus_safety_under_failures(sched):
     _assert_safety(system, 30)
 
 
-@settings(max_examples=8, deadline=None)
+@settings(max_examples=budget(8), deadline=None)
 @given(schedule)
 def test_zab_safety_under_failures(sched):
     seed, crashes, deschedules = sched
@@ -116,7 +117,7 @@ def test_zab_safety_under_failures(sched):
     _assert_safety(system, 20)
 
 
-@settings(max_examples=8, deadline=None)
+@settings(max_examples=budget(8), deadline=None)
 @given(schedule)
 def test_raft_safety_under_failures(sched):
     seed, crashes, deschedules = sched
@@ -125,7 +126,7 @@ def test_raft_safety_under_failures(sched):
     _assert_safety(system, 15)
 
 
-@settings(max_examples=8, deadline=None)
+@settings(max_examples=budget(8), deadline=None)
 @given(schedule)
 def test_paxos_safety_under_failures(sched):
     seed, crashes, deschedules = sched
@@ -134,7 +135,7 @@ def test_paxos_safety_under_failures(sched):
     _assert_safety(system, 25)
 
 
-@settings(max_examples=12, deadline=None)
+@settings(max_examples=budget(12), deadline=None)
 @given(st.integers(0, 2**16), st.lists(st.integers(0, 8), max_size=2))
 def test_acuerdo_liveness_with_quorum(seed, crashes):
     """When at most f nodes crash and the rest run, committed messages

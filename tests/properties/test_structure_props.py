@@ -7,6 +7,7 @@ from repro.core.election import decide_vote, max_vote, new_bigger_epoch, won_ele
     VoteDecision
 from repro.core.types import VOTE_ZERO, pack_hdr, unpack_hdr
 from repro.protocols.entrylog import EntryLog
+from tests.properties import budget
 
 epochs = st.builds(Epoch, st.integers(0, 5), st.integers(0, 6))
 hdrs = st.builds(MsgHdr, epochs, st.integers(0, 50))
@@ -119,7 +120,7 @@ def test_winner_dominates_agreeing_voters(table, self_id):
         assert len(agreeing) >= quorum
 
 
-@settings(max_examples=30)
+@settings(max_examples=budget(30))
 @given(st.lists(hdrs, min_size=3, max_size=5),
        st.integers(0, 100))
 def test_synchronous_election_converges_and_winner_is_up_to_date(accepted_list, _salt):

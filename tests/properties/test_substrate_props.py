@@ -4,9 +4,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.rdma import RdmaFabric, RdmaParams, RingBuffer, SharedStateTable
 from repro.sim import Engine
+from tests.properties import budget
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=budget(40), deadline=None)
 @given(st.integers(1, 200), st.floats(0.0, 0.4), st.integers(0, 2**16))
 def test_qp_fifo_exactly_once_under_loss(count, loss, seed):
     """Reliable connection: every write delivered exactly once, in order,
@@ -21,7 +22,7 @@ def test_qp_fifo_exactly_once_under_loss(count, loss, seed):
     assert seen == list(range(count))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=budget(40), deadline=None)
 @given(st.integers(2, 64), st.lists(st.integers(0, 63), max_size=80),
        st.integers(0, 2**16))
 def test_ring_conservation_and_order(capacity, release_marks, seed):
@@ -49,7 +50,7 @@ def test_ring_conservation_and_order(capacity, release_marks, seed):
     assert got == sent  # exact prefix, in order, nothing lost or duplicated
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=budget(40), deadline=None)
 @given(st.lists(st.integers(0, 1000), min_size=1, max_size=60),
        st.integers(0, 2**16))
 def test_sst_reader_sees_monotone_prefix_of_monotone_writer(values, seed):
@@ -77,7 +78,7 @@ def test_sst_reader_sees_monotone_prefix_of_monotone_writer(values, seed):
     assert sst.read(2, 0) == running_max
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=budget(25), deadline=None)
 @given(st.integers(1, 400), st.integers(1, 1000), st.integers(0, 2**16))
 def test_selective_signaling_retires_all_wqes(count, interval, seed):
     """Any signaling cadence with a trailing signaled write retires every

@@ -80,7 +80,9 @@ def test_params_shared_across_fabric():
 def test_every_one_sided_write_is_posted_by_fabric_write(name, monkeypatch):
     """``RdmaFabric.write`` is the only poster of one-sided writes: no
     structure or protocol reaches ``QueuePair.post_write`` around it, so
-    the partition drop and the lane choice live in one place."""
+    the lane choice lives in one place, and so does the partition drop:
+    ``write`` drops a write whose chosen QP is ``cut`` (the QP's
+    :class:`~repro.substrate.interface.Connection` state)."""
     from repro.harness.factory import _build_named, settle
     from repro.sim.engine import ms
 

@@ -11,6 +11,7 @@ run and on a farm.
 from __future__ import annotations
 
 import pickle
+import re
 
 import pytest
 
@@ -118,6 +119,29 @@ def test_node_ids_checked_on_farms_and_on_replace():
         spec.replace(n=3)
 
 
+# ------------------------------------- one cut per group at a time
+
+
+@pytest.mark.parametrize("cuts", [
+    ["0|1,2@1-5", "1|0,2@2-3"],     # nested: its heal ended both cuts
+    ["1|0,2@2-3", "0|1,2@1-2"],     # touching, listed out of order
+    ["0|1,2@1", "1|0,2@2-3"],       # an open-ended cut never ends
+])
+def test_intersecting_windows_of_one_group_rejected(cuts):
+    first, second = (repr(c) for c in cuts)
+    with pytest.raises(ValueError, match=rf"{re.escape(first)} and "
+                                         rf"{re.escape(second)} cut group 0"):
+        RunSpec(system="zookeeper", n=3, partitions=cuts)
+
+
+def test_disjoint_windows_and_other_groups_accepted():
+    spec = RunSpec(system="zookeeper", n=3,
+                   partitions=["0|1,2@1-2", "1|0,2@2.5-3"])
+    assert [p.end_ms for p in spec.faults.partitions] == [2.0, 3.0]
+    farm = RunSpec(**FARM, partitions=["0:0|0:1,0:2@1-5", "1:1|1:0,1:2@2-3"])
+    assert [p.group for p in farm.faults.partitions] == [0, 1]
+
+
 # ------------------------------------------------------------------ CLI
 
 
@@ -130,3 +154,11 @@ def test_cli_bad_fault_flag_exits_2(argv, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "valid node ids are 0..2" in err
+
+
+def test_cli_intersecting_partitions_exit_2(capsys):
+    argv = ["shootout", "--systems", "zookeeper", "--partition",
+            "0|1,2@1-5", "--partition", "1|0,2@2-3"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "windows that intersect" in err

@@ -106,6 +106,46 @@ def test_partition_drops_and_heals(backend):
     assert sub.counters()[f"substrate.{backend}.partition_drop"] == 1
 
 
+def test_connection_first_used_during_a_cut_drops_then_heals(backend):
+    # A connection made while a partition is set is cut from the start:
+    # RDMA's bulk-lane QPs (RDMC's data plane) are made on their first
+    # write, a TCP stream on its first send.
+    engine = Engine(seed=15)
+    sub, _procs, eps = make_cluster(backend, engine)
+    landed = []
+    if backend == "rdma":
+        region = sub.register(1, "bulk", 1 << 20,
+                              on_write=lambda _k, v, _s: landed.append(v))
+        rkey = region.grant()
+
+        def post(payload):
+            sub.write(0, 1, region, rkey, 0, payload, 32, lane="bulk")
+    else:
+        def post(payload):
+            sub.send(0, 1, payload, 32)
+
+    def arrived():
+        got = landed + [payload for _src, payload in eps[1].drain()]
+        landed.clear()
+        return got
+
+    sub.set_partition([0], [1, 2])
+    made = len(sub._connections)
+    post("across")                   # makes the connection, then drops
+    engine.run(until=ms(10))
+    assert len(sub._connections) == made + 1
+    assert sub._connections[-1].cut
+    assert arrived() == []
+    assert sub.counters()[f"substrate.{backend}.partition_drop"] == 1
+
+    sub.heal_partition()
+    post("healed")
+    engine.run(until=ms(20))
+    assert not sub._connections[-1].cut
+    assert arrived() == ["healed"]
+    assert sub.counters()[f"substrate.{backend}.partition_drop"] == 1
+
+
 def test_unnamed_nodes_are_isolated(backend):
     engine = Engine(seed=7)
     sub, _procs, eps = make_cluster(backend, engine)
